@@ -38,7 +38,9 @@
 //!    the verified-GP engine never ships a slower plan than the ladder
 //!    it falls back to); `gp_fallback_rate` is the traced fraction of
 //!    that sweep plus one impossible deadline that routed through the
-//!    ladder fallback.
+//!    ladder fallback; `gp_iterations_mean` is the mean Newton steps per
+//!    barrier solve over that traced sweep (gated ≤ 64 — a deterministic
+//!    count that catches a stalling barrier without timing noise).
 //!
 //! 5. **Observability**: `probe_overhead_ns` is the disabled-path cost of
 //!    a single pi-obs probe (`PI_OBS` unset — what every untraced run
@@ -404,6 +406,10 @@ fn main() {
     let cache_misses = snap.counter("char_cache.misses") as f64;
     let char_cache_hit_rate = cache_hits / (cache_hits + cache_misses).max(1.0);
     let gp_fallback_rate = snap.counter("gp.fallback") as f64 / gp_sweep.len() as f64;
+    // Mean Newton steps per GP solve over the same sweep: a count, so
+    // host noise cannot move it, and a stalling barrier shows up here.
+    let gp_iterations = &snap.hists["gp.iterations"];
+    let gp_iterations_mean = gp_iterations.sum() / gp_iterations.count() as f64;
     std::env::remove_var("PI_OBS");
     pi_obs::reinit_from_env();
 
@@ -497,6 +503,9 @@ fn main() {
     json_field(&mut json, "gp_size_ns", gp_bench.median_ns);
     json.push_str(&format!("  \"gp_vs_ladder_delay_ratio\": {gp_ratio:.4},\n"));
     json.push_str(&format!("  \"gp_fallback_rate\": {gp_fallback_rate:.4},\n"));
+    json.push_str(&format!(
+        "  \"gp_iterations_mean\": {gp_iterations_mean:.2},\n"
+    ));
     json.push_str(
         "  \"yield_case\": \"5 mm line, deadline 1.05x nominal to +-0.5% @ 95%; tail 1.25x nominal to +-0.05%\",\n",
     );
@@ -556,7 +565,8 @@ fn main() {
     );
     println!(
         "gp sizing: {} per certified 5 mm sizing; worst GP/ladder delay ratio \
-         {gp_ratio:.4} over 3/5/8 mm; fallback rate {gp_fallback_rate:.2}",
+         {gp_ratio:.4} over 3/5/8 mm; fallback rate {gp_fallback_rate:.2}; \
+         {gp_iterations_mean:.1} Newton steps/solve",
         fmt_ns(gp_bench.median_ns)
     );
     println!(

@@ -19,6 +19,13 @@
 //!    increasing barrier weight `t` it Newton-minimizes
 //!    `t·F₀(y) − Σ ln(−Fᵢ(y))` with backtracking line search.
 //!
+//! Both phases run through one allocation-free Newton kernel: the
+//! problem is compiled once per solve into log-coefficients and a flat
+//! exponent matrix, the oracles write into a workspace owned by the
+//! solve, line-search trials evaluate the merit value only, and a
+//! centering step ends once its Armijo margin falls below what `f64`
+//! can resolve at the current merit value.
+//!
 //! Everything is serial scalar `f64` arithmetic with fixed iteration
 //! schedules — no RNG, no threading — so results are bit-identical at
 //! any `PI_THREADS` setting.
@@ -117,42 +124,6 @@ impl Posynomial {
             })
             .sum()
     }
-
-    /// `F(y) = ln Σ cₖ·exp(aₖ·y)` with gradient and (row-major) Hessian —
-    /// the convex log-transformed form the solver works on.
-    fn lse(&self, y: &[f64]) -> (f64, Vec<f64>, Vec<f64>) {
-        let dim = self.dim();
-        let z: Vec<f64> = self
-            .terms
-            .iter()
-            .map(|t| t.coeff.ln() + t.exponents.iter().zip(y).map(|(a, yi)| a * yi).sum::<f64>())
-            .collect();
-        let zmax = z.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
-        let weights: Vec<f64> = z.iter().map(|&v| (v - zmax).exp()).collect();
-        let wsum: f64 = weights.iter().sum();
-        let value = zmax + wsum.ln();
-        let mut grad = vec![0.0; dim];
-        for (t, &w) in self.terms.iter().zip(&weights) {
-            for (g, &a) in grad.iter_mut().zip(&t.exponents) {
-                *g += w / wsum * a;
-            }
-        }
-        let mut hess = vec![0.0; dim * dim];
-        for (t, &w) in self.terms.iter().zip(&weights) {
-            let p = w / wsum;
-            for i in 0..dim {
-                for j in 0..dim {
-                    hess[i * dim + j] += p * t.exponents[i] * t.exponents[j];
-                }
-            }
-        }
-        for i in 0..dim {
-            for j in 0..dim {
-                hess[i * dim + j] -= grad[i] * grad[j];
-            }
-        }
-        (value, grad, hess)
-    }
 }
 
 /// A geometric program in standard form: minimize `objective(x)` subject
@@ -210,17 +181,386 @@ pub struct GpSolution {
     pub kkt: KktResidual,
 }
 
-/// Solves a dense symmetric positive-definite system by Cholesky with a
-/// deterministic ridge-escalation fallback. Returns `None` only if the
-/// matrix stays indefinite through the largest ridge.
-fn chol_solve(h: &[f64], rhs: &[f64]) -> Option<Vec<f64>> {
+/// A problem compiled for the Newton kernel: every posynomial (the
+/// objective first, then the constraints) as log-coefficients plus a
+/// flat row-major exponent matrix.
+struct Compiled {
+    dim: usize,
+    /// Terms of posynomial `k` are `starts[k]..starts[k + 1]`.
+    starts: Vec<usize>,
+    /// `ln cⱼ` per term.
+    log_coeff: Vec<f64>,
+    /// `dim` exponents per term.
+    exps: Vec<f64>,
+}
+
+/// What the oracles write into: per-posynomial values, gradients and
+/// Hessians, and the merit function's gradient and Hessian.
+struct Buffers {
+    /// Per-term exponents `zⱼ`, overwritten by their softmax weights.
+    z: Vec<f64>,
+    /// Value of each posynomial; Phase I overwrites the constraint
+    /// values with their smoothed-max weights.
+    f: Vec<f64>,
+    /// Gradient of each posynomial, `dim` apiece.
+    g: Vec<f64>,
+    /// Hessian of each posynomial, `dim²` apiece.
+    h: Vec<f64>,
+    /// Gradient of the merit function.
+    grad: Vec<f64>,
+    /// Hessian of the merit function.
+    hess: Vec<f64>,
+}
+
+/// Everything one solve writes, allocated once per solve.
+struct Workspace {
+    buf: Buffers,
+    /// Cholesky factor of the merit Hessian.
+    chol: Vec<f64>,
+    /// Newton step.
+    step: Vec<f64>,
+    /// Line-search trial point.
+    trial: Vec<f64>,
+    /// Newton steps taken.
+    iterations: u32,
+    /// Line-search halvings.
+    backtracks: u32,
+}
+
+/// The convex function one damped-Newton descent minimizes.
+#[derive(Debug, Clone, Copy)]
+enum Merit {
+    /// Phase I: the smoothed maximum `τ·ln((1/m)·Σ exp(Fᵢ/τ))` of the
+    /// constraints.
+    SmoothedMax(f64),
+    /// Phase II: the barrier `t·F₀ − Σ ln(−Fᵢ)`.
+    Barrier(f64),
+}
+
+/// Turns the constraint values `f` into their smoothed-max weights in
+/// place; returns the smoothed maximum and the weight sum.
+fn soften(tau: f64, vmax: f64, f: &mut [f64]) -> (f64, f64) {
+    let mut wsum = 0.0;
+    for v in f.iter_mut() {
+        *v = ((*v - vmax) / tau).exp();
+        wsum += *v;
+    }
+    (vmax + tau * (wsum / f.len() as f64).ln(), wsum)
+}
+
+impl Compiled {
+    fn new(problem: &GpProblem) -> Self {
+        let dim = problem.objective.dim();
+        let mut starts = vec![0];
+        let mut log_coeff = Vec::new();
+        let mut exps = Vec::new();
+        for p in std::iter::once(&problem.objective).chain(&problem.constraints) {
+            for t in &p.terms {
+                assert_eq!(t.exponents.len(), dim, "mixed-dimension posynomial");
+                log_coeff.push(t.coeff.ln());
+                exps.extend_from_slice(&t.exponents);
+            }
+            starts.push(log_coeff.len());
+        }
+        Compiled {
+            dim,
+            starts,
+            log_coeff,
+            exps,
+        }
+    }
+
+    /// Number of posynomials, the objective included.
+    fn count(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn workspace(&self) -> Workspace {
+        let (dim, count) = (self.dim, self.count());
+        let max_terms = self.starts.windows(2).map(|s| s[1] - s[0]).max();
+        Workspace {
+            buf: Buffers {
+                z: vec![0.0; max_terms.unwrap_or(0)],
+                f: vec![0.0; count],
+                g: vec![0.0; count * dim],
+                h: vec![0.0; count * dim * dim],
+                grad: vec![0.0; dim],
+                hess: vec![0.0; dim * dim],
+            },
+            chol: vec![0.0; dim * dim],
+            step: vec![0.0; dim],
+            trial: vec![0.0; dim],
+            iterations: 0,
+            backtracks: 0,
+        }
+    }
+
+    /// `Fₖ(y) = ln Σ cⱼ·exp(aⱼ·y)` of posynomial `k`, the convex
+    /// log-transformed form the solver works on. Leaves the unnormalized
+    /// softmax weights in `z`; returns the value and the weight sum.
+    fn lse_value(&self, k: usize, y: &[f64], z: &mut [f64]) -> (f64, f64) {
+        let dim = self.dim;
+        let terms = self.starts[k]..self.starts[k + 1];
+        let z = &mut z[..terms.len()];
+        let mut zmax = f64::NEG_INFINITY;
+        for (zj, j) in z.iter_mut().zip(terms) {
+            let mut dot = 0.0;
+            for (a, yi) in self.exps[j * dim..(j + 1) * dim].iter().zip(y) {
+                dot += a * yi;
+            }
+            *zj = self.log_coeff[j] + dot;
+            zmax = zmax.max(*zj);
+        }
+        if let [w] = z {
+            // A monomial is affine in the log domain: its one weight is
+            // exactly exp(0) = 1 and ln 1 = 0, so skip both (`+ 0.0`
+            // keeps the sign of a zero exactly as `zmax + ln 1` does).
+            if zmax.is_finite() {
+                *w = 1.0;
+                return (zmax + 0.0, 1.0);
+            }
+        }
+        let mut wsum = 0.0;
+        for zj in z.iter_mut() {
+            *zj = (*zj - zmax).exp();
+            wsum += *zj;
+        }
+        (zmax + wsum.ln(), wsum)
+    }
+
+    /// [`Compiled::lse_value`] plus the gradient and row-major Hessian of
+    /// posynomial `k`, written into `grad` and `hess`.
+    fn lse_full(
+        &self,
+        k: usize,
+        y: &[f64],
+        z: &mut [f64],
+        grad: &mut [f64],
+        hess: &mut [f64],
+    ) -> f64 {
+        let dim = self.dim;
+        let (value, wsum) = self.lse_value(k, y, z);
+        grad.fill(0.0);
+        hess.fill(0.0);
+        for (&w, j) in z.iter().zip(self.starts[k]..self.starts[k + 1]) {
+            let a = &self.exps[j * dim..(j + 1) * dim];
+            let p = w / wsum;
+            for (g, &ai) in grad.iter_mut().zip(a) {
+                *g += p * ai;
+            }
+            for i in 0..dim {
+                for l in 0..dim {
+                    hess[i * dim + l] += p * a[i] * a[l];
+                }
+            }
+        }
+        for i in 0..dim {
+            for l in 0..dim {
+                hess[i * dim + l] -= grad[i] * grad[l];
+            }
+        }
+        value
+    }
+
+    /// The largest constraint value `maxᵢ Fᵢ(y)` (log domain).
+    fn max_violation(&self, y: &[f64], buf: &mut Buffers) -> f64 {
+        (1..self.count())
+            .map(|k| self.lse_value(k, y, &mut buf.z).0)
+            .fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// The merit value alone — all a line-search trial needs. `None`
+    /// outside the barrier domain or on a non-finite value.
+    fn merit_value(&self, merit: Merit, y: &[f64], buf: &mut Buffers) -> Option<f64> {
+        let value = match merit {
+            Merit::SmoothedMax(tau) => {
+                let mut vmax = f64::NEG_INFINITY;
+                for k in 1..self.count() {
+                    buf.f[k] = self.lse_value(k, y, &mut buf.z).0;
+                    vmax = vmax.max(buf.f[k]);
+                }
+                soften(tau, vmax, &mut buf.f[1..]).0
+            }
+            Merit::Barrier(t) => {
+                let mut value = t * self.lse_value(0, y, &mut buf.z).0;
+                for k in 1..self.count() {
+                    let fi = self.lse_value(k, y, &mut buf.z).0;
+                    if fi >= 0.0 {
+                        return None;
+                    }
+                    value -= (-fi).ln();
+                }
+                value
+            }
+        };
+        value.is_finite().then_some(value)
+    }
+
+    /// The merit value, with its gradient and Hessian written into
+    /// `buf.grad` and `buf.hess`. The value is computed exactly as
+    /// [`Compiled::merit_value`] computes it.
+    fn merit_full(&self, merit: Merit, y: &[f64], buf: &mut Buffers) -> Option<f64> {
+        let (dim, count) = (self.dim, self.count());
+        let dd = dim * dim;
+        let Buffers {
+            z,
+            f,
+            g,
+            h,
+            grad,
+            hess,
+        } = buf;
+        let value = match merit {
+            Merit::SmoothedMax(tau) => {
+                // Gradient: the softmax mixture of constraint gradients.
+                let mut vmax = f64::NEG_INFINITY;
+                for k in 1..count {
+                    let (gk, hk) = (&mut g[k * dim..][..dim], &mut h[k * dd..][..dd]);
+                    f[k] = self.lse_full(k, y, z, gk, hk);
+                    vmax = vmax.max(f[k]);
+                }
+                let (value, wsum) = soften(tau, vmax, &mut f[1..]);
+                grad.fill(0.0);
+                hess.fill(0.0);
+                for k in 1..count {
+                    let pw = f[k] / wsum;
+                    let (gk, hk) = (&g[k * dim..][..dim], &h[k * dd..][..dd]);
+                    for (s, &gi) in grad.iter_mut().zip(gk) {
+                        *s += pw * gi;
+                    }
+                    for (i, hv) in hess.iter_mut().enumerate() {
+                        *hv += pw * (hk[i] + gk[i / dim] * gk[i % dim] / tau);
+                    }
+                }
+                for i in 0..dim {
+                    for l in 0..dim {
+                        hess[i * dim + l] -= grad[i] * grad[l] / tau;
+                    }
+                }
+                value
+            }
+            Merit::Barrier(t) => {
+                let f0 = self.lse_full(0, y, z, &mut g[..dim], &mut h[..dd]);
+                let mut value = t * f0;
+                for (s, &gi) in grad.iter_mut().zip(&g[..dim]) {
+                    *s = t * gi;
+                }
+                for (s, &hi) in hess.iter_mut().zip(&h[..dd]) {
+                    *s = t * hi;
+                }
+                for k in 1..count {
+                    let (gk, hk) = (&mut g[k * dim..][..dim], &mut h[k * dd..][..dd]);
+                    let fi = self.lse_full(k, y, z, gk, hk);
+                    if fi >= 0.0 {
+                        return None;
+                    }
+                    value -= (-fi).ln();
+                    let inv = -1.0 / fi;
+                    for (s, &gi) in grad.iter_mut().zip(gk.iter()) {
+                        *s += inv * gi;
+                    }
+                    for i in 0..dim {
+                        for l in 0..dim {
+                            hess[i * dim + l] += inv * inv * gk[i] * gk[l] + inv * hk[i * dim + l];
+                        }
+                    }
+                }
+                value
+            }
+        };
+        value.is_finite().then_some(value)
+    }
+
+    /// Damped Newton on `merit` from `y`, in place, for at most
+    /// `max_iters` steps, counting steps and halvings into `ws`.
+    ///
+    /// Backtracking is Armijo with α = 0.25, β = 0.5; a trial outside the
+    /// merit's domain also backtracks. A step whose Armijo-accepted trial
+    /// is not strictly below the current value ends the descent without
+    /// being taken: the Armijo margin has fallen below the rounding unit
+    /// of the value, so the point is as central as `f64` can resolve.
+    fn newton(
+        &self,
+        merit: Merit,
+        y: &mut [f64],
+        max_iters: u32,
+        ws: &mut Workspace,
+    ) -> Result<(), GpError> {
+        for _ in 0..max_iters {
+            let value = self
+                .merit_full(merit, y, &mut ws.buf)
+                .ok_or(GpError::Stalled)?;
+            if !chol_solve(&ws.buf.hess, &ws.buf.grad, &mut ws.chol, &mut ws.step) {
+                return Err(GpError::Stalled);
+            }
+            let decrement: f64 = ws.buf.grad.iter().zip(&ws.step).map(|(g, s)| g * s).sum();
+            if decrement <= 1e-12 {
+                break;
+            }
+            let mut t = 1.0;
+            let mut accepted = None;
+            for _ in 0..60 {
+                for ((trial, yi), s) in ws.trial.iter_mut().zip(y.iter()).zip(&ws.step) {
+                    *trial = yi - t * s;
+                }
+                if let Some(v) = self.merit_value(merit, &ws.trial, &mut ws.buf) {
+                    if v <= value - 0.25 * t * decrement {
+                        accepted = Some(v);
+                        break;
+                    }
+                }
+                t *= 0.5;
+                ws.backtracks += 1;
+            }
+            match accepted {
+                Some(v) if v < value => {
+                    y.copy_from_slice(&ws.trial);
+                    ws.iterations += 1;
+                }
+                Some(_) => break,
+                None => {
+                    ws.iterations += 1;
+                    break;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// KKT residuals at the central point `y` of barrier weight `t`,
+    /// with multipliers `λᵢ = 1 / (t·(−Fᵢ))`.
+    fn kkt(&self, y: &[f64], t: f64, duality_gap: f64, buf: &mut Buffers) -> KktResidual {
+        let (dim, dd) = (self.dim, self.dim * self.dim);
+        let Buffers { z, g, h, grad, .. } = buf;
+        self.lse_full(0, y, z, grad, &mut h[..dd]);
+        let mut feasibility: f64 = 0.0;
+        for k in 1..self.count() {
+            let gk = &mut g[k * dim..][..dim];
+            let fi = self.lse_full(k, y, z, gk, &mut h[k * dd..][..dd]);
+            feasibility = feasibility.max(fi);
+            let lambda = 1.0 / (t * (-fi).max(1e-300));
+            for (s, &gi) in grad.iter_mut().zip(gk.iter()) {
+                *s += lambda * gi;
+            }
+        }
+        KktResidual {
+            stationarity: grad.iter().fold(0.0f64, |a, v| a.max(v.abs())),
+            feasibility: feasibility.max(0.0),
+            duality_gap,
+        }
+    }
+}
+
+/// Solves the dense symmetric positive-definite system `h·x = rhs` into
+/// `x` by Cholesky (factor in `l`), with a deterministic
+/// ridge-escalation fallback. Returns `false` only if the matrix stays
+/// indefinite through the largest ridge.
+fn chol_solve(h: &[f64], rhs: &[f64], l: &mut [f64], x: &mut [f64]) -> bool {
     let n = rhs.len();
     let scale = (0..n).map(|i| h[i * n + i].abs()).fold(1e-300, f64::max);
-    for ridge_exp in [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0] {
+    'ridge: for ridge_exp in [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0] {
         let ridge = ridge_exp * scale;
-        let mut l = vec![0.0; n * n];
-        let mut ok = true;
-        'factor: for i in 0..n {
+        for i in 0..n {
             for j in 0..=i {
                 let mut sum = h[i * n + j] + if i == j { ridge } else { 0.0 };
                 for k in 0..j {
@@ -228,8 +568,7 @@ fn chol_solve(h: &[f64], rhs: &[f64]) -> Option<Vec<f64>> {
                 }
                 if i == j {
                     if sum <= 0.0 || !sum.is_finite() {
-                        ok = false;
-                        break 'factor;
+                        continue 'ridge;
                     }
                     l[i * n + i] = sum.sqrt();
                 } else {
@@ -237,11 +576,8 @@ fn chol_solve(h: &[f64], rhs: &[f64]) -> Option<Vec<f64>> {
                 }
             }
         }
-        if !ok {
-            continue;
-        }
         // Forward/back substitution: L·Lᵀ·x = rhs.
-        let mut x = rhs.to_vec();
+        x.copy_from_slice(rhs);
         for i in 0..n {
             for k in 0..i {
                 x[i] -= l[i * n + k] * x[k];
@@ -255,48 +591,10 @@ fn chol_solve(h: &[f64], rhs: &[f64]) -> Option<Vec<f64>> {
             x[i] /= l[i * n + i];
         }
         if x.iter().all(|v| v.is_finite()) {
-            return Some(x);
+            return true;
         }
     }
-    None
-}
-
-/// One damped-Newton descent on a convex function given by its
-/// `(value, gradient, hessian)` oracle. Returns the Newton-step count.
-fn newton_minimize(
-    y: &mut [f64],
-    max_iters: u32,
-    mut oracle: impl FnMut(&[f64]) -> Option<(f64, Vec<f64>, Vec<f64>)>,
-) -> Result<u32, GpError> {
-    let mut iters = 0;
-    for _ in 0..max_iters {
-        let (value, grad, hess) = oracle(y).ok_or(GpError::Stalled)?;
-        let step = chol_solve(&hess, &grad).ok_or(GpError::Stalled)?;
-        let decrement: f64 = grad.iter().zip(&step).map(|(g, s)| g * s).sum();
-        if decrement <= 1e-12 {
-            break;
-        }
-        // Backtracking line search (Armijo, α = 0.25, β = 0.5); oracle
-        // returning None (e.g. barrier domain violation) also backtracks.
-        let mut t = 1.0;
-        let mut accepted = false;
-        for _ in 0..60 {
-            let trial: Vec<f64> = y.iter().zip(&step).map(|(yi, s)| yi - t * s).collect();
-            if let Some((v, _, _)) = oracle(&trial) {
-                if v <= value - 0.25 * t * decrement {
-                    y.copy_from_slice(&trial);
-                    accepted = true;
-                    break;
-                }
-            }
-            t *= 0.5;
-        }
-        iters += 1;
-        if !accepted {
-            break;
-        }
-    }
-    Ok(iters)
+    false
 }
 
 /// Solves the geometric program starting from the strictly positive
@@ -314,6 +612,15 @@ fn newton_minimize(
 ///
 /// Panics if `x0` has the wrong dimension or a non-positive component.
 pub fn solve(problem: &GpProblem, x0: &[f64]) -> Result<GpSolution, GpError> {
+    solve_counted(problem, x0).map(|(sol, _)| sol)
+}
+
+/// A GP solve that also returns its total line-search halvings: the
+/// barrier kernel, or the legacy oracle when tests compare the two.
+type CountedSolver = fn(&GpProblem, &[f64]) -> Result<(GpSolution, u32), GpError>;
+
+/// [`solve`], also returning the solve's total line-search halvings.
+fn solve_counted(problem: &GpProblem, x0: &[f64]) -> Result<(GpSolution, u32), GpError> {
     let dim = problem.objective.dim();
     assert_eq!(x0.len(), dim, "start point dimension mismatch");
     assert!(
@@ -323,123 +630,45 @@ pub fn solve(problem: &GpProblem, x0: &[f64]) -> Result<GpSolution, GpError> {
     for c in &problem.constraints {
         assert_eq!(c.dim(), dim, "constraint dimension mismatch");
     }
+    let gp = Compiled::new(problem);
+    let mut ws = gp.workspace();
     let mut y: Vec<f64> = x0.iter().map(|&v| v.ln()).collect();
-    let mut iterations = 0u32;
     let m = problem.constraints.len();
 
     // Phase I: drive the smoothed maximum constraint value negative.
     // `Fᵢ(y) ≤ 0` in the log domain is `constraint(x) ≤ 1`.
-    let max_violation = |y: &[f64]| {
-        problem
-            .constraints
-            .iter()
-            .map(|c| c.lse(y).0)
-            .fold(f64::NEG_INFINITY, f64::max)
-    };
-    if m > 0 && max_violation(&y) > -1e-9 {
+    if m > 0 && gp.max_violation(&y, &mut ws.buf) > -1e-9 {
         for tau in [0.5, 0.05, 0.005] {
-            let oracle = |y: &[f64]| {
-                // Smoothed max: τ·ln Σ exp(Fᵢ/τ) — convex, gradient the
-                // softmax mixture of constraint gradients.
-                let parts: Vec<(f64, Vec<f64>, Vec<f64>)> =
-                    problem.constraints.iter().map(|c| c.lse(y)).collect();
-                let vmax = parts.iter().fold(f64::NEG_INFINITY, |a, p| a.max(p.0));
-                let w: Vec<f64> = parts.iter().map(|p| ((p.0 - vmax) / tau).exp()).collect();
-                let wsum: f64 = w.iter().sum();
-                let value = vmax + tau * (wsum / parts.len() as f64).ln();
-                let mut grad = vec![0.0; dim];
-                let mut hess = vec![0.0; dim * dim];
-                let mut mixed = vec![0.0; dim];
-                for (p, &wi) in parts.iter().zip(&w) {
-                    let pw = wi / wsum;
-                    for i in 0..dim {
-                        grad[i] += pw * p.1[i];
-                        mixed[i] += pw * p.1[i];
-                    }
-                    for (i, h) in hess.iter_mut().enumerate() {
-                        *h += pw * (p.2[i] + p.1[i / dim] * p.1[i % dim] / tau);
-                    }
-                }
-                for i in 0..dim {
-                    for j in 0..dim {
-                        hess[i * dim + j] -= mixed[i] * mixed[j] / tau;
-                    }
-                }
-                (value.is_finite()).then_some((value, grad, hess))
-            };
-            iterations += newton_minimize(&mut y, 40, oracle)?;
-            if max_violation(&y) < -1e-7 {
+            gp.newton(Merit::SmoothedMax(tau), &mut y, 40, &mut ws)?;
+            if gp.max_violation(&y, &mut ws.buf) < -1e-7 {
                 break;
             }
         }
-        if max_violation(&y) >= 0.0 {
+        if gp.max_violation(&y, &mut ws.buf) >= 0.0 {
             return Err(GpError::Infeasible);
         }
     }
 
-    // Phase II: central path. φ_t(y) = t·F₀(y) − Σ ln(−Fᵢ(y)).
+    // Phase II: central path for a geometrically increasing weight t.
     let mut t = 1.0;
-    let mut gap = if m == 0 { 0.0 } else { m as f64 / t };
     loop {
-        let oracle = |y: &[f64]| {
-            let (f0, g0, h0) = problem.objective.lse(y);
-            let mut value = t * f0;
-            let mut grad: Vec<f64> = g0.iter().map(|g| t * g).collect();
-            let mut hess: Vec<f64> = h0.iter().map(|h| t * h).collect();
-            for c in &problem.constraints {
-                let (fi, gi, hi) = c.lse(y);
-                if fi >= 0.0 {
-                    return None; // outside the barrier domain
-                }
-                value -= (-fi).ln();
-                let inv = -1.0 / fi;
-                for i in 0..dim {
-                    grad[i] += inv * gi[i];
-                }
-                for i in 0..dim {
-                    for j in 0..dim {
-                        hess[i * dim + j] += inv * inv * gi[i] * gi[j] + inv * hi[i * dim + j];
-                    }
-                }
-            }
-            value.is_finite().then_some((value, grad, hess))
-        };
-        iterations += newton_minimize(&mut y, 60, oracle)?;
-        if m == 0 {
-            break;
-        }
-        gap = m as f64 / t;
-        if gap < 1e-9 || t > 1e12 {
+        gp.newton(Merit::Barrier(t), &mut y, 60, &mut ws)?;
+        if m == 0 || m as f64 / t < 1e-9 || t > 1e12 {
             break;
         }
         t *= 20.0;
     }
-
-    // KKT report at the final central point: λᵢ = 1 / (t·(−Fᵢ)).
-    let (_, g0, _) = problem.objective.lse(&y);
-    let mut stationarity_vec = g0;
-    let mut feasibility: f64 = 0.0;
-    for c in &problem.constraints {
-        let (fi, gi, _) = c.lse(&y);
-        feasibility = feasibility.max(fi);
-        let lambda = 1.0 / (t * (-fi).max(1e-300));
-        for (s, g) in stationarity_vec.iter_mut().zip(&gi) {
-            *s += lambda * g;
-        }
-    }
-    let stationarity = stationarity_vec.iter().fold(0.0f64, |a, v| a.max(v.abs()));
+    let gap = if m == 0 { 0.0 } else { m as f64 / t };
+    let kkt = gp.kkt(&y, t, gap, &mut ws.buf);
     let x: Vec<f64> = y.iter().map(|&v| v.exp()).collect();
     let objective = problem.objective.eval(&x);
-    Ok(GpSolution {
+    let sol = GpSolution {
         x,
         objective,
-        iterations,
-        kkt: KktResidual {
-            stationarity,
-            feasibility: feasibility.max(0.0),
-            duality_gap: gap,
-        },
-    })
+        iterations: ws.iterations,
+        kkt,
+    };
+    Ok((sol, ws.backtracks))
 }
 
 /// Posynomial surrogate of one buffered link in the variables
@@ -477,6 +706,20 @@ impl LinkGpModel {
             Posynomial::monomial(1.0 / self.n_bounds.1, vec![0.0, 1.0]),
             Posynomial::monomial(1.0, vec![0.0, -1.0]),
         ]
+    }
+
+    /// The robust-delay sizing GP over the library box, with its start
+    /// point at the geometric centre of the box.
+    fn sizing_problem(&self) -> (GpProblem, [f64; 2]) {
+        let problem = GpProblem {
+            objective: self.guarded_delay.clone(),
+            constraints: self.box_constraints(),
+        };
+        let x0 = [
+            (self.w_bounds.0 * self.w_bounds.1).sqrt(),
+            (self.n_bounds.0 * self.n_bounds.1).sqrt(),
+        ];
+        (problem, x0)
     }
 }
 
@@ -627,6 +870,20 @@ impl LineEvaluator<'_> {
         deadline: Time,
         target_yield: f64,
     ) -> Option<Vec<BufferingPlan>> {
+        self.gp_propose_via(solve_counted, spec, plan, variation, deadline, target_yield)
+    }
+
+    /// [`LineEvaluator::gp_propose`] with the GP solved by `solver`,
+    /// which returns the solution and its line-search halvings.
+    fn gp_propose_via(
+        &self,
+        solver: CountedSolver,
+        spec: &LineSpec,
+        plan: &BufferingPlan,
+        variation: &VariationModel,
+        deadline: Time,
+        target_yield: f64,
+    ) -> Option<Vec<BufferingPlan>> {
         let usable = spec.length.si().is_finite()
             && spec.length.si() > 0.0
             && deadline.si().is_finite()
@@ -637,23 +894,17 @@ impl LineEvaluator<'_> {
             return None;
         }
         let model = self.link_gp_model(spec, plan, variation, target_yield);
-        let problem = GpProblem {
-            objective: model.guarded_delay.clone(),
-            constraints: model.box_constraints(),
-        };
-        let x0 = [
-            (model.w_bounds.0 * model.w_bounds.1).sqrt(),
-            (model.n_bounds.0 * model.n_bounds.1).sqrt(),
-        ];
+        let (problem, x0) = model.sizing_problem();
         pi_obs::counter_add("gp.solve", 1);
-        let sol = match solve(&problem, &x0) {
-            Ok(sol) => sol,
+        let (sol, backtracks) = match solver(&problem, &x0) {
+            Ok(solved) => solved,
             Err(_) => {
                 pi_obs::counter_add("gp.infeasible", 1);
                 return None;
             }
         };
         pi_obs::hist_record("gp.iterations", f64::from(sol.iterations));
+        pi_obs::hist_record("gp.backtracks", f64::from(backtracks));
         pi_obs::hist_record("gp.kkt_residual", sol.kkt.stationarity);
         if sol.objective > deadline.si() {
             // Even the jointly optimal robust delay misses the deadline:
@@ -863,6 +1114,269 @@ impl LineEvaluator<'_> {
     }
 }
 
+/// The allocating reference solver the barrier kernel is tested
+/// against: every oracle call returns fresh `Vec`s, line-search trials
+/// evaluate the full oracle, and a centering step ends only on the
+/// Newton-decrement threshold or the iteration cap.
+#[cfg(test)]
+mod legacy {
+    use super::{GpError, GpProblem, GpSolution, KktResidual, Posynomial};
+
+    /// `F(y) = ln Σ cₖ·exp(aₖ·y)` with gradient and (row-major) Hessian.
+    fn lse(poly: &Posynomial, y: &[f64]) -> (f64, Vec<f64>, Vec<f64>) {
+        let dim = poly.dim();
+        let z: Vec<f64> = poly
+            .terms
+            .iter()
+            .map(|t| t.coeff.ln() + t.exponents.iter().zip(y).map(|(a, yi)| a * yi).sum::<f64>())
+            .collect();
+        let zmax = z.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
+        let weights: Vec<f64> = z.iter().map(|&v| (v - zmax).exp()).collect();
+        let wsum: f64 = weights.iter().sum();
+        let value = zmax + wsum.ln();
+        let mut grad = vec![0.0; dim];
+        for (t, &w) in poly.terms.iter().zip(&weights) {
+            for (g, &a) in grad.iter_mut().zip(&t.exponents) {
+                *g += w / wsum * a;
+            }
+        }
+        let mut hess = vec![0.0; dim * dim];
+        for (t, &w) in poly.terms.iter().zip(&weights) {
+            let p = w / wsum;
+            for i in 0..dim {
+                for j in 0..dim {
+                    hess[i * dim + j] += p * t.exponents[i] * t.exponents[j];
+                }
+            }
+        }
+        for i in 0..dim {
+            for j in 0..dim {
+                hess[i * dim + j] -= grad[i] * grad[j];
+            }
+        }
+        (value, grad, hess)
+    }
+
+    /// Solves a dense symmetric positive-definite system by Cholesky with a
+    /// deterministic ridge-escalation fallback. Returns `None` only if the
+    /// matrix stays indefinite through the largest ridge.
+    fn chol_solve(h: &[f64], rhs: &[f64]) -> Option<Vec<f64>> {
+        let n = rhs.len();
+        let scale = (0..n).map(|i| h[i * n + i].abs()).fold(1e-300, f64::max);
+        for ridge_exp in [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0] {
+            let ridge = ridge_exp * scale;
+            let mut l = vec![0.0; n * n];
+            let mut ok = true;
+            'factor: for i in 0..n {
+                for j in 0..=i {
+                    let mut sum = h[i * n + j] + if i == j { ridge } else { 0.0 };
+                    for k in 0..j {
+                        sum -= l[i * n + k] * l[j * n + k];
+                    }
+                    if i == j {
+                        if sum <= 0.0 || !sum.is_finite() {
+                            ok = false;
+                            break 'factor;
+                        }
+                        l[i * n + i] = sum.sqrt();
+                    } else {
+                        l[i * n + j] = sum / l[j * n + j];
+                    }
+                }
+            }
+            if !ok {
+                continue;
+            }
+            // Forward/back substitution: L·Lᵀ·x = rhs.
+            let mut x = rhs.to_vec();
+            for i in 0..n {
+                for k in 0..i {
+                    x[i] -= l[i * n + k] * x[k];
+                }
+                x[i] /= l[i * n + i];
+            }
+            for i in (0..n).rev() {
+                for k in (i + 1)..n {
+                    x[i] -= l[k * n + i] * x[k];
+                }
+                x[i] /= l[i * n + i];
+            }
+            if x.iter().all(|v| v.is_finite()) {
+                return Some(x);
+            }
+        }
+        None
+    }
+
+    /// One damped-Newton descent on a convex function given by its
+    /// `(value, gradient, hessian)` oracle. Returns the Newton-step count.
+    fn newton_minimize(
+        y: &mut [f64],
+        max_iters: u32,
+        mut oracle: impl FnMut(&[f64]) -> Option<(f64, Vec<f64>, Vec<f64>)>,
+    ) -> Result<u32, GpError> {
+        let mut iters = 0;
+        for _ in 0..max_iters {
+            let (value, grad, hess) = oracle(y).ok_or(GpError::Stalled)?;
+            let step = chol_solve(&hess, &grad).ok_or(GpError::Stalled)?;
+            let decrement: f64 = grad.iter().zip(&step).map(|(g, s)| g * s).sum();
+            if decrement <= 1e-12 {
+                break;
+            }
+            // Backtracking line search (Armijo, α = 0.25, β = 0.5); oracle
+            // returning None (e.g. barrier domain violation) also backtracks.
+            let mut t = 1.0;
+            let mut accepted = false;
+            for _ in 0..60 {
+                let trial: Vec<f64> = y.iter().zip(&step).map(|(yi, s)| yi - t * s).collect();
+                if let Some((v, _, _)) = oracle(&trial) {
+                    if v <= value - 0.25 * t * decrement {
+                        y.copy_from_slice(&trial);
+                        accepted = true;
+                        break;
+                    }
+                }
+                t *= 0.5;
+            }
+            iters += 1;
+            if !accepted {
+                break;
+            }
+        }
+        Ok(iters)
+    }
+
+    /// The allocating two-phase barrier solve.
+    pub(super) fn solve(problem: &GpProblem, x0: &[f64]) -> Result<GpSolution, GpError> {
+        let dim = problem.objective.dim();
+        assert_eq!(x0.len(), dim, "start point dimension mismatch");
+        assert!(
+            x0.iter().all(|&v| v > 0.0 && v.is_finite()),
+            "GP variables must start strictly positive"
+        );
+        for c in &problem.constraints {
+            assert_eq!(c.dim(), dim, "constraint dimension mismatch");
+        }
+        let mut y: Vec<f64> = x0.iter().map(|&v| v.ln()).collect();
+        let mut iterations = 0u32;
+        let m = problem.constraints.len();
+
+        // Phase I: drive the smoothed maximum constraint value negative.
+        // `Fᵢ(y) ≤ 0` in the log domain is `constraint(x) ≤ 1`.
+        let max_violation = |y: &[f64]| {
+            problem
+                .constraints
+                .iter()
+                .map(|c| lse(c, y).0)
+                .fold(f64::NEG_INFINITY, f64::max)
+        };
+        if m > 0 && max_violation(&y) > -1e-9 {
+            for tau in [0.5, 0.05, 0.005] {
+                let oracle = |y: &[f64]| {
+                    // Smoothed max: τ·ln Σ exp(Fᵢ/τ) — convex, gradient the
+                    // softmax mixture of constraint gradients.
+                    let parts: Vec<(f64, Vec<f64>, Vec<f64>)> =
+                        problem.constraints.iter().map(|c| lse(c, y)).collect();
+                    let vmax = parts.iter().fold(f64::NEG_INFINITY, |a, p| a.max(p.0));
+                    let w: Vec<f64> = parts.iter().map(|p| ((p.0 - vmax) / tau).exp()).collect();
+                    let wsum: f64 = w.iter().sum();
+                    let value = vmax + tau * (wsum / parts.len() as f64).ln();
+                    let mut grad = vec![0.0; dim];
+                    let mut hess = vec![0.0; dim * dim];
+                    let mut mixed = vec![0.0; dim];
+                    for (p, &wi) in parts.iter().zip(&w) {
+                        let pw = wi / wsum;
+                        for i in 0..dim {
+                            grad[i] += pw * p.1[i];
+                            mixed[i] += pw * p.1[i];
+                        }
+                        for (i, h) in hess.iter_mut().enumerate() {
+                            *h += pw * (p.2[i] + p.1[i / dim] * p.1[i % dim] / tau);
+                        }
+                    }
+                    for i in 0..dim {
+                        for j in 0..dim {
+                            hess[i * dim + j] -= mixed[i] * mixed[j] / tau;
+                        }
+                    }
+                    (value.is_finite()).then_some((value, grad, hess))
+                };
+                iterations += newton_minimize(&mut y, 40, oracle)?;
+                if max_violation(&y) < -1e-7 {
+                    break;
+                }
+            }
+            if max_violation(&y) >= 0.0 {
+                return Err(GpError::Infeasible);
+            }
+        }
+
+        // Phase II: central path. φ_t(y) = t·F₀(y) − Σ ln(−Fᵢ(y)).
+        let mut t = 1.0;
+        let mut gap = if m == 0 { 0.0 } else { m as f64 / t };
+        loop {
+            let oracle = |y: &[f64]| {
+                let (f0, g0, h0) = lse(&problem.objective, y);
+                let mut value = t * f0;
+                let mut grad: Vec<f64> = g0.iter().map(|g| t * g).collect();
+                let mut hess: Vec<f64> = h0.iter().map(|h| t * h).collect();
+                for c in &problem.constraints {
+                    let (fi, gi, hi) = lse(c, y);
+                    if fi >= 0.0 {
+                        return None; // outside the barrier domain
+                    }
+                    value -= (-fi).ln();
+                    let inv = -1.0 / fi;
+                    for i in 0..dim {
+                        grad[i] += inv * gi[i];
+                    }
+                    for i in 0..dim {
+                        for j in 0..dim {
+                            hess[i * dim + j] += inv * inv * gi[i] * gi[j] + inv * hi[i * dim + j];
+                        }
+                    }
+                }
+                value.is_finite().then_some((value, grad, hess))
+            };
+            iterations += newton_minimize(&mut y, 60, oracle)?;
+            if m == 0 {
+                break;
+            }
+            gap = m as f64 / t;
+            if gap < 1e-9 || t > 1e12 {
+                break;
+            }
+            t *= 20.0;
+        }
+
+        // KKT report at the final central point: λᵢ = 1 / (t·(−Fᵢ)).
+        let (_, g0, _) = lse(&problem.objective, &y);
+        let mut stationarity_vec = g0;
+        let mut feasibility: f64 = 0.0;
+        for c in &problem.constraints {
+            let (fi, gi, _) = lse(c, &y);
+            feasibility = feasibility.max(fi);
+            let lambda = 1.0 / (t * (-fi).max(1e-300));
+            for (s, g) in stationarity_vec.iter_mut().zip(&gi) {
+                *s += lambda * g;
+            }
+        }
+        let stationarity = stationarity_vec.iter().fold(0.0f64, |a, v| a.max(v.abs()));
+        let x: Vec<f64> = y.iter().map(|&v| v.exp()).collect();
+        let objective = problem.objective.eval(&x);
+        Ok(GpSolution {
+            x,
+            objective,
+            iterations,
+            kkt: KktResidual {
+                stationarity,
+                feasibility: feasibility.max(0.0),
+                duality_gap: gap,
+            },
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -938,6 +1452,136 @@ mod tests {
         let sol = solve(&problem, &[17.0]).expect("unconstrained");
         assert!((sol.x[0] - 2.0).abs() < 1e-6);
         assert!((sol.objective - 4.0).abs() < 1e-10);
+    }
+
+    /// The sweep the kernel is checked against its legacy oracle on:
+    /// every length × style × variation model × target, as
+    /// `(spec, start plan, variation, target)`.
+    fn legacy_sweep() -> Vec<(LineSpec, BufferingPlan, VariationModel, f64)> {
+        let variations = [
+            VariationModel::none(),
+            VariationModel::nominal(),
+            VariationModel::nominal().with_regional(0.8, Length::mm(2.0)),
+        ];
+        let mut cases = Vec::new();
+        for mm in [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 16.0, 20.0] {
+            for style in [DesignStyle::SingleSpacing, DesignStyle::Shielded] {
+                let spec = LineSpec::global(Length::mm(mm), style);
+                let plan = BufferingPlan {
+                    kind: RepeaterKind::Inverter,
+                    count: ((mm * 1.5).ceil() as usize).max(1),
+                    wn: Length::um(2.4),
+                    staggered: false,
+                };
+                for v in variations {
+                    for target in [0.5, 0.9, 0.99, 0.999] {
+                        cases.push((spec, plan, v, target));
+                    }
+                }
+            }
+        }
+        cases
+    }
+
+    fn legacy_counted(problem: &GpProblem, x0: &[f64]) -> Result<(GpSolution, u32), GpError> {
+        legacy::solve(problem, x0).map(|sol| (sol, 0))
+    }
+
+    #[test]
+    fn kernel_matches_the_legacy_oracle_across_the_link_sweep() {
+        let (t, m) = setup();
+        let ev = LineEvaluator::new(&m, &t);
+        let mut feasible = 0;
+        for (spec, plan, v, target) in legacy_sweep() {
+            let case = format!(
+                "{} mm {:?} {v:?} @ {target}",
+                spec.length.as_mm(),
+                spec.style
+            );
+            let (problem, x0) = ev.link_gp_model(&spec, &plan, &v, target).sizing_problem();
+            let (old, new) = (legacy::solve(&problem, &x0), solve(&problem, &x0));
+            let (Ok(old), Ok(new)) = (&old, &new) else {
+                assert_eq!(old.map(|_| ()), new.map(|_| ()), "{case}: outcome");
+                continue;
+            };
+            feasible += 1;
+            for (a, b) in old.x.iter().zip(&new.x) {
+                assert!(
+                    (a - b).abs() <= 1e-9 * a.abs(),
+                    "{case}: x {:?} vs {:?}",
+                    old.x,
+                    new.x
+                );
+            }
+            assert!(
+                new.iterations <= old.iterations,
+                "{case}: {} Newton steps vs legacy {}",
+                new.iterations,
+                old.iterations
+            );
+            // A deadline no plan misses, so both paths reach the snap.
+            let deadline = Time::s(1.0);
+            assert_eq!(
+                ev.gp_propose_via(solve_counted, &spec, &plan, &v, deadline, target),
+                ev.gp_propose_via(legacy_counted, &spec, &plan, &v, deadline, target),
+                "{case}: snapped candidates"
+            );
+        }
+        assert!(feasible >= 200, "only {feasible} feasible sweep problems");
+    }
+
+    #[test]
+    fn reference_link_solve_does_not_stall_at_the_iteration_cap() {
+        // Before the roundoff-aware stop, every centering step at barrier
+        // weights ≳ 1e9 ran to the 60-step cap on vacuous Armijo steps
+        // (~106 Newton steps on this link).
+        let (t, m) = setup();
+        let ev = LineEvaluator::new(&m, &t);
+        let (spec, plan) = reference();
+        let model = ev.link_gp_model(&spec, &plan, &VariationModel::nominal(), 0.9);
+        let (problem, x0) = model.sizing_problem();
+        let sol = solve(&problem, &x0).expect("feasible");
+        assert!(sol.iterations <= 64, "{} Newton steps", sol.iterations);
+        assert!(sol.kkt.duality_gap < 1e-8);
+    }
+
+    #[test]
+    fn phase_one_start_outside_the_box_beats_the_legacy_step_count() {
+        // Start at n = 8 with the count box shrunk to [1, 1.5]: Phase I
+        // must first walk back into the box.
+        let (t, m) = setup();
+        let ev = LineEvaluator::new(&m, &t);
+        let (spec, plan) = reference();
+        let model = LinkGpModel {
+            n_bounds: (1.0, 1.5),
+            ..ev.link_gp_model(&spec, &plan, &VariationModel::nominal(), 0.9)
+        };
+        let (problem, mut x0) = model.sizing_problem();
+        x0[1] = 8.0;
+        let old = legacy::solve(&problem, &x0).expect("legacy feasible");
+        let new = solve(&problem, &x0).expect("feasible");
+        assert!(
+            new.iterations < old.iterations,
+            "{} Newton steps vs legacy {}",
+            new.iterations,
+            old.iterations
+        );
+        assert!((1.0..=1.5).contains(&new.x[1]), "n = {}", new.x[1]);
+        for (a, b) in old.x.iter().zip(&new.x) {
+            assert!(
+                (a - b).abs() <= 1e-9 * a.abs(),
+                "x {:?} vs {:?}",
+                old.x,
+                new.x
+            );
+        }
+        // The degenerate box n ∈ [1, 1] has no strictly feasible point.
+        let degenerate = LinkGpModel {
+            n_bounds: (1.0, 1.0),
+            ..model
+        };
+        let (problem, x0) = degenerate.sizing_problem();
+        assert_eq!(solve(&problem, &x0), Err(GpError::Infeasible));
     }
 
     #[test]

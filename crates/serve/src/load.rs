@@ -4,8 +4,11 @@
 //! fixed timetable (`start + i/qps`), striped across the client
 //! connections by request index (`i mod conns`). Workers never slow the
 //! timetable down — if the server falls behind, latency grows instead of
-//! the offered load shrinking, which is what makes the reported p99
-//! honest. Each worker holds one persistent keep-alive connection, and
+//! the offered load shrinking. Latency is timed from each request's
+//! scheduled instant, not from when it was actually written, so a
+//! stalled connection charges every request queued behind it (no
+//! coordinated omission); that is what makes the reported p99 honest.
+//! Each worker holds one persistent keep-alive connection, and
 //! the connection count (`--conns`) is independent of the offered QPS, so
 //! connection-handling cost can be measured separately from request cost.
 //!
@@ -101,7 +104,8 @@ pub struct LoadReport {
     pub elapsed_s: f64,
     /// Achieved throughput, requests per second.
     pub qps: f64,
-    /// Median latency over status-200 responses, microseconds. Shed
+    /// Median latency over status-200 responses, microseconds, timed
+    /// from each request's scheduled send instant. Shed
     /// responses answer much faster than served ones, so percentiles
     /// are computed per status; see [`LoadReport::latency_by_status`]
     /// for the non-200 codes.
@@ -374,11 +378,11 @@ pub fn run_load(config: &LoadConfig) -> Result<LoadReport, String> {
                     }
                     let request = gen.request(i);
                     let body = request.to_json().render();
-                    let sent_at = Instant::now();
                     match client.roundtrip("POST", request.path(), body.as_bytes()) {
                         Ok(resp) => {
+                            let latency = Instant::now().saturating_duration_since(due);
                             out.latencies_us
-                                .push((resp.status, sent_at.elapsed().as_secs_f64() * 1e6));
+                                .push((resp.status, latency.as_secs_f64() * 1e6));
                             *out.by_status.entry(resp.status).or_default() += 1;
                             if resp.status == 200 {
                                 out.ok += 1;
@@ -594,6 +598,62 @@ mod tests {
         assert_eq!(report.latency_by_status[0].count, 200);
         assert!(report.cache_hit_rate > 0.5, "127 lengths repeat quickly");
         server.shutdown();
+    }
+
+    /// A stub HTTP server on an ephemeral port that answers every request
+    /// with an empty JSON 200, except that it holds the first POST for
+    /// `stall` first. It serves `conns` connections, then its thread
+    /// ends.
+    fn stalling_server(stall: Duration, conns: usize) -> (String, std::thread::JoinHandle<()>) {
+        use crate::http::{read_request, write_response};
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let handle = std::thread::spawn(move || {
+            let mut stalled = false;
+            for stream in listener.incoming().take(conns) {
+                let mut stream = stream.expect("accept");
+                let _ = stream.set_nodelay(true);
+                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                while let Ok(Some(req)) = read_request(&mut reader) {
+                    if req.method == "POST" && !stalled {
+                        stalled = true;
+                        std::thread::sleep(stall);
+                    }
+                    if write_response(&mut stream, 200, "application/json", b"{}", true).is_err() {
+                        break;
+                    }
+                }
+            }
+        });
+        (addr, handle)
+    }
+
+    #[test]
+    fn latency_is_timed_from_the_schedule_not_the_send() {
+        // 50 requests due every 5 ms on one connection; the server holds
+        // the first for 250 ms, so request i cannot be answered before
+        // 250 ms after the start, and its latency from its due instant
+        // (5·i ms) is at least 250 − 5·i ms. Timed from the actual send,
+        // the 49 queued requests would look instant.
+        let stall = Duration::from_millis(250);
+        // Health check, the one worker, the stats scrape.
+        let (addr, server) = stalling_server(stall, 3);
+        let config = LoadConfig {
+            addr,
+            qps: 200.0,
+            conns: 1,
+            duration_s: 0.25,
+            ..LoadConfig::default()
+        };
+        let report = run_load(&config).expect("load run");
+        server.join().expect("stub server");
+        assert_eq!(report.sent, 50);
+        assert_eq!(report.ok, 50, "{report:?}");
+        assert!(report.max_us >= 250_000.0, "{report:?}");
+        // Nearest-rank p50 is the 26th-smallest latency; only requests
+        // 25..49 have lower bounds under 130 ms.
+        assert!(report.p50_us >= 125_000.0, "{report:?}");
     }
 
     #[test]

@@ -52,7 +52,7 @@ for key in host_cores calibration_threads calibration_serial_ns \
     newton_iters_per_solve step_reject_rate char_cache_hit_rate \
     serve_p50_us serve_p99_us serve_qps serve_batch_mean \
     serve_qps_c64 serve_p99_us_c64 size_batch_mean \
-    gp_size_ns gp_vs_ladder_delay_ratio gp_fallback_rate; do
+    gp_size_ns gp_vs_ladder_delay_ratio gp_fallback_rate gp_iterations_mean; do
     require_finite "$key"
 done
 # Legitimately "null" on an effectively-serial host, but must be present.
@@ -103,6 +103,15 @@ fi
 gp_fallback=$(json_value gp_fallback_rate)
 if ! awk -v f="$gp_fallback" 'BEGIN { exit !(f > 0.0 && f < 1.0) }'; then
     echo "perf smoke: gp_fallback_rate $gp_fallback outside (0, 1) — fallback path not exercised, or GP never verified"
+    exit 1
+fi
+# The barrier kernel ends a centering step once its Armijo margin drops
+# below f64 resolution; a regression to running every step into the
+# iteration cap shows up as ~100 mean Newton steps. A count, not a time,
+# so host noise cannot flake it.
+gp_iters=$(json_value gp_iterations_mean)
+if ! awk -v n="$gp_iters" 'BEGIN { exit !(n <= 64.0) }'; then
+    echo "perf smoke: gp_iterations_mean $gp_iters exceeds 64 Newton steps per GP solve"
     exit 1
 fi
 # Coalesced sizing: the 20 ms-window burst must actually batch ladders.
