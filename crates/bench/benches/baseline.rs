@@ -238,8 +238,8 @@ fn main() {
     // load behind the long-standing `serve_*` keys, a 64-connection run
     // at the same offered QPS (`serve_qps_c64` / `serve_p99_us_c64` —
     // the event loop must hold throughput when connections outnumber
-    // worker threads 16:1), and a sizing burst under a wide batch window
-    // whose coalescing factor is committed as `size_batch_mean`. Client
+    // worker threads 16:1), and an overload sizing burst whose
+    // coalescing factor is committed as `size_batch_mean`. Client
     // and server share the host, so these numbers are a conservative
     // single-machine floor.
     use pi_serve::load::{run_load, LoadConfig};
@@ -285,20 +285,24 @@ fn main() {
             ..LoadConfig::default()
         },
     );
-    // Sizing burst: 40% size queries against a 20 ms batch window, so
-    // each bisection iteration sweeps several coalesced ladders at once.
+    // Sizing burst: 4000 pure /v1/size requests all due at once over 64
+    // connections. Batching is adaptive (the batcher drains whatever is
+    // queued the moment it is free), so ladders coalesce only behind an
+    // in-flight batch. With every request already due, each connection
+    // always has its next request queued or in flight, so the coalescing
+    // factor is set by the connection count, not by how the offered rate
+    // compares with this host's sizing capacity.
     let serve_sizes = serve_load(
         &ServeConfig {
             port: 0,
-            batch_window_us: 20_000,
             ..ServeConfig::default()
         },
         &LoadConfig {
-            qps: 400.0,
-            conns: 16,
-            duration_s: 1.5,
+            qps: 1_000_000.0,
+            conns: 64,
+            duration_s: 0.004,
             yield_pct: 0,
-            size_pct: 40,
+            size_pct: 100,
             seed: 1,
             tech: "65nm".to_owned(),
             ..LoadConfig::default()

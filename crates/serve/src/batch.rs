@@ -2,6 +2,13 @@
 //! a drain-and-coalesce batcher, and the executors that turn coalesced
 //! requests into answers.
 //!
+//! Batching is greedy and adaptive, with no timer: the batcher thread
+//! drains whatever is queued the moment it is free
+//! ([`Batcher::take_batch`]) and blocks only while the queue is empty.
+//! A lone request on an idle server is dispatched at once; requests that
+//! arrive while a batch executes queue up behind it and form the next
+//! batch. Coalescing therefore grows with load and costs nothing at idle.
+//!
 //! The scaling idea: concurrent requests that share a `(technology node,
 //! process corner)` pair are drained together and dispatched as **one**
 //! structure-of-arrays sweep through the batch entry points of
@@ -37,7 +44,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use pi_core::line::{BufferingPlan, LineSpec};
@@ -212,7 +219,7 @@ impl Batcher {
         id: u64,
         resp: Responder,
     ) -> Result<(), ApiResponse> {
-        let mut st = self.state.lock().expect("batch queue poisoned");
+        let mut st = self.lock();
         if st.closed {
             return Err(ApiResponse::error(503, "server is shutting down"));
         }
@@ -251,12 +258,26 @@ impl Batcher {
         Ok(())
     }
 
-    /// Blocks until at least one job is queued, then waits up to `window`
-    /// for companions to accumulate and drains everything queued — one
-    /// batch. Returns `None` once the queue is closed and empty.
+    /// Locks the queue. A panic elsewhere while the lock was held
+    /// (poisoning it) leaves the queue consistent — every critical section
+    /// is a single push, drain or flag store — so the batcher recovers the
+    /// guard instead of cascading the panic into every later request.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The server's dispatch call: blocks only while the queue is empty,
+    /// then drains everything queued as one batch, with no timed wait. A
+    /// lone job on an idle server leaves at once; jobs that arrive while
+    /// the previous batch executes come back together from the next call.
+    /// Returns `None` once the queue is closed and empty.
+    ///
+    /// `_window` is ignored: it is what remains of the retired coalescing
+    /// window, kept only so existing callers that pass `Duration::ZERO`
+    /// compile unchanged. Any value drains the same way.
     #[must_use]
-    pub fn take_batch(&self, window: Duration) -> Option<Vec<Job>> {
-        let mut st = self.state.lock().expect("batch queue poisoned");
+    pub fn take_batch(&self, _window: Duration) -> Option<Vec<Job>> {
+        let mut st = self.lock();
         loop {
             if !st.jobs.is_empty() {
                 break;
@@ -264,29 +285,7 @@ impl Batcher {
             if st.closed {
                 return None;
             }
-            st = self.ready.wait(st).expect("batch queue poisoned");
-        }
-        if !window.is_zero() {
-            // Coalescing window: new arrivals keep landing in the queue
-            // while we hold back; shutdown cuts the window short.
-            let deadline = Instant::now() + window;
-            while !st.closed {
-                let now = Instant::now();
-                let Some(remaining) = deadline
-                    .checked_duration_since(now)
-                    .filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
-                let (next, timeout) = self
-                    .ready
-                    .wait_timeout(st, remaining)
-                    .expect("batch queue poisoned");
-                st = next;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
+            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         let mut batch: Vec<Job> = st.jobs.drain(..).collect();
         // Record outside the queue lock: probe sinks must never hold up a
@@ -309,7 +308,7 @@ impl Batcher {
     /// Number of jobs currently queued.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.state.lock().expect("batch queue poisoned").jobs.len()
+        self.lock().jobs.len()
     }
 
     /// Whether the queue is currently empty.
@@ -340,7 +339,7 @@ impl Batcher {
     /// fail fast, and the batcher loop drains out.
     pub fn close(&self) {
         let pending: Vec<Job> = {
-            let mut st = self.state.lock().expect("batch queue poisoned");
+            let mut st = self.lock();
             st.closed = true;
             self.ready.notify_all();
             st.jobs.drain(..).collect()
@@ -754,7 +753,6 @@ mod tests {
         }
         assert_eq!(q.len(), 5);
         assert_eq!(q.queue_depth_hwm(), 5);
-        // Window 0: a deterministic drain of everything queued.
         let batch = q.take_batch(Duration::ZERO).expect("open queue");
         assert_eq!(batch.len(), 5, "all queued jobs drain as one batch");
         assert!(q.is_empty());
@@ -766,6 +764,81 @@ mod tests {
             assert!(timing.queue_us >= 0.0);
             assert!(timing.compute_us > 0.0, "drained jobs report compute time");
         }
+    }
+
+    #[test]
+    fn dispatch_never_waits_on_a_timer_and_coalesces_behind_a_batch() {
+        let q = Batcher::new(16);
+        // A lone job leaves at once, whatever window a caller passes: the
+        // argument is ignored, so even an hour-long one holds nothing
+        // back. (A timed coalescing wait would hold the job for the full
+        // hour and trip the generous receive bound below.)
+        let lone = q.submit(eval_request(1.0)).expect("queued");
+        let (tx, rx) = mpsc::channel();
+        let drainer = Arc::clone(&q);
+        std::thread::spawn(move || {
+            let batch = drainer.take_batch(Duration::from_secs(3600));
+            let _ = tx.send(batch);
+        });
+        let batch = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a lone job is dispatched without a timed wait")
+            .expect("open queue");
+        assert_eq!(batch.len(), 1, "the lone job, alone");
+        execute_batch(&NodeStore::default(), batch, &ServerStats::default());
+        assert_eq!(lone.recv().expect("answered").0.status(), 200);
+
+        // Jobs submitted while a drained batch is still unanswered queue
+        // behind it and come back together, in order, from the next call.
+        let first = q.submit(eval_request(1.0)).expect("queued");
+        let in_flight = q.take_batch(Duration::ZERO).expect("open queue");
+        assert_eq!(in_flight.len(), 1);
+        let behind: Vec<_> = (2..=4)
+            .map(|mm| q.submit(eval_request(f64::from(mm))).expect("queued"))
+            .collect();
+        let next = q.take_batch(Duration::ZERO).expect("open queue");
+        assert_eq!(next.len(), 3, "arrivals behind the in-flight batch");
+        assert!(next.windows(2).all(|w| w[0].id < w[1].id), "FIFO order");
+        assert!(q.is_empty());
+        let store = NodeStore::default();
+        let stats = ServerStats::default();
+        execute_batch(&store, in_flight, &stats);
+        execute_batch(&store, next, &stats);
+        assert_eq!(first.recv().expect("answered").0.status(), 200);
+        for rx in behind {
+            assert_eq!(rx.recv().expect("answered").0.status(), 200);
+        }
+
+        // An idle batcher blocks only until the next arrival.
+        let idle = Arc::clone(&q);
+        let waiter = std::thread::spawn(move || idle.take_batch(Duration::ZERO).map(|b| b.len()));
+        let _late = q.submit(eval_request(5.0)).expect("queued");
+        assert_eq!(waiter.join().expect("batcher thread"), Some(1));
+    }
+
+    #[test]
+    fn a_poisoned_queue_lock_is_recovered_not_cascaded() {
+        let q = Batcher::new(16);
+        let poisoner = Arc::clone(&q);
+        let panicked = std::thread::spawn(move || {
+            let _guard = poisoner.state.lock().expect("first lock");
+            panic!("a panic while holding the queue lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(q.state.is_poisoned());
+
+        // Submit, drain, execute and close all carry on as normal.
+        let rx = q.submit(eval_request(5.0)).expect("queued");
+        assert_eq!(q.len(), 1);
+        let batch = q.take_batch(Duration::ZERO).expect("open queue");
+        assert_eq!(batch.len(), 1);
+        execute_batch(&NodeStore::default(), batch, &ServerStats::default());
+        assert_eq!(rx.recv().expect("answered").0.status(), 200);
+        let pending = q.submit(eval_request(6.0)).expect("queued");
+        q.close();
+        assert_eq!(pending.recv().expect("answered").0.status(), 503);
+        assert!(q.take_batch(Duration::ZERO).is_none(), "closed and empty");
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! | variable          | meaning                                | default |
 //! |-------------------|----------------------------------------|---------|
 //! | `PI_SERVE_PORT`   | TCP port to bind (`0` = ephemeral)     | 7878    |
-//! | `PI_SERVE_BATCH_US` | batching window, microseconds        | 500     |
 //! | `PI_SERVE_QUEUE`  | bounded request-queue depth            | 1024    |
 //! | `PI_SERVE_IO`     | connection handling: `poll` / `threads`| poll    |
 //! | `PI_SERVE_SHED_PCT` | queue fill (percent of depth) above which expensive requests shed | 75 |
@@ -19,6 +18,11 @@
 //! value is clamped, again with a warning carrying the effective value.
 //! The string-valued `PI_SERVE_IO` follows the same policy: an unknown
 //! spelling warns once and uses the default `poll` mode.
+//!
+//! `PI_SERVE_BATCH_US`, the old fixed coalescing window, is retired:
+//! batching is adaptive (the batcher dispatches whatever is queued the
+//! moment it is free), so a set value is ignored with a one-time warning
+//! saying so rather than silently.
 
 /// How connections are handled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,10 +53,6 @@ impl IoMode {
 pub struct ServeConfig {
     /// TCP port to bind; `0` asks the OS for an ephemeral port.
     pub port: u16,
-    /// How long the batcher waits for companions after the first queued
-    /// request, microseconds. `0` disables coalescing (every request is
-    /// its own batch).
-    pub batch_window_us: u64,
     /// Bounded queue depth; requests beyond it are answered `503`.
     pub queue_depth: usize,
     /// Connection-handling mode.
@@ -75,7 +75,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             port: 7878,
-            batch_window_us: 500,
             queue_depth: 1024,
             io: IoMode::Poll,
             shed_pct: 75,
@@ -92,6 +91,10 @@ impl ServeConfig {
     #[must_use]
     pub fn from_env() -> Self {
         let default = ServeConfig::default();
+        env_retired(
+            "PI_SERVE_BATCH_US",
+            "batching is adaptive, with no coalescing window",
+        );
         ServeConfig {
             port: env_u64(
                 "PI_SERVE_PORT",
@@ -99,7 +102,6 @@ impl ServeConfig {
                 0,
                 u64::from(u16::MAX),
             ) as u16,
-            batch_window_us: env_u64("PI_SERVE_BATCH_US", default.batch_window_us, 0, 1_000_000),
             queue_depth: env_u64("PI_SERVE_QUEUE", default.queue_depth as u64, 1, 1 << 20) as usize,
             io: env_io("PI_SERVE_IO", default.io),
             shed_pct: env_u64("PI_SERVE_SHED_PCT", default.shed_pct, 1, 100),
@@ -141,6 +143,19 @@ fn env_u64(name: &'static str, default: u64, min: u64, max: u64) -> u64 {
             default
         }
     }
+}
+
+/// Checks one retired `PI_SERVE_*` variable: set (to anything) → a
+/// warn-once that it is ignored and why. Returns whether it was set.
+fn env_retired(name: &'static str, why: &str) -> bool {
+    let Ok(raw) = std::env::var(name) else {
+        return false;
+    };
+    pi_obs::warn_once(
+        name,
+        &format!("{name}=`{raw}` is retired and ignored: {why}"),
+    );
+    true
 }
 
 /// Parses one `PI_SERVE_*` path. Unset → `None`; set but blank → `None`
@@ -204,6 +219,7 @@ mod tests {
             std::env::remove_var(k);
         }
         assert_eq!(ServeConfig::from_env(), d);
+        assert!(!env_retired("PI_SERVE_BATCH_US", "retired"));
 
         // Valid values pass through.
         std::env::set_var("PI_SERVE_PORT", "0");
@@ -215,12 +231,17 @@ mod tests {
         std::env::set_var("PI_SERVE_ACCESS_LOG", " /tmp/pi-access.jsonl ");
         std::env::set_var("PI_SERVE_SLOW_US", "250000");
         let c = ServeConfig::from_env();
-        assert_eq!((c.port, c.batch_window_us, c.queue_depth), (0, 250, 64));
+        assert_eq!((c.port, c.queue_depth), (0, 64));
         assert_eq!(c.io, IoMode::Threads);
         assert_eq!((c.shed_pct, c.retry_after_s), (50, 5));
         assert_eq!(c.shed_threshold(), 32, "50% of a 64-deep queue");
         assert_eq!(c.access_log.as_deref(), Some("/tmp/pi-access.jsonl"));
         assert_eq!(c.slow_us, 250_000);
+        // The retired window knob is seen (and warned about) but changes
+        // nothing: the config with it set equals the config without it.
+        assert!(env_retired("PI_SERVE_BATCH_US", "retired"));
+        std::env::remove_var("PI_SERVE_BATCH_US");
+        assert_eq!(ServeConfig::from_env(), c);
 
         // Case-insensitive mode spellings pass through too.
         std::env::set_var("PI_SERVE_IO", " Poll ");
@@ -238,6 +259,7 @@ mod tests {
         std::env::set_var("PI_SERVE_SLOW_US", "fast");
         let c = ServeConfig::from_env();
         assert_eq!(c, d);
+        assert!(env_retired("PI_SERVE_BATCH_US", "retired"));
 
         // Out-of-range values are clamped, not defaulted.
         std::env::set_var("PI_SERVE_PORT", "70000");
@@ -249,13 +271,16 @@ mod tests {
         std::env::remove_var("PI_SERVE_ACCESS_LOG");
         let c = ServeConfig::from_env();
         assert_eq!(c.port, u16::MAX);
-        assert_eq!(c.batch_window_us, 1_000_000);
         assert_eq!(c.queue_depth, 1);
         assert_eq!(c.shed_pct, 100);
         assert_eq!(c.retry_after_s, 1);
         assert_eq!(c.slow_us, 1);
         assert_eq!(c.access_log, None);
         assert_eq!(c.shed_threshold(), 1, "threshold never reaches zero");
+        // A retired knob is never clamped into a value: still ignored.
+        assert!(env_retired("PI_SERVE_BATCH_US", "retired"));
+        std::env::remove_var("PI_SERVE_BATCH_US");
+        assert_eq!(ServeConfig::from_env(), c);
 
         for k in KEYS {
             std::env::remove_var(k);

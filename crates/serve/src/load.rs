@@ -569,7 +569,6 @@ mod tests {
     fn short_burst_against_an_in_process_server_is_clean() {
         let mut server = Server::start(&ServeConfig {
             port: 0,
-            batch_window_us: 200,
             queue_depth: 256,
             ..ServeConfig::default()
         })
@@ -662,7 +661,6 @@ mod tests {
         // carries some of the striped load and all answers come back.
         let mut server = Server::start(&ServeConfig {
             port: 0,
-            batch_window_us: 200,
             queue_depth: 256,
             ..ServeConfig::default()
         })

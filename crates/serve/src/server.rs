@@ -9,7 +9,7 @@
 //!     │  accept → non-blocking socket, per-connection buffers
 //!     │  parse HTTP → route → Batcher::submit_with ──▶ bounded queue
 //!     │  completions re-enter via the self-pipe waker, flush in order
-//!  pi-serve-batch thread ◀── take_batch(window) drains the queue
+//!  pi-serve-batch thread ◀── take_batch() drains the queue when free
 //!     └─ execute_batch: coalesced sweeps, answers every responder
 //! ```
 //!
@@ -293,7 +293,6 @@ impl Server {
             config.retry_after_s,
         );
         let stats = Arc::new(ServerStats::default());
-        let window = Duration::from_micros(config.batch_window_us);
 
         let batcher = {
             let queue = Arc::clone(&queue);
@@ -302,10 +301,9 @@ impl Server {
                 .name("pi-serve-batch".to_owned())
                 .spawn(move || {
                     let store = NodeStore::global();
-                    while let Some(jobs) = queue.take_batch(window) {
-                        if jobs.is_empty() {
-                            continue;
-                        }
+                    // Greedy adaptive batching: whatever queued while the
+                    // previous batch executed is the next batch.
+                    while let Some(jobs) = queue.take_batch(Duration::ZERO) {
                         stats.batches.fetch_add(1, Ordering::Relaxed);
                         stats
                             .batched_jobs
@@ -652,7 +650,6 @@ mod tests {
     fn start_with(io: IoMode) -> Server {
         let config = ServeConfig {
             port: 0,
-            batch_window_us: 200,
             queue_depth: 64,
             io,
             ..ServeConfig::default()

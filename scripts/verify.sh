@@ -114,7 +114,8 @@ if ! awk -v n="$gp_iters" 'BEGIN { exit !(n <= 64.0) }'; then
     echo "perf smoke: gp_iterations_mean $gp_iters exceeds 64 Newton steps per GP solve"
     exit 1
 fi
-# Coalesced sizing: the 20 ms-window burst must actually batch ladders.
+# Coalesced sizing: the overload burst must actually batch ladders behind
+# the in-flight batch (batching is adaptive, with no window to lean on).
 size_batch_mean=$(json_value size_batch_mean)
 if ! awk -v m="$size_batch_mean" 'BEGIN { exit !(m > 1.5) }'; then
     echo "perf smoke: size_batch_mean $size_batch_mean does not clear the 1.5 coalescing bound"
@@ -211,6 +212,15 @@ if ! awk -v a="$p99_served" -v b="$p99_load" \
     echo "serve smoke: served 60s-window p99 ${p99_served}us disagrees with pi-load p99 ${p99_load}us by more than 15%"
     exit 1
 fi
+# Live telemetry, gate 2: batching is adaptive, so a job waits in the
+# queue only behind an in-flight batch, never on a timer. The burst's
+# median queue wait must stay under 250 µs — half the retired 500 µs
+# coalescing window — so a fixed wait cannot come back unnoticed.
+q50_served=$(awk '$1 == "serve_phase_queue_us_p50{window=\"60s\"}" { print $2; exit }' "$metrics_post")
+if ! awk -v q="$q50_served" 'BEGIN { exit !(q != "" && q + 0 <= 250) }'; then
+    echo "serve smoke: served 60s-window queue-wait p50 '${q50_served}'us exceeds the 250us bound (a batching wait is back)"
+    exit 1
+fi
 # 64-connection fan-out against the same (event-loop) server: every
 # response must still be 200 — connection count alone must never shed
 # or fail requests — with some sizing traffic coalescing along the way.
@@ -221,7 +231,7 @@ load_pid=$!
 sleep 1
 target/release/pi obs-top "$serve_addr" --count 1 --raw >"$metrics_live"
 wait "$load_pid"
-# Live telemetry, gate 2: the mid-load exposition must be well-formed
+# Live telemetry, gate 3: the mid-load exposition must be well-formed
 # line by line — legal metric-name charset, numeric values, cumulative
 # histogram buckets monotone, and `_count` equal to the +Inf bucket.
 if ! awk '

@@ -14,7 +14,7 @@
 //!             [--estimator naive|sobol|sobol-scrambled|importance|surrogate-is|analytic]
 //!             [--seed 1] [--ci 0.5]
 //! pi report   --tech 65nm --length 5mm --clock 2GHz [--bits 128] [--full]
-//! pi serve    [--port 7878] [--batch-window 500] [--queue-depth 1024] [--io poll|threads]
+//! pi serve    [--port 7878] [--queue-depth 1024] [--io poll|threads]
 //! pi load     [--addr 127.0.0.1:7878] [--qps 2000] [--conns 4] [--duration 3] [--size-pct 0]
 //!             [--yield-pct 10] [--seed 1] [--tech 65nm] [--json]
 //! pi obs-top  <host:port> [--interval 2] [--count N] [--raw]
@@ -151,6 +151,16 @@ impl Opts {
 
     fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
+    }
+
+    /// Rejects any option outside `known`, naming the first one found.
+    fn only(&self, known: &[&str]) -> Result<(), String> {
+        let mut given: Vec<&String> = self.values.keys().chain(&self.flags).collect();
+        given.sort();
+        match given.into_iter().find(|k| !known.contains(&k.as_str())) {
+            Some(k) => Err(format!("unknown flag `--{k}`")),
+            None => Ok(()),
+        }
     }
 
     fn tech(&self) -> Result<TechNode, String> {
@@ -762,14 +772,10 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     use predictive_interconnect::serve::{
         install_shutdown_signals, signalled, IoMode, ServeConfig, Server,
     };
+    opts.only(&["port", "queue-depth", "io"])?;
     let mut config = ServeConfig::from_env();
     if let Some(v) = opts.get("port") {
         config.port = v.parse().map_err(|e| format!("bad --port: {e}"))?;
-    }
-    if let Some(v) = opts.get("batch-window") {
-        config.batch_window_us = v
-            .parse()
-            .map_err(|e| format!("bad --batch-window (microseconds): {e}"))?;
     }
     if let Some(v) = opts.get("queue-depth") {
         config.queue_depth = v.parse().map_err(|e| format!("bad --queue-depth: {e}"))?;
@@ -990,6 +996,24 @@ mod tests {
     fn opts_rejects_positional_arguments() {
         let args: Vec<String> = vec!["positional".to_owned()];
         assert!(Opts::parse(&args).is_err());
+    }
+
+    #[test]
+    fn opts_only_names_the_first_unknown_option() {
+        let args: Vec<String> = ["--port", "0", "--batch-window", "500", "--verbose"]
+            .iter()
+            .map(|s| (*s).to_owned())
+            .collect();
+        let opts = Opts::parse(&args).unwrap();
+        assert_eq!(
+            opts.only(&["port"]),
+            Err("unknown flag `--batch-window`".to_owned())
+        );
+        assert_eq!(
+            opts.only(&["port", "batch-window"]),
+            Err("unknown flag `--verbose`".to_owned())
+        );
+        assert_eq!(opts.only(&["port", "batch-window", "verbose"]), Ok(()));
     }
 
     #[test]

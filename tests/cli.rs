@@ -115,6 +115,11 @@ fn bad_arguments_fail_with_messages() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
 
+    // The retired coalescing-window knob fails before anything binds.
+    let out = pi(&["serve", "--port", "0", "--batch-window", "500"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--batch-window`"));
+
     let out = pi(&[]);
     assert!(!out.status.success());
 }

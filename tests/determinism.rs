@@ -422,11 +422,11 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
         let mut served_runs: Vec<Vec<(u64, u64, u64)>> = Vec::new();
         for threads in ["1", "4"] {
             let served: Vec<YieldResponse> = with_threads(Some(threads), || {
-                // A wide batching window so the concurrent queries land in
-                // one coalesced batch rather than one batch each.
+                // Concurrent queries coalesce whenever they queue behind
+                // an in-flight batch; answers must not depend on how the
+                // arrivals happened to group.
                 let mut server = Server::start(&ServeConfig {
                     port: 0,
-                    batch_window_us: 2000,
                     queue_depth: 64,
                     ..ServeConfig::default()
                 })
@@ -512,8 +512,9 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
 
     // 11. The poll(2) event loop: a single connection pipelining yield
     //     AND sizing queries back-to-back over a real socket must get
-    //     answers bit-identical to in-process estimates (the sizes
-    //     coalescing into one batched ladder sweep), invariant across
+    //     answers bit-identical to in-process estimates (sizes queued
+    //     behind an in-flight batch coalesce into one batched ladder
+    //     sweep), invariant across
     //     PI_THREADS, and byte-identical on the wire to the
     //     thread-per-connection reference mode.
     {
@@ -536,12 +537,12 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
         let size_jobs = [(3u64, "naive", 650.0), (4u64, "sobol-scrambled", 1100.0)];
 
         // One pipelined burst: write all five requests before reading any
-        // response, so the wide batch window coalesces them server-side.
+        // response, so whatever queues behind the first in-flight batch
+        // coalesces server-side.
         let run = |io: IoMode, threads: &str| -> Vec<String> {
             with_threads(Some(threads), || {
                 let mut server = Server::start(&ServeConfig {
                     port: 0,
-                    batch_window_us: 20_000,
                     queue_depth: 64,
                     io,
                     ..ServeConfig::default()
@@ -715,7 +716,6 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
             with_threads(Some(threads), || {
                 let mut server = Server::start(&ServeConfig {
                     port: 0,
-                    batch_window_us: 20_000,
                     queue_depth: 64,
                     io,
                     access_log: sinks_on.then(|| access.display().to_string()),
@@ -859,7 +859,6 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
             with_threads(Some(threads), || {
                 let mut server = Server::start(&ServeConfig {
                     port: 0,
-                    batch_window_us: 20_000,
                     queue_depth: 64,
                     io,
                     ..ServeConfig::default()
