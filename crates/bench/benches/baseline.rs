@@ -30,6 +30,10 @@
 //!    regions at rho 0.8: `yield_corr_evals` is the scrambled-Sobol cost
 //!    under correlation and `yield_corr_overestimate_pct` is how many
 //!    percentage points the flat-independence model overestimates yield.
+//!    `normal_cdf_ns` is the mean cost of one standard-normal CDF over a
+//!    fixed sweep of x ∈ [−10, 40] (gated ≤ 80 ns: the tabulated `erfc`
+//!    is fixed-cost at 25–40 ns, the iterative evaluation it replaced
+//!    averaged ~170 ns over this sweep on the same host).
 //!
 //! 4. **GP sizing**: `gp_size_ns` times one certified GP sizing of the
 //!    reference line (posynomial propose, scrambled-Sobol verify);
@@ -93,6 +97,29 @@ fn probe_overhead_ns() -> f64 {
             t.elapsed().as_nanos() as f64 / N as f64
         })
         .fold(f64::INFINITY, f64::min)
+}
+
+/// Mean cost of one `normal_cdf` — the primitive every analytic yield
+/// closure evaluates per channel per quadrature node — over a fixed
+/// 4096-point sweep of x ∈ [−10, 40], which covers the power series, the
+/// tabulated tail and the exact-zero region. Best of 15 repeats, after a
+/// warm-up pass that seeds the table.
+fn normal_cdf_ns() -> f64 {
+    const POINTS: usize = 4096;
+    let xs: Vec<f64> = (0..POINTS)
+        .map(|i| -10.0 + 50.0 * i as f64 / (POINTS - 1) as f64)
+        .collect();
+    let sweep = || {
+        let t = std::time::Instant::now();
+        let mut acc = 0.0;
+        for &x in &xs {
+            acc += pi_rt::norm::normal_cdf(std::hint::black_box(x));
+        }
+        std::hint::black_box(acc);
+        t.elapsed().as_nanos() as f64 / POINTS as f64
+    };
+    sweep();
+    (0..15).map(|_| sweep()).fold(f64::INFINITY, f64::min)
 }
 
 fn main() {
@@ -374,6 +401,7 @@ fn main() {
     });
 
     let probe_ns = probe_overhead_ns();
+    let cdf_ns = normal_cdf_ns();
     std::env::set_var("PI_OBS", "summary");
     pi_obs::reinit_from_env();
     line_delay(&tech, &spec, &plan).expect("traced sign-off");
@@ -483,6 +511,7 @@ fn main() {
     json.push_str(&format!(
         "  \"yield_corr_overestimate_pct\": {corr_overestimate_pct:.2},\n"
     ));
+    json_field(&mut json, "normal_cdf_ns", cdf_ns);
     json.push_str(&format!("  \"probe_overhead_ns\": {probe_ns:.3},\n"));
     json.push_str(&format!(
         "  \"newton_iters_per_solve\": {newton_iters_per_solve:.2},\n"
@@ -550,7 +579,7 @@ fn main() {
     );
     println!(
         "correlated (rho 0.8, 2 mm regions): {} evals; independence overestimates \
-         yield by {corr_overestimate_pct:.2} points",
+         yield by {corr_overestimate_pct:.2} points; normal_cdf {cdf_ns:.1} ns/call",
         corr_est.evals
     );
     println!(

@@ -29,13 +29,14 @@ use crate::spec::{CommSpec, Point, SpecError};
 /// filter is conservatively feasible — the right direction for sign-off.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct YieldFilter {
-    /// Minimum acceptable network timing yield, in `(0, 1]`.
+    /// Minimum acceptable network timing yield, in `(0, 1]` ([`synthesize`]
+    /// rejects any other value with [`SynthesisError::BadYieldFilter`]).
     pub min_yield: f64,
     /// Variation budget the yield is evaluated under (including the
     /// spatial-correlation knobs `rho_region` / `region_cell`).
     pub variation: VariationModel,
     /// Maximum re-segmentation rounds before giving up with
-    /// [`SynthesisError::YieldTarget`].
+    /// [`SynthesisError::YieldTarget`]; at least 1.
     pub max_rounds: usize,
 }
 
@@ -204,6 +205,14 @@ pub enum SynthesisError {
         /// Ports available.
         max: usize,
     },
+    /// The yield filter's target is outside `(0, 1]` (or NaN), or it
+    /// allows no rounds.
+    BadYieldFilter {
+        /// The configured minimum yield.
+        min_yield: f64,
+        /// The configured round budget.
+        max_rounds: usize,
+    },
     /// The yield filter exhausted its re-segmentation rounds without
     /// reaching the target network yield.
     YieldTarget {
@@ -227,6 +236,14 @@ impl fmt::Display for SynthesisError {
             SynthesisError::PortOverflow { node, ports, max } => {
                 write!(f, "node {node} needs {ports} ports but routers have {max}")
             }
+            SynthesisError::BadYieldFilter {
+                min_yield,
+                max_rounds,
+            } => write!(
+                f,
+                "yield filter needs a target in (0, 1] and at least one round, \
+                 got target {min_yield} with {max_rounds} rounds"
+            ),
             SynthesisError::YieldTarget {
                 achieved,
                 target,
@@ -268,13 +285,22 @@ impl From<InfeasibleLink> for SynthesisError {
 /// # Errors
 ///
 /// Returns an error if the spec is invalid, no link is feasible at the
-/// clock, a router would exceed its port budget, or the yield filter
+/// clock, a router would exceed its port budget, the yield filter's
+/// target is outside `(0, 1]` or its round budget is 0, or the filter
 /// exhausts its rounds below the target.
 pub fn synthesize(
     spec: &CommSpec,
     model: &dyn LinkCostModel,
     config: &SynthesisConfig,
 ) -> Result<Network, SynthesisError> {
+    if let Some(filter) = config.yield_filter {
+        if !(filter.min_yield > 0.0 && filter.min_yield <= 1.0) || filter.max_rounds == 0 {
+            return Err(SynthesisError::BadYieldFilter {
+                min_yield: filter.min_yield,
+                max_rounds: filter.max_rounds,
+            });
+        }
+    }
     let network = synthesize_with_margin(spec, model, config, config.length_margin)?;
     match config.yield_filter {
         None => Ok(network),
@@ -440,32 +466,26 @@ fn synthesize_with_margin(
     Ok(network)
 }
 
-/// The analytic network timing yield of a synthesized network under the
-/// filter's variation budget, or `None` when the model cannot provide
-/// per-stage timing. The lowering mirrors `net_yield::network_problem`:
-/// channel lengths are floor-clamped, and placement-derived region ids
-/// attach spatial correlation when `rho_region > 0` — but stage delays
-/// come from the model's own re-optimized buffering (a design-time
-/// estimate), not a post-hoc evaluator.
-fn analytic_filter_yield(
-    network: &Network,
-    model: &dyn LinkCostModel,
-    config: &SynthesisConfig,
-    filter: &YieldFilter,
-) -> Option<f64> {
-    let channels: Vec<StageDelays> = network
+/// Per-channel stage delays of a synthesized network, or `None` when the
+/// model cannot provide per-stage timing. The lowering mirrors
+/// `net_yield::network_problem` (channel lengths are floor-clamped), but
+/// the delays come from the model's own re-optimized buffering (a
+/// design-time estimate), not a post-hoc evaluator. Each call re-runs
+/// that optimization for every channel, so a filter round computes them
+/// once and hands them to both the yield check and the resize attempt.
+fn channel_stage_delays(network: &Network, model: &dyn LinkCostModel) -> Option<Vec<StageDelays>> {
+    network
         .channels
         .iter()
         .map(|c| model.stage_delays(c.length.max(crate::net_yield::CHANNEL_LENGTH_FLOOR)))
-        .collect::<Option<_>>()?;
-    Some(network_yield_of_stages(channels, network, config, filter))
+        .collect()
 }
 
-/// The analytic network yield of the given per-channel stage delays under
-/// the filter's variation budget — the computation half of
-/// [`analytic_filter_yield`], reusable with resized-channel overrides.
+/// The analytic network timing yield of the given per-channel stage
+/// delays under the filter's variation budget. Placement-derived region
+/// ids attach spatial correlation when `rho_region > 0`.
 fn network_yield_of_stages(
-    channels: Vec<StageDelays>,
+    channels: &[StageDelays],
     network: &Network,
     config: &SynthesisConfig,
     filter: &YieldFilter,
@@ -480,7 +500,7 @@ fn network_yield_of_stages(
         SpatialCorrelation::none()
     };
     let problem = NetworkProblem::new(
-        channels,
+        channels.to_vec(),
         filter.variation.to_drive(),
         config.clock.period().si(),
     )
@@ -529,18 +549,15 @@ fn link_yield_of_stages(
 /// resized costs are committed and the passing yield is returned. `None`
 /// when the model cannot resize, nothing needed resizing, or the resized
 /// network still misses the target — the caller then re-segments.
+/// `channels` holds the network's current per-channel stage delays.
 fn resize_critical_links(
     network: &mut Network,
     model: &dyn LinkCostModel,
     config: &SynthesisConfig,
     filter: &YieldFilter,
     per_link_target: f64,
+    mut channels: Vec<StageDelays>,
 ) -> Option<f64> {
-    let mut channels: Vec<StageDelays> = network
-        .channels
-        .iter()
-        .map(|c| model.stage_delays(c.length.max(crate::net_yield::CHANNEL_LENGTH_FLOOR)))
-        .collect::<Option<_>>()?;
     let mut resized: Vec<(usize, LinkCost)> = Vec::new();
     for (i, channel) in network.channels.iter().enumerate() {
         let length = channel.length.max(crate::net_yield::CHANNEL_LENGTH_FLOOR);
@@ -558,7 +575,7 @@ fn resize_critical_links(
     if resized.is_empty() {
         return None;
     }
-    let y = network_yield_of_stages(channels, network, config, filter);
+    let y = network_yield_of_stages(&channels, network, config, filter);
     if y < filter.min_yield {
         return None;
     }
@@ -608,11 +625,6 @@ fn apply_yield_filter(
     filter: &YieldFilter,
     mut network: Network,
 ) -> Result<Network, SynthesisError> {
-    assert!(
-        filter.min_yield > 0.0 && filter.min_yield <= 1.0,
-        "yield target must be in (0, 1]"
-    );
-    assert!(filter.max_rounds > 0, "need at least one filter round");
     let _obs_span = pi_obs::span("cosi.yield_filter");
     // A network with no channels carries no timing-critical wires: it
     // passes trivially. (Guarding here also keeps the per-link target
@@ -626,13 +638,14 @@ fn apply_yield_filter(
     let mut achieved = 0.0f64;
     for round in 0..filter.max_rounds {
         pi_obs::counter_add("cosi.yield_filter_rounds", 1);
-        let Some(y) = analytic_filter_yield(&network, model, config, filter) else {
+        let Some(channels) = channel_stage_delays(&network, model) else {
             pi_obs::warn_once(
                 "cosi.yield_filter_unsupported",
                 "link model provides no per-stage timing; yield filter skipped",
             );
             return Ok(network);
         };
+        let y = network_yield_of_stages(&channels, &network, config, filter);
         achieved = achieved.max(y);
         if y >= filter.min_yield {
             pi_obs::counter_add("cosi.yield_filter_pass", 1);
@@ -653,7 +666,8 @@ fn apply_yield_filter(
         // channels that miss the per-link share, keeping the topology.
         // Only when resizing cannot lift the network over the target do
         // we pay for a re-segmentation round.
-        if resize_critical_links(&mut network, model, config, filter, per_link).is_some() {
+        if resize_critical_links(&mut network, model, config, filter, per_link, channels).is_some()
+        {
             pi_obs::counter_add("cosi.yield_filter_resize", 1);
             pi_obs::counter_add("cosi.yield_filter_pass", 1);
             return Ok(network);
@@ -1004,6 +1018,38 @@ mod tests {
             "resized cost must be committed"
         );
         assert_eq!(net.channels[0].cost.plan.wn, Length::um(8.0));
+    }
+
+    #[test]
+    fn an_invalid_yield_filter_is_an_error_not_a_panic() {
+        let model = ResizableModel {
+            reach: Length::mm(5.0),
+        };
+        let nominal = pi_core::variation::VariationModel::nominal();
+        for (min_yield, max_rounds) in [(0.0, 6), (1.5, 6), (f64::NAN, 6), (0.99, 0)] {
+            let filter = YieldFilter {
+                max_rounds,
+                ..YieldFilter::new(min_yield, nominal)
+            };
+            let cfg = SynthesisConfig::at_clock(Freq::ghz(1.0)).with_yield_filter(filter);
+            match synthesize(&line_spec(2.0), &model, &cfg) {
+                Err(SynthesisError::BadYieldFilter {
+                    min_yield: got,
+                    max_rounds: rounds,
+                }) => {
+                    assert_eq!(got.to_bits(), min_yield.to_bits());
+                    assert_eq!(rounds, max_rounds);
+                }
+                other => panic!("({min_yield}, {max_rounds}) gave {other:?}"),
+            }
+        }
+        // A target of exactly 1 is in range: it is judged, not rejected.
+        let cfg = SynthesisConfig::at_clock(Freq::ghz(1.0))
+            .with_yield_filter(YieldFilter::new(1.0, nominal));
+        assert!(!matches!(
+            synthesize(&line_spec(2.0), &model, &cfg),
+            Err(SynthesisError::BadYieldFilter { .. })
+        ));
     }
 
     #[test]

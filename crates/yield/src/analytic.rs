@@ -90,15 +90,35 @@ pub fn line_closure(stages: &StageDelays, variation: &DriveVariation) -> Gaussia
     }
 }
 
-/// Conditional delay moments of one channel given a fixed D2D factor.
-fn conditional_moments(stages: &StageDelays, variation: &DriveVariation, g_d2d: f64) -> (f64, f64) {
-    let r_tot: f64 = stages.repeater_s.iter().sum();
-    let r_sq: f64 = stages.repeater_s.iter().map(|r| r * r).sum();
-    let w_tot: f64 = stages.wire_s.iter().sum();
-    let sw2 = variation.sigma_wid * variation.sigma_wid;
-    let mean = r_tot * (1.0 + sw2) / g_d2d + w_tot;
-    let sigma = (sw2 * r_sq).sqrt() / g_d2d;
-    (mean, sigma)
+/// The D2D-independent part of one channel's conditional delay moments,
+/// summed over its stages once so that the D2D quadrature evaluates the
+/// moments at each node with two divisions and an add.
+#[derive(Debug, Clone, Copy)]
+struct ConditionalMoments {
+    /// `Σrⱼ·(1+σ_w²)`: the WID-corrected repeater delay at `g_d = 1`.
+    repeater_s: f64,
+    /// `Σwⱼ`: the wire delay, untouched by drive variation.
+    wire_s: f64,
+    /// `√(σ_w²·Σrⱼ²)`: the WID standard deviation at `g_d = 1`.
+    sigma_s: f64,
+}
+
+impl ConditionalMoments {
+    fn new(stages: &StageDelays, variation: &DriveVariation) -> Self {
+        let r_tot: f64 = stages.repeater_s.iter().sum();
+        let r_sq: f64 = stages.repeater_s.iter().map(|r| r * r).sum();
+        let sw2 = variation.sigma_wid * variation.sigma_wid;
+        ConditionalMoments {
+            repeater_s: r_tot * (1.0 + sw2),
+            wire_s: stages.wire_s.iter().sum(),
+            sigma_s: (sw2 * r_sq).sqrt(),
+        }
+    }
+
+    /// Conditional delay `(mean, sigma)` given the D2D factor `g_d2d`.
+    fn at(&self, g_d2d: f64) -> (f64, f64) {
+        (self.repeater_s / g_d2d + self.wire_s, self.sigma_s / g_d2d)
+    }
 }
 
 /// Per-region repeater-delay exposure `R_{c,g} = Σ_{j in region g} rⱼ` of
@@ -182,6 +202,7 @@ fn integrate_over_d2d(variation: &DriveVariation, mut f: impl FnMut(f64) -> f64)
 /// quadrature stays exact within the closure.
 #[must_use]
 pub fn line_yield(problem: &LineProblem) -> f64 {
+    let moments = ConditionalMoments::new(&problem.stages, &problem.variation);
     if problem.correlation.is_active() {
         let loadings = region_loadings(&problem.stages, &problem.correlation.stage_region);
         let region_sq: f64 = loadings.iter().map(|&(_, r)| r * r).sum();
@@ -190,13 +211,13 @@ pub fn line_yield(problem: &LineProblem) -> f64 {
         let sw2 = problem.variation.sigma_wid * problem.variation.sigma_wid;
         let wid_var = sw2 * ((1.0 - rho) * r_sq + rho * region_sq);
         return integrate_over_d2d(&problem.variation, |g| {
-            let (mean, _) = conditional_moments(&problem.stages, &problem.variation, g);
+            let (mean, _) = moments.at(g);
             gaussian_tail(problem.deadline_s, mean, wid_var.sqrt() / g)
         })
         .clamp(0.0, 1.0);
     }
     integrate_over_d2d(&problem.variation, |g| {
-        let (mean, sigma) = conditional_moments(&problem.stages, &problem.variation, g);
+        let (mean, sigma) = moments.at(g);
         gaussian_tail(problem.deadline_s, mean, sigma)
     })
     .clamp(0.0, 1.0)
@@ -225,10 +246,14 @@ pub fn network_yield(problem: &NetworkProblem) -> (f64, Vec<f64>) {
     if problem.correlation.is_active() {
         return network_yield_correlated(problem);
     }
-    let channels = problem.channels.len();
-    let mut per_channel = vec![0.0; channels];
+    let moments: Vec<ConditionalMoments> = problem
+        .channels
+        .iter()
+        .map(|stages| ConditionalMoments::new(stages, &problem.variation))
+        .collect();
+    let mut per_channel = vec![0.0; moments.len()];
     let overall = if problem.variation.sigma_d2d == 0.0 {
-        accumulate_conditional(problem, 1.0, &mut per_channel, 1.0)
+        accumulate_conditional(&moments, problem.period_s, 1.0, &mut per_channel, 1.0)
     } else {
         let h = 2.0 * QUAD_RANGE / QUAD_STEPS as f64;
         let mut acc = 0.0;
@@ -236,7 +261,8 @@ pub fn network_yield(problem: &NetworkProblem) -> (f64, Vec<f64>) {
             let z = -QUAD_RANGE + h * i as f64;
             let weight = if i == 0 || i == QUAD_STEPS { 0.5 } else { 1.0 };
             let g = drive_factor_from_normal(z, problem.variation.sigma_d2d);
-            acc += accumulate_conditional(problem, g, &mut per_channel, weight * normal_pdf(z) * h);
+            let w = weight * normal_pdf(z) * h;
+            acc += accumulate_conditional(&moments, problem.period_s, g, &mut per_channel, w);
         }
         acc
     };
@@ -402,15 +428,16 @@ fn correlated_conditional(
 /// Adds `weight ×` the conditional per-channel yields into `per_channel`
 /// and returns `weight ×` the conditional all-channels-pass probability.
 fn accumulate_conditional(
-    problem: &NetworkProblem,
+    moments: &[ConditionalMoments],
+    period_s: f64,
     g_d2d: f64,
     per_channel: &mut [f64],
     weight: f64,
 ) -> f64 {
     let mut product = 1.0;
-    for (channel, marginal) in problem.channels.iter().zip(per_channel.iter_mut()) {
-        let (mean, sigma) = conditional_moments(channel, &problem.variation, g_d2d);
-        let y = gaussian_tail(problem.period_s, mean, sigma);
+    for (channel, marginal) in moments.iter().zip(per_channel.iter_mut()) {
+        let (mean, sigma) = channel.at(g_d2d);
+        let y = gaussian_tail(period_s, mean, sigma);
         *marginal += weight * y;
         product *= y;
     }
@@ -502,6 +529,98 @@ mod tests {
         let weakest = per[1];
         assert!(overall <= weakest + 1e-9);
         assert!(overall > 0.0 && overall < 1.0);
+    }
+
+    /// Conditional moments summed over the stages again at every node:
+    /// what the quadrature did before the sums were hoisted.
+    fn conditional_moments(stages: &StageDelays, variation: &DriveVariation, g: f64) -> (f64, f64) {
+        let r_tot: f64 = stages.repeater_s.iter().sum();
+        let r_sq: f64 = stages.repeater_s.iter().map(|r| r * r).sum();
+        let w_tot: f64 = stages.wire_s.iter().sum();
+        let sw2 = variation.sigma_wid * variation.sigma_wid;
+        let mean = r_tot * (1.0 + sw2) / g + w_tot;
+        let sigma = (sw2 * r_sq).sqrt() / g;
+        (mean, sigma)
+    }
+
+    #[test]
+    fn hoisted_moments_match_a_per_node_recompute_bit_for_bit() {
+        // Forty channels of uneven stage delays, so that a reassociated
+        // moment expression would round differently somewhere.
+        let channels: Vec<StageDelays> = (1..=40)
+            .map(|k| {
+                let n = 2 + k % 7;
+                let r = (0..n).map(|j| (17.3 + 0.731 * k as f64 + 1.37 * j as f64) * 1e-12);
+                let w = (0..n).map(|j| (9.1 + 0.173 * (k * j) as f64) * 1e-12);
+                StageDelays::new(r.collect(), w.collect())
+            })
+            .collect();
+        let slowest = channels
+            .iter()
+            .map(StageDelays::nominal_delay)
+            .fold(0.0, f64::max);
+        for v in [
+            variation(),
+            DriveVariation {
+                sigma_d2d: 0.0,
+                sigma_wid: 0.0731,
+            },
+        ] {
+            let p = NetworkProblem::new(channels.clone(), v, slowest * 1.05);
+            let (got, per) = network_yield(&p);
+            let mut per_node = vec![0.0; channels.len()];
+            let mut acc = 0.0;
+            let nodes: Vec<(f64, f64)> = if v.sigma_d2d == 0.0 {
+                vec![(1.0, 1.0)]
+            } else {
+                let h = 2.0 * QUAD_RANGE / QUAD_STEPS as f64;
+                (0..=QUAD_STEPS)
+                    .map(|i| {
+                        let z = -QUAD_RANGE + h * i as f64;
+                        let weight = if i == 0 || i == QUAD_STEPS { 0.5 } else { 1.0 };
+                        let g = drive_factor_from_normal(z, v.sigma_d2d);
+                        (g, weight * normal_pdf(z) * h)
+                    })
+                    .collect()
+            };
+            for (g, w) in nodes {
+                let mut product = 1.0;
+                for (c, stages) in channels.iter().enumerate() {
+                    let (mean, sigma) = conditional_moments(stages, &v, g);
+                    let (hoisted_mean, hoisted_sigma) = ConditionalMoments::new(stages, &v).at(g);
+                    assert_eq!(hoisted_mean.to_bits(), mean.to_bits(), "mean, channel {c}");
+                    assert_eq!(
+                        hoisted_sigma.to_bits(),
+                        sigma.to_bits(),
+                        "sigma, channel {c}"
+                    );
+                    let y = gaussian_tail(p.period_s, mean, sigma);
+                    per_node[c] += w * y;
+                    product *= y;
+                }
+                acc += w * product;
+            }
+            assert_eq!(got.to_bits(), acc.clamp(0.0, 1.0).to_bits());
+            for (a, b) in per.iter().zip(&per_node) {
+                assert_eq!(a.to_bits(), b.clamp(0.0, 1.0).to_bits());
+            }
+            assert!(
+                got > 0.05 && got < 0.999,
+                "a non-trivial network yield: {got}"
+            );
+            // The single-line closure runs the same hoisted moments.
+            let line = LineProblem {
+                stages: channels[0].clone(),
+                variation: v,
+                correlation: SpatialCorrelation::none(),
+                deadline_s: p.period_s,
+            };
+            let want = integrate_over_d2d(&v, |g| {
+                let (mean, sigma) = conditional_moments(&line.stages, &v, g);
+                gaussian_tail(line.deadline_s, mean, sigma)
+            });
+            assert_eq!(line_yield(&line).to_bits(), want.clamp(0.0, 1.0).to_bits());
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ for key in host_cores calibration_threads calibration_serial_ns \
     yield_tail_evals_reduction yield_tail_surrogate_evals \
     yield_tail_surrogate_reduction yield_cv_variance_ratio \
     yield_corr_evals \
-    yield_corr_overestimate_pct probe_overhead_ns \
+    yield_corr_overestimate_pct normal_cdf_ns probe_overhead_ns \
     newton_iters_per_solve step_reject_rate char_cache_hit_rate \
     serve_p50_us serve_p99_us serve_qps serve_batch_mean \
     serve_qps_c64 serve_p99_us_c64 size_batch_mean \
@@ -63,6 +63,14 @@ require_present calibration_speedup
 probe_ns=$(json_value probe_overhead_ns)
 if ! awk -v p="$probe_ns" 'BEGIN { exit !(p <= 2.0) }'; then
     echo "perf smoke: probe_overhead_ns $probe_ns exceeds the 2.0 ns disabled-path bound"
+    exit 1
+fi
+# The analytic yield closures evaluate one normal CDF per channel per
+# quadrature node. Its erfc is a table lookup plus a fixed Taylor step
+# (25-40 ns); a return to the iterative continued fraction reads ~170 ns.
+cdf_ns=$(json_value normal_cdf_ns)
+if ! awk -v c="$cdf_ns" 'BEGIN { exit !(c <= 80.0) }'; then
+    echo "perf smoke: normal_cdf_ns $cdf_ns exceeds the 80 ns fixed-cost bound"
     exit 1
 fi
 # Surrogate-guided tail estimation must beat naive MC by two orders of
