@@ -63,7 +63,7 @@ use pi_core::calibrate::{characterize_grid, CalibrationGrid};
 use pi_core::coefficients::builtin;
 use pi_core::line::{BufferingPlan, LineEvaluator, LineSpec};
 use pi_core::repeater_model::Transition;
-use pi_core::variation::VariationModel;
+use pi_core::variation::{SizeQuery, VariationModel};
 use pi_golden::signoff::{line_delay, line_delay_reference};
 use pi_tech::units::Length;
 use pi_tech::{DesignStyle, RepeaterKind, TechNode, Technology};
@@ -346,7 +346,8 @@ fn main() {
     // back to the ladder rather than ever shipping a slower certified
     // plan — and every GP answer's CI lower bound is asserted against
     // the 0.9 target right here.
-    let gp_case = |mm: f64| {
+    let gp_config = EstimatorConfig::new(Method::SobolScrambled).with_seed(7);
+    let gp_query = |mm: f64, tighten: f64| {
         let length = Length::mm(mm);
         let spec = LineSpec::global(length, DesignStyle::SingleSpacing);
         let start = BufferingPlan {
@@ -355,48 +356,38 @@ fn main() {
             wn: Length::um(2.4),
             staggered: false,
         };
-        let nominal = evaluator.timing(&spec, &start).delay;
-        (spec, start, nominal)
+        SizeQuery {
+            spec,
+            plan: start,
+            variation,
+            deadline: evaluator.timing(&spec, &start).delay * tighten,
+            target_yield: 0.9,
+            config: gp_config,
+        }
     };
-    let gp_config = EstimatorConfig::new(Method::SobolScrambled).with_seed(7);
     let mut gp_ratio: f64 = 0.0;
     for mm in [3.0, 5.0, 8.0] {
-        let (gp_spec, start, gp_nominal) = gp_case(mm);
-        let gp_deadline = gp_nominal * 0.98;
-        let gp = evaluator
-            .size_for_yield_gp(&gp_spec, &start, &variation, gp_deadline, 0.9, &gp_config)
-            .expect("GP sizing on the reference sweep");
-        let ladder = evaluator
-            .size_for_yield_with(&gp_spec, &start, &variation, gp_deadline, 0.9, &gp_config)
-            .expect("ladder sizing on the reference sweep");
-        let est = evaluator.timing_yield_estimate(
-            &gp_spec,
-            &gp.plan,
-            &variation,
-            gp_deadline,
-            &gp_config,
-        );
+        let q = gp_query(mm, 0.98);
+        let gp = evaluator.size_for_yield_gp_batch(&[q]).remove(0);
+        let gp = gp.expect("GP sizing on the reference sweep");
+        let ladder = evaluator.size_for_yield_batch(&[q]).remove(0);
+        let ladder = ladder.expect("ladder sizing on the reference sweep");
+        let est =
+            evaluator.timing_yield_estimate(&q.spec, &gp.plan, &variation, q.deadline, &gp_config);
         assert!(
             est.yield_fraction - est.half_width >= 0.9,
             "GP plan at {mm} mm is not certified: CI lower bound {:.4} below target",
             est.yield_fraction - est.half_width
         );
-        let ratio = evaluator.timing(&gp_spec, &gp.plan).delay.si()
-            / evaluator.timing(&gp_spec, &ladder.plan).delay.si();
+        let ratio = evaluator.timing(&q.spec, &gp.plan).delay.si()
+            / evaluator.timing(&q.spec, &ladder.plan).delay.si();
         gp_ratio = gp_ratio.max(ratio);
     }
-    let (gp_spec, gp_start, gp_nominal) = gp_case(5.0);
-    let gp_deadline = gp_nominal * 0.98;
+    let gp_bench_query = gp_query(5.0, 0.98);
     let gp_bench = Micro::default().run("gp_size_5mm", || {
         evaluator
-            .size_for_yield_gp(
-                &gp_spec,
-                &gp_start,
-                &variation,
-                gp_deadline,
-                0.9,
-                &gp_config,
-            )
+            .size_for_yield_gp_batch(&[gp_bench_query])
+            .remove(0)
             .expect("GP sizing")
     });
 
@@ -417,17 +408,7 @@ fn main() {
     // verified-GP path handed to the ladder — 0.25 when the three
     // feasible points all verify on a GP proposal.
     let gp_sweep = [(3.0, 0.98), (5.0, 0.98), (8.0, 0.98), (5.0, 0.4)];
-    for (mm, tighten) in gp_sweep {
-        let (sweep_spec, start, sweep_nominal) = gp_case(mm);
-        let _ = evaluator.size_for_yield_gp(
-            &sweep_spec,
-            &start,
-            &variation,
-            sweep_nominal * tighten,
-            0.9,
-            &gp_config,
-        );
-    }
+    let _ = evaluator.size_for_yield_gp_batch(&gp_sweep.map(|(mm, tighten)| gp_query(mm, tighten)));
     let snap = pi_obs::snapshot();
     let newton_iters_per_solve = snap.counter("spice.newton_iters") as f64
         / snap.counter("spice.newton_solves").max(1) as f64;

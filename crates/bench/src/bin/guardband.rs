@@ -14,7 +14,7 @@ use pi_core::coefficients::builtin;
 use pi_core::line::LineEvaluator;
 use pi_core::variation::VariationModel;
 use pi_cosi::model::ProposedLinkModel;
-use pi_cosi::net_yield::network_yield_estimate;
+use pi_cosi::net_yield::network_yield_estimates;
 use pi_cosi::synthesis::{synthesize, SynthesisConfig};
 use pi_cosi::testcases::dvopd;
 use pi_tech::units::Freq;
@@ -67,14 +67,15 @@ fn main() {
         let config = EstimatorConfig::new(Method::SobolScrambled)
             .with_seed(SEED)
             .with_target_half_width(TARGET_HW);
-        let y = network_yield_estimate(
+        let y = network_yield_estimates(
             &net,
             &evaluator,
             DesignStyle::SingleSpacing,
             &variation,
             target,
-            &config,
-        );
+            &[config],
+        )
+        .remove(0);
         let weakest = y
             .channel_yield
             .iter()

@@ -13,7 +13,7 @@ use pi_bench::TextTable;
 use pi_core::buffering::{BufferingObjective, SearchSpace};
 use pi_core::coefficients::builtin;
 use pi_core::line::{LineEvaluator, LineSpec};
-use pi_core::variation::VariationModel;
+use pi_core::variation::{SizeQuery, VariationModel};
 use pi_tech::units::{Freq, Length};
 use pi_tech::{DesignStyle, TechNode, Technology};
 use pi_yield::{EstimatorConfig, Method};
@@ -69,9 +69,15 @@ fn main() {
         let y0 = evaluator
             .timing_yield_estimate(&spec, &base.plan, &variation, deadline, &config)
             .yield_fraction;
-        let sized =
-            evaluator.size_for_yield_with(&spec, &base.plan, &variation, deadline, TARGET, &config);
-        match sized {
+        let query = SizeQuery {
+            spec,
+            plan: base.plan,
+            variation,
+            deadline,
+            target_yield: TARGET,
+            config,
+        };
+        match evaluator.size_for_yield_batch(&[query]).remove(0) {
             Some(s) => {
                 let p0 = evaluator.power(&spec, &base.plan, 0.25, clock).total();
                 let p1 = evaluator.power(&spec, &s.plan, 0.25, clock).total();

@@ -39,14 +39,13 @@
 //! `σ = √(σ_d²·r_tot² + σ_w²·Σrⱼ²) ≤ σ_d·r_tot + σ_w·r_tot/√n` for a
 //! uniform line — a conservative (never optimistic) bound.
 //!
-//! GP answers are **proposals only**: [`LineEvaluator::size_for_yield_gp`]
+//! GP answers are **proposals only**: [`LineEvaluator::size_for_yield_gp_batch`]
 //! verifies every proposed plan with the configured `pi-yield` estimator
 //! and accepts only when the CI lower bound clears the target, falling
 //! back to the greedy ladder otherwise, so answers stay statistically
 //! certified.
 
 use pi_tech::units::{Cap, Freq, Length, Time};
-use pi_yield::EstimatorConfig;
 
 use crate::line::{BufferingPlan, LineEvaluator, LineSpec};
 use crate::repeater_model::Transition;
@@ -956,68 +955,26 @@ impl LineEvaluator<'_> {
         Some(candidates)
     }
 
-    /// Jointly sizes the link by geometric programming, then **verifies**
-    /// each proposed plan with the configured `pi-yield` estimator: a
-    /// plan is accepted only when its CI lower bound
-    /// (`yield_fraction − half_width`) clears `target_yield`. When the GP
-    /// is infeasible or no proposal verifies, falls back to the greedy
-    /// ladder of [`LineEvaluator::size_for_yield_with`] — so the answer
-    /// is always statistically certified, and never *worse* than the
-    /// ladder's.
+    /// Jointly sizes each query's link by geometric programming, then
+    /// **verifies** each proposed plan with the configured `pi-yield`
+    /// estimator: a plan is accepted only when its CI lower bound
+    /// (`yield_fraction − half_width`) clears the target. When the GP is
+    /// infeasible or no proposal verifies, the query falls back to the
+    /// greedy ladder of [`LineEvaluator::size_for_yield_batch`] — so the
+    /// answer is always statistically certified, and never *worse* than
+    /// the ladder's. A solo GP sizing is a batch of one.
     ///
-    /// `steps` in the result counts verification probes spent before
+    /// `steps` in a result counts verification probes spent before
     /// acceptance (0 = first GP proposal verified), or the ladder's own
     /// step count after a fallback.
     ///
-    /// Deterministic and bit-identical at any `PI_THREADS`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target_yield` is outside `(0, 1]` or the configuration
-    /// has a zero evaluation budget.
-    #[must_use]
-    pub fn size_for_yield_gp(
-        &self,
-        spec: &LineSpec,
-        plan: &BufferingPlan,
-        variation: &VariationModel,
-        deadline: Time,
-        target_yield: f64,
-        config: &EstimatorConfig,
-    ) -> Option<YieldSizing> {
-        assert!(
-            target_yield > 0.0 && target_yield <= 1.0,
-            "target yield must be in (0, 1]"
-        );
-        let _obs_span = pi_obs::span("core.size_for_yield_gp");
-        if let Some(candidates) = self.gp_propose(spec, plan, variation, deadline, target_yield) {
-            for (steps, candidate) in candidates.iter().enumerate() {
-                let est = self.timing_yield_estimate(spec, candidate, variation, deadline, config);
-                pi_obs::counter_add("gp.verify_probe", 1);
-                let lower = est.yield_fraction - est.half_width;
-                if lower >= target_yield {
-                    pi_obs::counter_add("gp.accepted", 1);
-                    return Some(YieldSizing {
-                        plan: *candidate,
-                        achieved_yield: est.yield_fraction,
-                        steps,
-                    });
-                }
-                pi_obs::counter_add("gp.candidate_fail", 1);
-            }
-        }
-        pi_obs::counter_add("gp.fallback", 1);
-        self.size_for_yield_with(spec, plan, variation, deadline, target_yield, config)
-    }
-
-    /// GP sizing of many queries in lock step — the `gp: true` batch
-    /// entry point of the serve path. Phase A solves every query's GP
+    /// The queries run in lock step. Phase A solves every query's GP
     /// (serial, deterministic) and verifies the proposals in batched
-    /// estimator sweeps; queries whose proposals all fail (or whose GP
-    /// is infeasible) fall back together through
-    /// [`LineEvaluator::size_for_yield_batch`]. Each answer is
-    /// **bit-identical to its solo [`LineEvaluator::size_for_yield_gp`]
-    /// run** at any `PI_THREADS`; results are in input order.
+    /// estimator sweeps; queries whose proposals all fail (or whose GP is
+    /// infeasible) fall back together as one ladder batch. Each answer —
+    /// and every `gp.*`/`sizing.*` counter total — is **bit-identical to
+    /// the same query run as a batch of one**, at any `PI_THREADS`;
+    /// results are in input order.
     ///
     /// # Panics
     ///
@@ -1039,7 +996,6 @@ impl LineEvaluator<'_> {
             candidates: Vec<BufferingPlan>,
             idx: usize,
             result: Option<YieldSizing>,
-            done: bool,
         }
         let mut jobs: Vec<GpJob> = queries
             .iter()
@@ -1049,13 +1005,12 @@ impl LineEvaluator<'_> {
                     .unwrap_or_default(),
                 idx: 0,
                 result: None,
-                done: false,
             })
             .collect();
         loop {
             let mut round: Vec<(usize, YieldQuery)> = Vec::new();
             for (j, (job, q)) in jobs.iter().zip(queries).enumerate() {
-                if job.done || job.idx >= job.candidates.len() {
+                if job.result.is_some() || job.idx >= job.candidates.len() {
                     continue;
                 }
                 round.push((
@@ -1086,7 +1041,6 @@ impl LineEvaluator<'_> {
                         achieved_yield: est.yield_fraction,
                         steps: job.idx,
                     });
-                    job.done = true;
                 } else {
                     pi_obs::counter_add("gp.candidate_fail", 1);
                     job.idx += 1;
@@ -1094,16 +1048,11 @@ impl LineEvaluator<'_> {
             }
         }
         // Phase B: everything unverified falls back to the ladder, as
-        // one lock-step batch (bit-identical to each solo fallback).
-        let fallback: Vec<usize> = jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| !j.done)
-            .map(|(i, _)| i)
+        // one lock-step batch (bit-identical to each fallback sized alone).
+        let fallback: Vec<usize> = (0..jobs.len())
+            .filter(|&i| jobs[i].result.is_none())
             .collect();
-        for _ in &fallback {
-            pi_obs::counter_add("gp.fallback", 1);
-        }
+        pi_obs::counter_add("gp.fallback", fallback.len() as u64);
         let fb_queries: Vec<SizeQuery> = fallback.iter().map(|&i| queries[i]).collect();
         let fb_results = self.size_for_yield_batch(&fb_queries);
         let mut out: Vec<Option<YieldSizing>> = jobs.into_iter().map(|j| j.result).collect();
@@ -1114,13 +1063,35 @@ impl LineEvaluator<'_> {
     }
 }
 
-/// The allocating reference solver the barrier kernel is tested
-/// against: every oracle call returns fresh `Vec`s, line-search trials
-/// evaluate the full oracle, and a centering step ends only on the
-/// Newton-decrement threshold or the iteration cap.
+/// The references the production paths are tested against: the
+/// allocating solver the barrier kernel replaced (every oracle call
+/// returns fresh `Vec`s, line-search trials evaluate the full oracle, and
+/// a centering step ends only on the Newton-decrement threshold or the
+/// iteration cap), and the one-job GP sizing loop the lock-step batch
+/// replaced.
 #[cfg(test)]
 mod legacy {
     use super::{GpError, GpProblem, GpSolution, KktResidual, Posynomial};
+    use crate::line::LineEvaluator;
+    use crate::variation::{SizeQuery, YieldSizing};
+
+    /// The one-job GP sizing loop: verify the proposals in order, accept
+    /// the first whose CI lower bound clears the target, else fall back
+    /// to the sequential ladder oracle.
+    pub(super) fn size_for_yield_gp(ev: &LineEvaluator<'_>, q: &SizeQuery) -> Option<YieldSizing> {
+        let proposals = ev.gp_propose(&q.spec, &q.plan, &q.variation, q.deadline, q.target_yield);
+        for (steps, plan) in proposals.unwrap_or_default().into_iter().enumerate() {
+            let est = ev.timing_yield_estimate(&q.spec, &plan, &q.variation, q.deadline, &q.config);
+            if est.yield_fraction - est.half_width >= q.target_yield {
+                return Some(YieldSizing {
+                    plan,
+                    achieved_yield: est.yield_fraction,
+                    steps,
+                });
+            }
+        }
+        crate::variation::legacy::size_for_yield(ev, q)
+    }
 
     /// `F(y) = ln Σ cₖ·exp(aₖ·y)` with gradient and (row-major) Hessian.
     fn lse(poly: &Posynomial, y: &[f64]) -> (f64, Vec<f64>, Vec<f64>) {
@@ -1381,10 +1352,30 @@ mod legacy {
 mod tests {
     use super::*;
     use crate::coefficients::builtin;
+    use crate::variation::legacy::{assert_same_sizing, sizing_counters};
     use pi_tech::{DesignStyle, RepeaterKind, TechNode, Technology};
+    use pi_yield::EstimatorConfig;
 
     fn setup() -> (Technology, crate::CalibratedModels) {
         (Technology::new(TechNode::N65), builtin(TechNode::N65))
+    }
+
+    /// A sizing query under the nominal variation budget.
+    fn query(
+        spec: LineSpec,
+        plan: BufferingPlan,
+        deadline: Time,
+        target_yield: f64,
+        config: EstimatorConfig,
+    ) -> SizeQuery {
+        SizeQuery {
+            spec,
+            plan,
+            variation: VariationModel::nominal(),
+            deadline,
+            target_yield,
+            config,
+        }
     }
 
     fn reference() -> (LineSpec, BufferingPlan) {
@@ -1653,8 +1644,9 @@ mod tests {
             let nominal = ev.timing(&spec, &start).delay;
             let deadline = nominal * 0.98;
             let target = 0.9;
-            let ladder = ev.size_for_yield_with(&spec, &start, &v, deadline, target, &cfg);
-            let gp = ev.size_for_yield_gp(&spec, &start, &v, deadline, target, &cfg);
+            let q = query(spec, start, deadline, target, cfg);
+            let ladder = ev.size_for_yield_batch(&[q]).remove(0);
+            let gp = ev.size_for_yield_gp_batch(&[q]).remove(0);
             let (Some(ladder), Some(gp)) = (ladder, gp) else {
                 panic!("{mm} mm case must be sizable both ways");
             };
@@ -1681,12 +1673,15 @@ mod tests {
         let v = VariationModel::nominal();
         let cfg = EstimatorConfig::new(pi_yield::Method::Naive).with_seed(3);
         // 10 ps for 5 mm: infeasible for the GP guard *and* the ladder.
-        let sized = ev.size_for_yield_gp(&spec, &plan, &v, Time::ps(10.0), 0.9, &cfg);
+        let hopeless = query(spec, plan, Time::ps(10.0), 0.9, cfg);
+        let sized = ev.size_for_yield_gp_batch(&[hopeless]).remove(0);
         assert!(sized.is_none(), "hopeless deadline must exhaust");
         // A loose deadline is feasible and must agree with verification.
         let nominal = ev.timing(&spec, &plan).delay;
+        let loose = query(spec, plan, nominal * 1.4, 0.9, cfg);
         let sized = ev
-            .size_for_yield_gp(&spec, &plan, &v, nominal * 1.4, 0.9, &cfg)
+            .size_for_yield_gp_batch(&[loose])
+            .remove(0)
             .expect("loose deadline sizable");
         let est = ev.timing_yield_estimate(&spec, &sized.plan, &v, nominal * 1.4, &cfg);
         assert!(est.yield_fraction - est.half_width >= 0.9);
@@ -1704,7 +1699,8 @@ mod tests {
         let nominal = ev.timing(&spec, &plan).delay;
         let cfg = EstimatorConfig::new(pi_yield::Method::SobolScrambled).with_seed(11);
         for target in [0.5, 0.8, 0.95, 0.99] {
-            if let Some(sized) = ev.size_for_yield_gp(&spec, &plan, &v, nominal, target, &cfg) {
+            let q = query(spec, plan, nominal, target, cfg);
+            if let Some(sized) = ev.size_for_yield_gp_batch(&[q]).remove(0) {
                 let est = ev.timing_yield_estimate(&spec, &sized.plan, &v, nominal, &cfg);
                 assert!(
                     est.yield_fraction - est.half_width >= target,
@@ -1716,14 +1712,17 @@ mod tests {
 
     #[test]
     fn gp_batch_is_bit_identical_to_solo_runs() {
+        // Mixed jobs: verified on the first or a later proposal, fallen
+        // back to the ladder (verified there or exhausted), GP-infeasible,
+        // across estimator families, seeds, screens and correlation.
         let (t, m) = setup();
         let ev = LineEvaluator::new(&m, &t);
-        let v = VariationModel::nominal();
-        let cfg = |seed: u64| {
-            EstimatorConfig::new(pi_yield::Method::SobolScrambled)
+        let cfg = |method, seed: u64| {
+            EstimatorConfig::new(method)
                 .with_seed(seed)
                 .with_max_evals(512)
         };
+        let sobol = |seed| cfg(pi_yield::Method::SobolScrambled, seed);
         let spec = |mm| LineSpec::global(Length::mm(mm), DesignStyle::SingleSpacing);
         let plan = |count, um| BufferingPlan {
             kind: RepeaterKind::Inverter,
@@ -1732,57 +1731,102 @@ mod tests {
             staggered: false,
         };
         let nominal5 = ev.timing(&spec(5.0), &plan(8, 2.4)).delay;
+        let nominal3 = ev.timing(&spec(3.0), &plan(5, 2.4)).delay;
+        let regional = SizeQuery {
+            variation: VariationModel::nominal().with_regional(0.8, Length::mm(2.0)),
+            ..query(spec(8.0), plan(12, 2.4), Time::ps(600.0), 0.9, sobol(8))
+        };
         let queries = vec![
-            SizeQuery {
-                spec: spec(5.0),
-                plan: plan(8, 2.4),
-                variation: v,
-                deadline: nominal5,
-                target_yield: 0.9,
-                config: cfg(1),
-            },
-            SizeQuery {
-                spec: spec(8.0),
-                plan: plan(12, 2.4),
-                variation: v,
-                deadline: Time::ps(560.0),
-                target_yield: 0.95,
-                config: cfg(2),
-            },
+            query(spec(5.0), plan(8, 2.4), nominal5, 0.9, sobol(1)),
+            query(spec(8.0), plan(12, 2.4), Time::ps(560.0), 0.95, sobol(2)),
             // Hopeless: GP infeasible, ladder exhausts.
-            SizeQuery {
-                spec: spec(5.0),
-                plan: plan(8, 2.4),
-                variation: v,
-                deadline: Time::ps(10.0),
-                target_yield: 0.9,
-                config: cfg(3),
-            },
+            query(spec(5.0), plan(8, 2.4), Time::ps(10.0), 0.9, sobol(3)),
+            query(
+                spec(3.0),
+                plan(5, 2.4),
+                nominal3 * 0.98,
+                0.9,
+                cfg(pi_yield::Method::Naive, 4),
+            ),
+            query(
+                spec(5.0),
+                plan(8, 2.4),
+                nominal5,
+                0.99,
+                cfg(pi_yield::Method::Analytic, 5),
+            ),
+            query(
+                spec(5.0),
+                plan(8, 2.4),
+                nominal5 * 0.98,
+                0.9,
+                cfg(pi_yield::Method::ImportanceSampling, 6),
+            ),
+            // A target the GP guard cannot certify at 1.0: straight to the
+            // ladder.
+            query(spec(3.0), plan(5, 2.4), nominal3 * 1.5, 1.0, sobol(7)),
+            regional,
+            // Too few dies to certify 0.99 anywhere: every proposal fails
+            // verification and the ladder exhausts.
+            query(
+                spec(5.0),
+                plan(8, 2.4),
+                nominal5 * 1.2,
+                0.99,
+                cfg(pi_yield::Method::Naive, 10).with_max_evals(128),
+            ),
+            query(
+                spec(8.0),
+                plan(12, 2.4),
+                Time::ps(560.0),
+                0.9,
+                sobol(9).with_control_variate(true),
+            ),
         ];
-        let batched = ev.size_for_yield_gp_batch(&queries);
+        let (batched, batch_counters) = sizing_counters(|| ev.size_for_yield_gp_batch(&queries));
+        let (solos, solo_counters) = sizing_counters(|| {
+            queries
+                .iter()
+                .map(|q| {
+                    ev.size_for_yield_gp_batch(std::slice::from_ref(q))
+                        .remove(0)
+                })
+                .collect::<Vec<_>>()
+        });
         assert!(batched[2].is_none());
-        for (i, (q, b)) in queries.iter().zip(&batched).enumerate() {
-            let solo = ev.size_for_yield_gp(
-                &q.spec,
-                &q.plan,
-                &q.variation,
-                q.deadline,
-                q.target_yield,
-                &q.config,
+        for (i, q) in queries.iter().enumerate() {
+            assert_same_sizing(
+                &batched[i],
+                &solos[i],
+                &format!("job {i} vs a batch of one"),
             );
-            match (&solo, b) {
-                (None, None) => {}
-                (Some(s), Some(b)) => {
-                    assert_eq!(s.plan, b.plan, "job {i} plan");
-                    assert_eq!(s.steps, b.steps, "job {i} steps");
-                    assert_eq!(
-                        s.achieved_yield.to_bits(),
-                        b.achieved_yield.to_bits(),
-                        "job {i} yield bits"
-                    );
-                }
-                _ => panic!("job {i}: solo {solo:?} vs batched {b:?}"),
-            }
+            let oracle = legacy::size_for_yield_gp(&ev, q);
+            assert_same_sizing(
+                &batched[i],
+                &oracle,
+                &format!("job {i} vs the solo GP loop"),
+            );
+        }
+        // perfbench's cost ladder reads `gp.verify_probe`, `gp.fallback`
+        // and `sizing.steps`: batching must not change the work counted.
+        assert_eq!(
+            batch_counters, solo_counters,
+            "gp.*/sizing.* counter totals"
+        );
+        for name in [
+            "gp.solve",
+            "gp.infeasible",
+            "gp.verify_probe",
+            "gp.accepted",
+            "gp.candidate_fail",
+            "gp.fallback",
+            "sizing.steps",
+            "sizing.exhausted",
+        ] {
+            assert!(
+                batch_counters.contains_key(name),
+                "{name} never counted: {batch_counters:?}"
+            );
         }
         assert!(ev.size_for_yield_gp_batch(&[]).is_empty());
     }

@@ -71,4 +71,4 @@ pub use line::{BufferingPlan, LineEvaluator, LineSpec, LineTiming, StageTiming};
 pub use nldm::{NldmLibrary, Table2d};
 pub use power::{dynamic_power, energy_per_bit_mm, LeakageModel, PowerBreakdown};
 pub use repeater_model::{EdgeModel, RepeaterModel, Transition};
-pub use variation::{DelayDistribution, VariationModel, YieldQuery, YieldSizing};
+pub use variation::{DelayDistribution, SizeQuery, VariationModel, YieldQuery, YieldSizing};

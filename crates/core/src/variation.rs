@@ -20,6 +20,11 @@
 //! sampling-based [`LineEvaluator::delay_distribution`] keeps the legacy
 //! draw order bit-for-bit; [`LineEvaluator::timing_yield_estimate`]
 //! exposes the variance-reduced estimators with confidence intervals.
+//!
+//! Yield-driven sizing has two entry points, both batches:
+//! [`LineEvaluator::size_for_yield_batch`] (the greedy ladder) and
+//! [`LineEvaluator::size_for_yield_gp_batch`] (GP proposals, ladder
+//! fallback). A solo sizing is a batch of one.
 
 use pi_rt::Rng;
 use pi_tech::units::{Length, Time};
@@ -344,24 +349,14 @@ impl LineEvaluator<'_> {
         DelayDistribution { samples: out }
     }
 
-    /// Timing yield of the line against a clock deadline under variation
-    /// (naive fixed-count Monte Carlo; the `pi-yield` reference path).
-    #[must_use]
-    pub fn timing_yield(
-        &self,
-        spec: &LineSpec,
-        plan: &BufferingPlan,
-        variation: &VariationModel,
-        deadline: Time,
-        samples: usize,
-        seed: u64,
-    ) -> f64 {
-        self.delay_distribution(spec, plan, variation, samples, seed)
-            .yield_at(deadline)
-    }
-
     /// Timing yield through a configurable `pi-yield` estimator, with a
     /// confidence interval and adaptive early stopping.
+    ///
+    /// A naive configuration with `max_evals = samples` and
+    /// `target_half_width = 0` draws exactly the dies of
+    /// [`LineEvaluator::delay_distribution`] at the same seed, so its
+    /// `yield_fraction` is bit-identical to that distribution's
+    /// [`DelayDistribution::yield_at`].
     ///
     /// # Panics
     ///
@@ -379,28 +374,23 @@ impl LineEvaluator<'_> {
         pi_yield::estimate_line_yield(&self.line_problem(spec, plan, variation, deadline), config)
     }
 
-    /// Yield estimates for many queries in one sweep — the batch-friendly
-    /// entry point the serve path coalesces concurrent yield requests
-    /// into. The deterministic lowering (nominal timing of every query's
-    /// line) is dispatched through `pi_rt::par_map` as one structure-of-
-    /// arrays pass; the estimators then run per query **in input order**,
-    /// so each query's RNG stream assignment — `Rng::stream(seed, die)`
-    /// from that query's own seed — is untouched by batching, and every
-    /// result is bit-identical to a standalone
-    /// [`LineEvaluator::timing_yield_estimate`] call at any `PI_THREADS`.
+    /// [`LineEvaluator::timing_yield_estimate`] over many queries, in
+    /// input order — the entry point the serve path coalesces concurrent
+    /// yield requests into and the sizing ladders probe through. Each
+    /// query keeps its own seed and RNG streams, so every result is
+    /// bit-identical to the same query estimated alone, at any
+    /// `PI_THREADS`.
     ///
     /// # Panics
     ///
     /// Panics on a query with no repeaters or a zero evaluation budget.
     #[must_use]
     pub fn timing_yield_estimate_batch(&self, queries: &[YieldQuery]) -> Vec<YieldEstimate> {
-        let problems = pi_rt::par_map(queries, |q| {
-            self.line_problem(&q.spec, &q.plan, &q.variation, q.deadline)
-        });
-        problems
+        queries
             .iter()
-            .zip(queries)
-            .map(|(problem, q)| pi_yield::estimate_line_yield(problem, &q.config))
+            .map(|q| {
+                self.timing_yield_estimate(&q.spec, &q.plan, &q.variation, q.deadline, &q.config)
+            })
             .collect()
     }
 }
@@ -435,107 +425,10 @@ pub struct YieldSizing {
 }
 
 impl LineEvaluator<'_> {
-    /// Yield-driven sizing: starting from `plan`, greedily upsizes the
-    /// repeaters through the library drive strengths (and then adds
-    /// repeaters) until the Monte-Carlo timing yield at `deadline` reaches
-    /// `target_yield`, or the search space is exhausted.
-    ///
-    /// This is the classic "sizing for yield improvement under process
-    /// variation" loop: nominal-delay slack is bought exactly where the
-    /// statistical distribution needs it, instead of blanket
-    /// guard-banding.
-    ///
-    /// Returns `None` if no plan in range reaches the target.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target_yield` is outside `(0, 1]` or `samples` is zero.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)] // the sizing problem has this many knobs
-    pub fn size_for_yield(
-        &self,
-        spec: &LineSpec,
-        plan: &BufferingPlan,
-        variation: &VariationModel,
-        deadline: Time,
-        target_yield: f64,
-        samples: usize,
-        seed: u64,
-    ) -> Option<YieldSizing> {
-        assert!(samples > 0, "need at least one sample");
-        // The fixed-count loop has no interval attached; its point
-        // estimate doubles as the acceptance bound (legacy behaviour,
-        // pinned bit-for-bit by tests).
-        self.size_loop(spec, plan, target_yield, |ev, candidate| {
-            let y = ev.timing_yield(spec, candidate, variation, deadline, samples, seed);
-            (y, y)
-        })
-    }
-
-    /// Yield-driven sizing through a configurable `pi-yield` estimator:
-    /// the same greedy upsizing as [`LineEvaluator::size_for_yield`], but
-    /// each candidate's yield comes from the chosen estimator (adaptive
-    /// early stopping included), so a sizing sweep costs a fraction of
-    /// the fixed-count Monte-Carlo evaluations.
-    ///
-    /// A candidate is accepted only when the **lower end of its
-    /// confidence interval** (`yield_fraction − half_width`) clears
-    /// `target_yield`, not merely the point estimate — a plan whose
-    /// estimate scrapes the target from below the interval's resolution
-    /// forces one more upsizing step instead of shipping on statistical
-    /// luck. `achieved_yield` still reports the point estimate.
-    ///
-    /// When the configuration opts into the control variate
-    /// ([`EstimatorConfig::control_variate`]) the caller has declared the
-    /// analytic surrogate trustworthy, so every candidate is first
-    /// screened through the far cheaper surrogate-IS estimator: a
-    /// candidate whose *screen* lower bound already clears the target is
-    /// accepted without running the configured estimator at all. The
-    /// screen only ever accepts — and only while the surrogate stayed
-    /// trusted (no disagreement fallback) — so a candidate that fails the
-    /// screen still gets the configured estimator's verdict and the
-    /// search can never stop *later* than it would without screening.
-    ///
-    /// Returns `None` if no plan in range reaches the target.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target_yield` is outside `(0, 1]` or the configuration
-    /// has a zero evaluation budget.
-    #[must_use]
-    pub fn size_for_yield_with(
-        &self,
-        spec: &LineSpec,
-        plan: &BufferingPlan,
-        variation: &VariationModel,
-        deadline: Time,
-        target_yield: f64,
-        config: &EstimatorConfig,
-    ) -> Option<YieldSizing> {
-        let screen = config.surrogate_screen();
-        self.size_loop(spec, plan, target_yield, |ev, candidate| {
-            if let Some(cfg) = &screen {
-                let est = ev.timing_yield_estimate(spec, candidate, variation, deadline, cfg);
-                let lower = est.yield_fraction - est.half_width;
-                // A fallback run reports `method` as the plain importance
-                // sampler — that screen verdict is not trusted to accept.
-                if est.method == Method::SurrogateIs && lower >= target_yield {
-                    pi_obs::counter_add("sizing.surrogate_accept", 1);
-                    return (est.yield_fraction, lower);
-                }
-                pi_obs::counter_add("sizing.surrogate_screen_miss", 1);
-            }
-            let est = ev.timing_yield_estimate(spec, candidate, variation, deadline, config);
-            (est.yield_fraction, est.yield_fraction - est.half_width)
-        })
-    }
-
     /// The exact candidate ladder the greedy search walks for `plan`, in
     /// evaluation order: the library drive strengths from the starting
     /// index (the smallest drive not below the plan's width), then added
     /// repeaters at the largest drive up to the length-derived count cap.
-    /// Shared by [`LineEvaluator::size_loop`] and
-    /// [`LineEvaluator::size_for_yield_batch`] so the two cannot diverge.
     ///
     /// The ladder **never shrinks** the starting plan: every candidate's
     /// width is `max(plan.wn, drive width)`, so a plan already wider than
@@ -570,56 +463,45 @@ impl LineEvaluator<'_> {
         out
     }
 
-    /// The shared greedy search: upsize through the library drives, then
-    /// add repeaters, until `estimate`'s **lower bound** (second element
-    /// of the returned `(point, lower)` pair) reaches the target yield.
-    fn size_loop(
-        &self,
-        spec: &LineSpec,
-        plan: &BufferingPlan,
-        target_yield: f64,
-        estimate: impl Fn(&Self, &BufferingPlan) -> (f64, f64),
-    ) -> Option<YieldSizing> {
-        assert!(
-            target_yield > 0.0 && target_yield <= 1.0,
-            "target yield must be in (0, 1]"
-        );
-        let _obs_span = pi_obs::span("core.size_for_yield");
-        for (steps, candidate) in self.size_candidates(spec, plan).into_iter().enumerate() {
-            let (y, lower) = estimate(self, &candidate);
-            pi_obs::counter_add("sizing.steps", 1);
-            if lower >= target_yield {
-                pi_obs::counter_add("sizing.candidate_pass", 1);
-                pi_obs::counter_add("sizing.accepted", 1);
-                return Some(YieldSizing {
-                    plan: candidate,
-                    achieved_yield: y,
-                    steps,
-                });
-            }
-            pi_obs::counter_add("sizing.candidate_fail", 1);
-        }
-        pi_obs::counter_add("sizing.exhausted", 1);
-        None
-    }
-
-    /// Yield-driven sizing of many queries in lock step — the batch entry
-    /// point the serve path coalesces concurrent `/v1/size` requests into.
+    /// Yield-driven sizing: for each query, starting from its plan,
+    /// greedily upsizes the repeaters through the library drive strengths
+    /// (and then adds repeaters) until the estimated timing yield at the
+    /// deadline reaches the target, or the ladder is exhausted. A solo
+    /// sizing is a batch of one.
     ///
-    /// Every round runs **one** [`LineEvaluator::timing_yield_estimate_batch`]
-    /// sweep carrying each unfinished job's next probe (its current ladder
-    /// candidate, under its screen or main estimator configuration), so
-    /// the expensive inner yield estimates amortize their dispatch across
-    /// jobs exactly like batched `/v1/yield` queries do. Jobs keep
-    /// independent RNG streams, candidate ladders and surrogate screens
-    /// (the screen discipline of [`LineEvaluator::size_for_yield_with`]
-    /// is replicated probe for probe), so each job's answer — and every
-    /// `sizing.*` counter total — is **bit-identical to its solo run**;
-    /// batching only changes how probes are grouped onto the workers.
+    /// This is the classic "sizing for yield improvement under process
+    /// variation" loop: nominal-delay slack is bought exactly where the
+    /// statistical distribution needs it, instead of blanket
+    /// guard-banding.
+    ///
+    /// A candidate is accepted only when the **lower end of its
+    /// confidence interval** (`yield_fraction − half_width`) clears the
+    /// target, not merely the point estimate — a plan whose estimate
+    /// scrapes the target from below the interval's resolution forces one
+    /// more upsizing step instead of shipping on statistical luck.
+    /// `achieved_yield` still reports the point estimate.
+    ///
+    /// When a configuration opts into the control variate
+    /// ([`EstimatorConfig::control_variate`]) the caller has declared the
+    /// analytic surrogate trustworthy, so every candidate is first
+    /// screened through the far cheaper surrogate-IS estimator: a
+    /// candidate whose *screen* lower bound already clears the target is
+    /// accepted without running the configured estimator at all. The
+    /// screen only ever accepts — and only while the surrogate stayed
+    /// trusted (no disagreement fallback) — so a candidate that fails the
+    /// screen still gets the configured estimator's verdict and the
+    /// search can never stop *later* than it would without screening.
+    ///
+    /// The jobs run in lock step: every round runs **one**
+    /// [`LineEvaluator::timing_yield_estimate_batch`] sweep carrying each
+    /// unfinished job's next probe. Jobs keep independent RNG streams,
+    /// candidate ladders and screens, so each job's answer — and every
+    /// `sizing.*` counter total — is **bit-identical to the same job run
+    /// as a batch of one**; batching only changes how probes are grouped.
     ///
     /// Results are in input order; `None` means that query's ladder was
-    /// exhausted, exactly as in the solo call. The per-round fan-out is
-    /// visible as the `core.size_sweep_jobs` histogram.
+    /// exhausted. The per-round fan-out is visible as the
+    /// `core.size_sweep_jobs` histogram.
     ///
     /// # Panics
     ///
@@ -639,11 +521,11 @@ impl LineEvaluator<'_> {
         }
         struct JobState {
             candidates: Vec<BufferingPlan>,
+            /// Index of the current candidate: the upsizing steps taken.
             idx: usize,
             /// The next probe runs the screen configuration (true) or the
             /// configured estimator (false).
             screening: bool,
-            steps: usize,
             result: Option<Option<YieldSizing>>,
         }
         let mut jobs: Vec<JobState> = queries
@@ -652,7 +534,6 @@ impl LineEvaluator<'_> {
                 candidates: self.size_candidates(&q.spec, &q.plan),
                 idx: 0,
                 screening: q.config.surrogate_screen().is_some(),
-                steps: 0,
                 result: None,
             })
             .collect();
@@ -687,43 +568,31 @@ impl LineEvaluator<'_> {
             pi_obs::hist_record("core.size_sweep_jobs", round.len() as f64);
             let probes: Vec<YieldQuery> = round.iter().map(|(_, p)| *p).collect();
             let estimates = self.timing_yield_estimate_batch(&probes);
-            for ((j, probe), est) in round.iter().zip(&estimates) {
-                let j = *j;
-                let target = queries[j].target_yield;
+            for (&(j, probe), est) in round.iter().zip(&estimates) {
                 let job = &mut jobs[j];
-                let lower = est.yield_fraction - est.half_width;
+                let pass = est.yield_fraction - est.half_width >= queries[j].target_yield;
                 if job.screening {
                     // A fallback run reports `method` as the plain
                     // importance sampler — not trusted to accept.
-                    if est.method == Method::SurrogateIs && lower >= target {
-                        pi_obs::counter_add("sizing.surrogate_accept", 1);
-                        pi_obs::counter_add("sizing.steps", 1);
-                        pi_obs::counter_add("sizing.candidate_pass", 1);
-                        pi_obs::counter_add("sizing.accepted", 1);
-                        job.result = Some(Some(YieldSizing {
-                            plan: probe.plan,
-                            achieved_yield: est.yield_fraction,
-                            steps: job.steps,
-                        }));
-                    } else {
+                    if !(pass && est.method == Method::SurrogateIs) {
                         pi_obs::counter_add("sizing.surrogate_screen_miss", 1);
                         // Same candidate, configured estimator next round.
                         job.screening = false;
+                        continue;
                     }
-                    continue;
+                    pi_obs::counter_add("sizing.surrogate_accept", 1);
                 }
                 pi_obs::counter_add("sizing.steps", 1);
-                if lower >= target {
+                if pass {
                     pi_obs::counter_add("sizing.candidate_pass", 1);
                     pi_obs::counter_add("sizing.accepted", 1);
                     job.result = Some(Some(YieldSizing {
                         plan: probe.plan,
                         achieved_yield: est.yield_fraction,
-                        steps: job.steps,
+                        steps: job.idx,
                     }));
                 } else {
                     pi_obs::counter_add("sizing.candidate_fail", 1);
-                    job.steps += 1;
                     job.idx += 1;
                     if job.idx == job.candidates.len() {
                         pi_obs::counter_add("sizing.exhausted", 1);
@@ -741,8 +610,8 @@ impl LineEvaluator<'_> {
 }
 
 /// One self-contained sizing query for
-/// [`LineEvaluator::size_for_yield_batch`]: everything
-/// [`LineEvaluator::size_for_yield_with`] takes, as plain data so queries
+/// [`LineEvaluator::size_for_yield_batch`] and
+/// [`LineEvaluator::size_for_yield_gp_batch`], as plain data so queries
 /// can be queued, grouped and shipped between threads.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SizeQuery {
@@ -760,8 +629,104 @@ pub struct SizeQuery {
     pub config: EstimatorConfig,
 }
 
+/// The sequential references the batch entry points replaced, kept as
+/// test oracles, plus the counter probe the batch-invariance tests use.
+#[cfg(test)]
+pub(crate) mod legacy {
+    use super::*;
+
+    /// Fixed-count naive Monte-Carlo timing yield: the fraction of
+    /// `samples` sampled line delays that meet `deadline`.
+    pub(crate) fn timing_yield(
+        ev: &LineEvaluator<'_>,
+        spec: &LineSpec,
+        plan: &BufferingPlan,
+        variation: &VariationModel,
+        deadline: Time,
+        samples: usize,
+        seed: u64,
+    ) -> f64 {
+        ev.delay_distribution(spec, plan, variation, samples, seed)
+            .yield_at(deadline)
+    }
+
+    /// The one-job greedy ladder, probe by probe: each candidate is
+    /// screened first when the configuration opts into the control
+    /// variate, then estimated with the configured estimator, and the
+    /// first one whose CI lower bound clears the target is accepted.
+    pub(crate) fn size_for_yield(ev: &LineEvaluator<'_>, q: &SizeQuery) -> Option<YieldSizing> {
+        let screen = q.config.surrogate_screen();
+        for (steps, plan) in ev.size_candidates(&q.spec, &q.plan).into_iter().enumerate() {
+            let probe = |config: &EstimatorConfig| {
+                let est =
+                    ev.timing_yield_estimate(&q.spec, &plan, &q.variation, q.deadline, config);
+                let lower = est.yield_fraction - est.half_width;
+                (est, lower >= q.target_yield)
+            };
+            let accept = |est: YieldEstimate| {
+                Some(YieldSizing {
+                    plan,
+                    achieved_yield: est.yield_fraction,
+                    steps,
+                })
+            };
+            if let Some(cfg) = &screen {
+                let (est, pass) = probe(cfg);
+                if est.method == Method::SurrogateIs && pass {
+                    return accept(est);
+                }
+            }
+            let (est, pass) = probe(&q.config);
+            if pass {
+                return accept(est);
+            }
+        }
+        None
+    }
+
+    /// Runs `f` with observability on and returns its result with the
+    /// `sizing.*` and `gp.*` counters it added on the calling thread.
+    /// Thread-local, so tests probing concurrently cannot perturb it.
+    pub(crate) fn sizing_counters<R>(
+        f: impl FnOnce() -> R,
+    ) -> (R, std::collections::BTreeMap<&'static str, u64>) {
+        static ENABLE: std::sync::Once = std::sync::Once::new();
+        ENABLE.call_once(|| {
+            std::env::set_var("PI_OBS", "summary");
+            pi_obs::reinit_from_env();
+        });
+        let before = pi_obs::thread_counters();
+        let out = f();
+        let mut added = pi_obs::thread_counters();
+        for (name, total) in &mut added {
+            *total -= before.get(name).copied().unwrap_or(0);
+        }
+        added.retain(|name, n| *n > 0 && (name.starts_with("sizing.") || name.starts_with("gp.")));
+        (out, added)
+    }
+
+    /// Asserts two sizing answers are the same plan, step count and
+    /// achieved-yield bits.
+    pub(crate) fn assert_same_sizing(a: &Option<YieldSizing>, b: &Option<YieldSizing>, what: &str) {
+        match (a, b) {
+            (None, None) => {}
+            (Some(a), Some(b)) => {
+                assert_eq!(a.plan, b.plan, "{what}: plan");
+                assert_eq!(a.steps, b.steps, "{what}: steps");
+                assert_eq!(
+                    a.achieved_yield.to_bits(),
+                    b.achieved_yield.to_bits(),
+                    "{what}: yield bits"
+                );
+            }
+            _ => panic!("{what}: {a:?} vs {b:?}"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::legacy::{assert_same_sizing, sizing_counters, timing_yield};
     use super::*;
     use crate::coefficients::builtin;
     use pi_tech::units::Length;
@@ -769,6 +734,35 @@ mod tests {
 
     fn setup() -> (Technology, crate::CalibratedModels) {
         (Technology::new(TechNode::N65), builtin(TechNode::N65))
+    }
+
+    /// Sizes one line under the nominal variation budget, as a batch of
+    /// one.
+    fn size_one(
+        ev: &LineEvaluator<'_>,
+        spec: LineSpec,
+        plan: BufferingPlan,
+        deadline: Time,
+        target_yield: f64,
+        config: EstimatorConfig,
+    ) -> Option<YieldSizing> {
+        let query = SizeQuery {
+            spec,
+            plan,
+            variation: VariationModel::nominal(),
+            deadline,
+            target_yield,
+            config,
+        };
+        ev.size_for_yield_batch(&[query]).remove(0)
+    }
+
+    /// The naive estimator at a fixed die count with no early stop.
+    fn fixed_count(samples: usize, seed: u64) -> EstimatorConfig {
+        EstimatorConfig::new(Method::Naive)
+            .with_seed(seed)
+            .with_max_evals(samples)
+            .with_target_half_width(0.0)
     }
 
     fn spec_plan() -> (LineSpec, BufferingPlan) {
@@ -894,8 +888,8 @@ mod tests {
         let v = VariationModel::nominal();
         // Deadline set at the small plan's nominal delay.
         let deadline = ev.timing(&spec, &small).delay;
-        let y_small = ev.timing_yield(&spec, &small, &v, deadline, 500, 5);
-        let y_big = ev.timing_yield(&spec, &big, &v, deadline, 500, 5);
+        let y_small = timing_yield(&ev, &spec, &small, &v, deadline, 500, 5);
+        let y_big = timing_yield(&ev, &spec, &big, &v, deadline, 500, 5);
         assert!(
             y_big > y_small + 0.2,
             "yield small {y_small} vs big {y_big}"
@@ -935,10 +929,9 @@ mod tests {
         };
         let v = VariationModel::nominal();
         let deadline = Time::ps(560.0);
-        let y0 = ev.timing_yield(&spec, &start, &v, deadline, 400, 7);
+        let y0 = timing_yield(&ev, &spec, &start, &v, deadline, 400, 7);
         assert!(y0 < 0.5, "starting yield {y0} should be poor");
-        let sized = ev
-            .size_for_yield(&spec, &start, &v, deadline, 0.95, 400, 7)
+        let sized = size_one(&ev, spec, start, deadline, 0.95, fixed_count(400, 7))
             .expect("target reachable");
         assert!(sized.achieved_yield >= 0.95);
         assert!(sized.plan.wn > start.wn || sized.plan.count > start.count);
@@ -956,11 +949,9 @@ mod tests {
             wn: t.layout().unit_nmos_width * 24.0,
             staggered: false,
         };
-        let v = VariationModel::nominal();
         // A very loose deadline: already yielding.
         let deadline = Time::ps(1200.0);
-        let sized = ev
-            .size_for_yield(&spec, &start, &v, deadline, 0.95, 300, 7)
+        let sized = size_one(&ev, spec, start, deadline, 0.95, fixed_count(300, 7))
             .expect("already passing");
         assert_eq!(sized.steps, 0);
         assert_eq!(sized.plan.count, start.count);
@@ -977,12 +968,8 @@ mod tests {
         let (spec, plan) = spec_plan();
         let v = VariationModel::nominal();
         let deadline = Time::ps(600.0);
-        let legacy = ev.timing_yield(&spec, &plan, &v, deadline, 1024, 9);
-        let cfg = pi_yield::EstimatorConfig::new(pi_yield::Method::Naive)
-            .with_seed(9)
-            .with_max_evals(1024)
-            .with_target_half_width(0.0);
-        let est = ev.timing_yield_estimate(&spec, &plan, &v, deadline, &cfg);
+        let legacy = timing_yield(&ev, &spec, &plan, &v, deadline, 1024, 9);
+        let est = ev.timing_yield_estimate(&spec, &plan, &v, deadline, &fixed_count(1024, 9));
         assert_eq!(est.evals, 1024);
         assert_eq!(legacy.to_bits(), est.yield_fraction.to_bits());
     }
@@ -994,7 +981,7 @@ mod tests {
         let (spec, plan) = spec_plan();
         let v = VariationModel::nominal();
         let deadline = Time::ps(600.0);
-        let reference = ev.timing_yield(&spec, &plan, &v, deadline, 4000, 17);
+        let reference = timing_yield(&ev, &spec, &plan, &v, deadline, 4000, 17);
         for method in pi_yield::Method::ALL {
             let est = ev.timing_yield_estimate(
                 &spec,
@@ -1023,15 +1010,11 @@ mod tests {
             wn: t.layout().unit_nmos_width * 8.0,
             staggered: false,
         };
-        let v = VariationModel::nominal();
         let deadline = Time::ps(560.0);
-        let mc = ev
-            .size_for_yield(&spec, &start, &v, deadline, 0.95, 800, 7)
+        let mc = size_one(&ev, spec, start, deadline, 0.95, fixed_count(800, 7))
             .expect("target reachable");
         let cfg = pi_yield::EstimatorConfig::new(pi_yield::Method::SobolScrambled);
-        let fast = ev
-            .size_for_yield_with(&spec, &start, &v, deadline, 0.95, &cfg)
-            .expect("target reachable");
+        let fast = size_one(&ev, spec, start, deadline, 0.95, cfg).expect("target reachable");
         assert!(fast.achieved_yield >= 0.95);
         // Both searches walk the same discrete ladder; the variance-reduced
         // estimator must land on the same (or an adjacent) rung.
@@ -1045,13 +1028,15 @@ mod tests {
 
     #[test]
     fn batched_sizing_is_bit_identical_to_solo_runs() {
-        // Mixed jobs: different methods, seeds, lengths, screens on and
-        // off, one already-passing job and one exhausted ladder — so jobs
-        // retire in different rounds and the lock-step batching is
-        // genuinely exercised, not just a single shared sweep.
+        // Mixed jobs: every estimator family, different seeds and lengths,
+        // screens on and off, regional correlation, one already-passing
+        // job and one exhausted ladder — so jobs retire in different
+        // rounds and the lock-step batching is genuinely exercised, not
+        // just a single shared sweep.
         let (t, m) = setup();
         let ev = LineEvaluator::new(&m, &t);
         let v = VariationModel::nominal();
+        let regional = v.with_regional(0.6, Length::mm(2.0));
         let unit = t.layout().unit_nmos_width;
         let plan = |count: usize, mult: f64| BufferingPlan {
             kind: RepeaterKind::Inverter,
@@ -1068,78 +1053,130 @@ mod tests {
         let spec8 = LineSpec::global(Length::mm(8.0), DesignStyle::SingleSpacing);
         let spec5 = LineSpec::global(Length::mm(5.0), DesignStyle::SingleSpacing);
         let nominal5 = ev.timing(&spec5, &plan(8, 8.0)).delay;
+        let query = |spec, plan, variation, deadline, target_yield, config| SizeQuery {
+            spec,
+            plan,
+            variation,
+            deadline,
+            target_yield,
+            config,
+        };
+        let ps = Time::ps;
         let queries = vec![
-            SizeQuery {
-                spec: spec8,
-                plan: plan(12, 8.0),
-                variation: v,
-                deadline: Time::ps(560.0),
-                target_yield: 0.95,
-                config: cfg(Method::SobolScrambled, 3),
-            },
+            query(
+                spec8,
+                plan(12, 8.0),
+                v,
+                ps(560.0),
+                0.95,
+                cfg(Method::SobolScrambled, 3),
+            ),
             // Surrogate screen active (control variate opted in).
-            SizeQuery {
-                spec: spec8,
-                plan: plan(12, 8.0),
-                variation: v,
-                deadline: Time::ps(560.0),
-                target_yield: 0.9,
-                config: cfg(Method::SobolScrambled, 4).with_control_variate(true),
-            },
-            SizeQuery {
-                spec: spec5,
-                plan: plan(8, 8.0),
-                variation: v,
-                deadline: nominal5 * 1.02,
-                target_yield: 0.85,
-                config: cfg(Method::Naive, 5),
-            },
+            query(
+                spec8,
+                plan(12, 8.0),
+                v,
+                ps(560.0),
+                0.9,
+                cfg(Method::SobolScrambled, 4).with_control_variate(true),
+            ),
+            query(
+                spec5,
+                plan(8, 8.0),
+                v,
+                nominal5 * 1.02,
+                0.85,
+                cfg(Method::Naive, 5),
+            ),
             // Already passing: accepted on the first rung with zero steps.
-            SizeQuery {
-                spec: spec5,
-                plan: plan(8, 24.0),
-                variation: v,
-                deadline: nominal5 * 1.5,
-                target_yield: 0.9,
-                config: cfg(Method::Naive, 6),
-            },
+            query(
+                spec5,
+                plan(8, 24.0),
+                v,
+                nominal5 * 1.5,
+                0.9,
+                cfg(Method::Naive, 6),
+            ),
             // Hopeless deadline (well under the wire RC alone): the whole
             // ladder is walked and exhausted.
-            SizeQuery {
-                spec: spec5,
-                plan: plan(8, 8.0),
-                variation: v,
-                deadline: Time::ps(10.0),
-                target_yield: 0.9,
-                config: cfg(Method::Naive, 7),
-            },
+            query(spec5, plan(8, 8.0), v, ps(10.0), 0.9, cfg(Method::Naive, 7)),
+            query(
+                spec8,
+                plan(12, 8.0),
+                v,
+                ps(580.0),
+                0.9,
+                cfg(Method::Sobol, 8),
+            ),
+            query(
+                spec5,
+                plan(8, 8.0),
+                v,
+                nominal5 * 1.05,
+                0.95,
+                cfg(Method::ImportanceSampling, 9),
+            ),
+            query(
+                spec8,
+                plan(12, 8.0),
+                regional,
+                ps(600.0),
+                0.95,
+                cfg(Method::Analytic, 10),
+            ),
+            // The screen on a correlated line, and the surrogate-IS
+            // estimator itself screened.
+            query(
+                spec8,
+                plan(12, 8.0),
+                regional,
+                ps(600.0),
+                0.9,
+                cfg(Method::Naive, 11).with_control_variate(true),
+            ),
+            query(
+                spec5,
+                plan(8, 8.0),
+                v,
+                nominal5 * 1.05,
+                0.9,
+                cfg(Method::SurrogateIs, 12).with_control_variate(true),
+            ),
         ];
-        let batched = ev.size_for_yield_batch(&queries);
+        let (batched, batch_counters) = sizing_counters(|| ev.size_for_yield_batch(&queries));
+        let (solos, solo_counters) = sizing_counters(|| {
+            queries
+                .iter()
+                .map(|q| ev.size_for_yield_batch(std::slice::from_ref(q)).remove(0))
+                .collect::<Vec<_>>()
+        });
         assert_eq!(batched.len(), queries.len());
         assert_eq!(batched[3].as_ref().map(|s| s.steps), Some(0));
         assert!(batched[4].is_none(), "hopeless ladder exhausts");
-        for (i, (q, b)) in queries.iter().zip(&batched).enumerate() {
-            let solo = ev.size_for_yield_with(
-                &q.spec,
-                &q.plan,
-                &q.variation,
-                q.deadline,
-                q.target_yield,
-                &q.config,
+        for (i, q) in queries.iter().enumerate() {
+            assert_same_sizing(
+                &batched[i],
+                &solos[i],
+                &format!("job {i} vs a batch of one"),
             );
-            match (&solo, b) {
-                (None, None) => {}
-                (Some(s), Some(b)) => {
-                    assert_eq!(s.plan, b.plan, "job {i} plan");
-                    assert_eq!(s.steps, b.steps, "job {i} steps");
-                    assert_eq!(
-                        s.achieved_yield.to_bits(),
-                        b.achieved_yield.to_bits(),
-                        "job {i} yield bits"
-                    );
-                }
-                _ => panic!("job {i}: solo {solo:?} vs batched {b:?}"),
-            }
+            let oracle = legacy::size_for_yield(&ev, q);
+            assert_same_sizing(
+                &batched[i],
+                &oracle,
+                &format!("job {i} vs the sequential ladder"),
+            );
+        }
+        // Identical work, not just identical answers: perfbench's cost
+        // ladder reads these totals.
+        assert_eq!(batch_counters, solo_counters, "sizing.* counter totals");
+        for name in [
+            "sizing.steps",
+            "sizing.accepted",
+            "sizing.candidate_fail",
+            "sizing.exhausted",
+            "sizing.surrogate_screen_miss",
+        ] {
+            assert!(batch_counters.contains_key(name), "{name} never counted");
         }
         assert!(ev.size_for_yield_batch(&[]).is_empty());
     }
@@ -1182,38 +1219,31 @@ mod tests {
             "ladder still climbs"
         );
         // And the fix holds end to end: sizing from the oversized start
-        // returns a plan at least as wide, solo and batched bit-identically.
-        let v = VariationModel::nominal();
-        let deadline = ev.timing(&spec, &start).delay * 1.02;
-        let cfg = EstimatorConfig::new(Method::SobolScrambled)
-            .with_seed(21)
-            .with_max_evals(512);
+        // returns a plan at least as wide, bit-identical to the sequential
+        // ladder.
         let query = SizeQuery {
             spec,
             plan: start,
-            variation: v,
-            deadline,
+            variation: VariationModel::nominal(),
+            deadline: ev.timing(&spec, &start).delay * 1.02,
             target_yield: 0.9,
-            config: cfg,
+            config: EstimatorConfig::new(Method::SobolScrambled)
+                .with_seed(21)
+                .with_max_evals(512),
         };
-        let solo = ev.size_for_yield_with(&spec, &start, &v, deadline, 0.9, &cfg);
-        if let Some(sized) = &solo {
+        let batched = ev.size_for_yield_batch(&[query]).remove(0);
+        if let Some(sized) = &batched {
             assert!(
                 sized.plan.wn >= start.wn,
                 "sizing shrank the plan: {:?}",
                 sized.plan
             );
         }
-        let batched = ev.size_for_yield_batch(&[query]);
-        match (&solo, &batched[0]) {
-            (None, None) => {}
-            (Some(s), Some(b)) => {
-                assert_eq!(s.plan, b.plan);
-                assert_eq!(s.steps, b.steps);
-                assert_eq!(s.achieved_yield.to_bits(), b.achieved_yield.to_bits());
-            }
-            _ => panic!("solo {solo:?} vs batched {:?}", batched[0]),
-        }
+        assert_same_sizing(
+            &batched,
+            &legacy::size_for_yield(&ev, &query),
+            "oversized start",
+        );
     }
 
     #[test]
@@ -1240,7 +1270,7 @@ mod tests {
         // Walk the same drive ladder the sizing loop uses, find a rung
         // whose estimate has `lower < point`, and place the target inside
         // that gap: the point estimate passes but the lower bound fails,
-        // so `size_for_yield_with` must upsize at least one step further
+        // so the ladder must upsize at least one step further
         // than point-estimate stopping would.
         let (t, m) = setup();
         let ev = LineEvaluator::new(&m, &t);
@@ -1281,9 +1311,7 @@ mod tests {
                     .then(|| (i, (est.yield_fraction + lower) / 2.0))
             })
             .expect("a rung with a usable confidence gap");
-        let sized = ev
-            .size_for_yield_with(&spec, &start, &v, deadline, target, &cfg)
-            .expect("target reachable");
+        let sized = size_one(&ev, spec, start, deadline, target, cfg).expect("target reachable");
         assert!(
             sized.steps > point_steps,
             "stopped at step {} although the lower bound failed at step {point_steps}",
@@ -1314,19 +1342,16 @@ mod tests {
         let v = VariationModel::nominal();
         let deadline = Time::ps(560.0);
         let cfg = pi_yield::EstimatorConfig::new(pi_yield::Method::SobolScrambled);
-        let plain = ev
-            .size_for_yield_with(&spec, &start, &v, deadline, 0.95, &cfg)
-            .expect("target reachable");
-        let screened = ev
-            .size_for_yield_with(
-                &spec,
-                &start,
-                &v,
-                deadline,
-                0.95,
-                &cfg.with_control_variate(true),
-            )
-            .expect("target reachable");
+        let plain = size_one(&ev, spec, start, deadline, 0.95, cfg).expect("target reachable");
+        let screened = size_one(
+            &ev,
+            spec,
+            start,
+            deadline,
+            0.95,
+            cfg.with_control_variate(true),
+        )
+        .expect("target reachable");
         // The screen only accepts, never rejects, so it cannot stop later.
         assert!(
             screened.steps <= plain.steps,
@@ -1334,7 +1359,7 @@ mod tests {
             screened.steps,
             plain.steps
         );
-        let reference = ev.timing_yield(&spec, &screened.plan, &v, deadline, 4000, 17);
+        let reference = timing_yield(&ev, &spec, &screened.plan, &v, deadline, 4000, 17);
         assert!(
             reference >= 0.95 - 0.02,
             "screened plan only reaches {reference}"
@@ -1346,14 +1371,19 @@ mod tests {
         let (t, m) = setup();
         let ev = LineEvaluator::new(&m, &t);
         let v = VariationModel::nominal();
+        let regional = v.with_regional(0.8, Length::mm(2.0));
         let queries: Vec<YieldQuery> = [
-            (5.0, 600.0, pi_yield::Method::Naive, 11u64),
-            (8.0, 620.0, pi_yield::Method::SobolScrambled, 12),
-            (3.0, 400.0, pi_yield::Method::ImportanceSampling, 13),
-            (5.0, 560.0, pi_yield::Method::Analytic, 14),
+            (5.0, 600.0, Method::Naive, 11u64, v, false),
+            (8.0, 620.0, Method::SobolScrambled, 12, v, false),
+            (3.0, 400.0, Method::ImportanceSampling, 13, v, false),
+            (5.0, 560.0, Method::Analytic, 14, v, false),
+            (8.0, 600.0, Method::Sobol, 15, regional, false),
+            (8.0, 560.0, Method::SurrogateIs, 16, v, false),
+            (5.0, 600.0, Method::Naive, 17, regional, true),
+            (8.0, 620.0, Method::SobolScrambled, 12, regional, true),
         ]
         .iter()
-        .map(|&(mm, ps, method, seed)| {
+        .map(|&(mm, ps, method, seed, variation, cv)| {
             let spec = LineSpec::global(Length::mm(mm), DesignStyle::SingleSpacing);
             YieldQuery {
                 spec,
@@ -1363,23 +1393,29 @@ mod tests {
                     wn: Length::um(6.0),
                     staggered: false,
                 },
-                variation: v,
+                variation,
                 deadline: Time::ps(ps),
-                config: pi_yield::EstimatorConfig::new(method)
+                config: EstimatorConfig::new(method)
                     .with_seed(seed)
-                    .with_max_evals(2048),
+                    .with_max_evals(2048)
+                    .with_control_variate(cv),
             }
         })
         .collect();
         let batch = ev.timing_yield_estimate_batch(&queries);
         assert_eq!(batch.len(), queries.len());
         for (q, got) in queries.iter().zip(&batch) {
-            let one =
+            let alone = ev
+                .timing_yield_estimate_batch(std::slice::from_ref(q))
+                .remove(0);
+            let direct =
                 ev.timing_yield_estimate(&q.spec, &q.plan, &q.variation, q.deadline, &q.config);
-            assert_eq!(one.yield_fraction.to_bits(), got.yield_fraction.to_bits());
-            assert_eq!(one.half_width.to_bits(), got.half_width.to_bits());
-            assert_eq!(one.evals, got.evals);
-            assert_eq!(one.method, got.method);
+            for one in [alone, direct] {
+                assert_eq!(one.yield_fraction.to_bits(), got.yield_fraction.to_bits());
+                assert_eq!(one.half_width.to_bits(), got.half_width.to_bits());
+                assert_eq!(one.evals, got.evals);
+                assert_eq!(one.method, got.method);
+            }
         }
         assert!(ev.timing_yield_estimate_batch(&[]).is_empty());
     }
@@ -1452,15 +1488,7 @@ mod tests {
             staggered: false,
         };
         // 50 ps for 10 mm is physically unreachable.
-        let sized = ev.size_for_yield(
-            &spec,
-            &start,
-            &VariationModel::nominal(),
-            Time::ps(50.0),
-            0.9,
-            100,
-            7,
-        );
+        let sized = size_one(&ev, spec, start, Time::ps(50.0), 0.9, fixed_count(100, 7));
         assert!(sized.is_none());
     }
 }

@@ -57,10 +57,7 @@ pub use dot::to_dot;
 pub use explore::{explore_link_styles, StyleChoice, StyleResult};
 pub use mesh::{mesh_network, MeshDims};
 pub use model::{InfeasibleLink, LinkCost, LinkCostModel, OriginalLinkModel, ProposedLinkModel};
-pub use net_yield::{
-    network_timing_yield, network_yield_estimate, network_yield_estimates, NetworkYield,
-    CHANNEL_LENGTH_FLOOR,
-};
+pub use net_yield::{network_yield_estimates, CHANNEL_LENGTH_FLOOR};
 pub use placement::{channel_stage_regions, refine_relay_placement, RefinementStats};
 pub use report::{evaluate, NetworkReport};
 pub use router::RouterParams;

@@ -255,16 +255,19 @@ impl LinkCostModel for ProposedLinkModel<'_> {
         // The analytic closure certifies (zero-width CI, conservative
         // lower bound) without sampling cost; the GP proposes, the
         // greedy ladder backstops on infeasibility.
-        let config = pi_yield::EstimatorConfig::new(pi_yield::Method::Analytic);
-        let sized = self.evaluator.size_for_yield_gp(
-            &spec,
-            &start.plan,
-            variation,
-            self.clock.period(),
-            per_link_target,
-            &config,
-        )?;
-        let plan = sized.plan;
+        let query = pi_core::SizeQuery {
+            spec,
+            plan: start.plan,
+            variation: *variation,
+            deadline: self.clock.period(),
+            target_yield: per_link_target,
+            config: pi_yield::EstimatorConfig::new(pi_yield::Method::Analytic),
+        };
+        let plan = self
+            .evaluator
+            .size_for_yield_gp_batch(&[query])
+            .remove(0)?
+            .plan;
         let timing = self.evaluator.timing(&spec, &plan);
         let per_bit = self
             .evaluator

@@ -11,14 +11,13 @@
 //! The estimation itself is delegated to the `pi-yield` engine: a
 //! synthesized [`Network`] is lowered to a plain-`f64`
 //! [`pi_yield::NetworkProblem`] (per-channel nominal stage delays), after
-//! which every estimator applies — the legacy fixed-count naive Monte
-//! Carlo ([`network_timing_yield`], kept as the bit-compatible reference)
-//! and the variance-reduced, confidence-interval-driven family
-//! ([`network_yield_estimate`]).
+//! which every estimator applies through [`network_yield_estimates`]:
+//! naive Monte Carlo (a naive configuration with `max_evals = samples`
+//! and `target_half_width = 0` is the historical fixed-count tally, bit
+//! for bit) and the variance-reduced, confidence-interval-driven family.
 
 use pi_core::line::{LineEvaluator, LineSpec};
 use pi_core::variation::VariationModel;
-use pi_rt::Rng;
 use pi_tech::units::{Freq, Length};
 use pi_yield::{
     EstimatorConfig, NetworkProblem, NetworkYieldEstimate, SpatialCorrelation, StageDelays,
@@ -34,34 +33,6 @@ use crate::synthesis::Network;
 /// `cosi.net_yield_length_floor` counter and a one-time warning rather
 /// than applied silently.
 pub const CHANNEL_LENGTH_FLOOR: Length = Length::from_si(50.0e-6);
-
-/// Result of a network yield analysis.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetworkYield {
-    /// Fraction of sampled dies on which every link met the period.
-    pub yield_fraction: f64,
-    /// Monte-Carlo samples drawn.
-    pub samples: usize,
-    /// Per-channel pass fraction (same order as `network.channels`).
-    pub channel_yield: Vec<f64>,
-}
-
-impl NetworkYield {
-    /// Index and pass-fraction of the yield-limiting channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network has no channels.
-    #[must_use]
-    pub fn limiting_channel(&self) -> (usize, f64) {
-        self.channel_yield
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("network has channels")
-    }
-}
 
 /// Lowers a synthesized network to the plain-`f64` yield problem the
 /// `pi-yield` estimators consume: per-channel nominal stage delays under
@@ -130,105 +101,24 @@ pub fn network_problem(
         .with_correlation(correlation)
 }
 
-/// Samples the timing yield of a synthesized network: on each sampled die,
-/// one shared die-to-die drive factor plus independent within-die factors
-/// per repeater per channel; the die passes if every channel's sampled
-/// delay is at most the clock period.
+/// Network timing yield under one or more `pi-yield` estimator
+/// configurations — naive Monte Carlo, Sobol quasi-Monte-Carlo,
+/// importance sampling or the analytic closure, each with a confidence
+/// interval, adaptive early stopping and per-channel yields. This is the
+/// one network-yield entry point: a single estimate is a batch of one,
+/// and the serve path coalesces concurrent net-yield requests into it.
 ///
-/// Deterministic for a given `seed` and — each die draws from its own
-/// [`Rng::stream`]`(seed, die_index)` — bit-identical for any thread
-/// count (`PI_THREADS` included). This is the fixed-count naive
-/// Monte-Carlo reference; [`network_yield_estimate`] runs the
-/// variance-reduced estimators on the same lowered problem.
-///
-/// # Panics
-///
-/// Panics if `samples` is zero, the network has no channels, or the
-/// evaluator's node differs from the one the network was synthesized for
-/// (lengths are reinterpreted under the evaluator's technology).
-#[must_use]
-pub fn network_timing_yield(
-    network: &Network,
-    evaluator: &LineEvaluator<'_>,
-    style: pi_tech::DesignStyle,
-    variation: &VariationModel,
-    clock: Freq,
-    samples: usize,
-    seed: u64,
-) -> NetworkYield {
-    assert!(samples > 0, "need at least one sample");
-    let problem = network_problem(network, evaluator, style, variation, clock);
-    let channels = problem.channels.len();
-
-    // One counter set per chunk of dies; counts are additive, so merging
-    // per-chunk partials in chunk order reproduces the serial tallies
-    // exactly no matter how chunks were scheduled over threads.
-    let partials = pi_rt::par_map(&pi_rt::chunk_ranges(samples), |&(start, end)| {
-        let mut pass_all = 0usize;
-        let mut pass_channel = vec![0usize; channels];
-        let mut pass = vec![false; channels];
-        for die in start..end {
-            let mut rng = Rng::stream(seed, die as u64);
-            if problem.sample_die(&mut rng, &mut pass) {
-                pass_all += 1;
-            }
-            for (slot, &ok) in pass_channel.iter_mut().zip(&pass) {
-                *slot += usize::from(ok);
-            }
-        }
-        (pass_all, pass_channel)
-    });
-    let mut pass_all = 0usize;
-    let mut pass_channel = vec![0usize; channels];
-    for (all, per) in partials {
-        pass_all += all;
-        for (total, p) in pass_channel.iter_mut().zip(per) {
-            *total += p;
-        }
-    }
-
-    NetworkYield {
-        yield_fraction: pass_all as f64 / samples as f64,
-        samples,
-        channel_yield: pass_channel
-            .into_iter()
-            .map(|p| p as f64 / samples as f64)
-            .collect(),
-    }
-}
-
-/// Network timing yield through a configurable `pi-yield` estimator:
-/// Sobol quasi-Monte-Carlo, importance sampling, or the analytic closure,
-/// each with a confidence interval and adaptive early stopping.
+/// The expensive lowering ([`network_problem`]: one nominal line
+/// evaluation per channel) runs **once** and is shared; the estimators
+/// then run per configuration in input order, each on its own seed, so
+/// every result is bit-identical to the same configuration estimated
+/// alone, at any `PI_THREADS`.
 ///
 /// # Panics
 ///
-/// Panics on an empty network, a zero evaluation budget, or a
-/// technology-node mismatch (see [`network_timing_yield`]).
-#[must_use]
-pub fn network_yield_estimate(
-    network: &Network,
-    evaluator: &LineEvaluator<'_>,
-    style: pi_tech::DesignStyle,
-    variation: &VariationModel,
-    clock: Freq,
-    config: &EstimatorConfig,
-) -> NetworkYieldEstimate {
-    let problem = network_problem(network, evaluator, style, variation, clock);
-    pi_yield::estimate_network_yield(&problem, config)
-}
-
-/// Network yield under several estimator configurations at once — the
-/// batch-friendly entry point the serve path coalesces concurrent
-/// net-yield requests into. The expensive lowering ([`network_problem`]:
-/// one nominal line evaluation per channel) runs **once** and is shared;
-/// the estimators then run per configuration in input order, so each
-/// result is bit-identical to a standalone [`network_yield_estimate`]
-/// call with that configuration.
-///
-/// # Panics
-///
-/// Same conditions as [`network_yield_estimate`].
+/// Panics on an empty network (unless `configs` is empty), a zero
+/// evaluation budget, or a technology-node mismatch: lengths are
+/// reinterpreted under the evaluator's technology.
 #[must_use]
 pub fn network_yield_estimates(
     network: &Network,
@@ -255,7 +145,9 @@ mod tests {
     use crate::synthesis::{synthesize, SynthesisConfig};
     use crate::testcases::dvopd;
     use pi_core::coefficients::builtin;
+    use pi_rt::Rng;
     use pi_tech::{DesignStyle, TechNode, Technology};
+    use pi_yield::Method;
 
     struct Setup {
         tech: Technology,
@@ -280,21 +172,71 @@ mod tests {
         synthesize(&dvopd(), &model, &SynthesisConfig::at_clock(design_clock)).expect("synthesis")
     }
 
+    /// The naive estimator at a fixed die count with no early stop.
+    fn fixed_count(samples: usize, seed: u64) -> EstimatorConfig {
+        EstimatorConfig::new(Method::Naive)
+            .with_seed(seed)
+            .with_max_evals(samples)
+            .with_target_half_width(0.0)
+    }
+
+    /// One single-spacing network estimate, as a batch of one.
+    fn estimate(
+        net: &Network,
+        ev: &LineEvaluator<'_>,
+        variation: &VariationModel,
+        clock: Freq,
+        config: EstimatorConfig,
+    ) -> NetworkYieldEstimate {
+        network_yield_estimates(
+            net,
+            ev,
+            DesignStyle::SingleSpacing,
+            variation,
+            clock,
+            &[config],
+        )
+        .remove(0)
+    }
+
+    /// The fixed-count Monte-Carlo tally the naive estimator replaced:
+    /// die `i` draws from `Rng::stream(seed, i)`, and the whole-network
+    /// and per-channel pass fractions are counted directly.
+    fn legacy_tallies(problem: &NetworkProblem, samples: usize, seed: u64) -> (f64, Vec<f64>) {
+        let channels = problem.channels.len();
+        let mut pass_all = 0usize;
+        let mut pass_channel = vec![0usize; channels];
+        let mut pass = vec![false; channels];
+        for die in 0..samples {
+            let mut rng = Rng::stream(seed, die as u64);
+            pass_all += usize::from(problem.sample_die(&mut rng, &mut pass));
+            for (slot, &ok) in pass_channel.iter_mut().zip(&pass) {
+                *slot += usize::from(ok);
+            }
+        }
+        let fraction = |n: usize| n as f64 / samples as f64;
+        (
+            fraction(pass_all),
+            pass_channel.into_iter().map(fraction).collect(),
+        )
+    }
+
     #[test]
     fn yield_is_deterministic_and_bounded() {
         let s = setup();
         let ev = LineEvaluator::new(&s.models, &s.tech);
         let net = synthesized(&s, 1.0);
         let v = VariationModel::nominal();
-        let a = network_timing_yield(&net, &ev, DesignStyle::SingleSpacing, &v, s.clock, 200, 3);
-        let b = network_timing_yield(&net, &ev, DesignStyle::SingleSpacing, &v, s.clock, 200, 3);
+        let a = estimate(&net, &ev, &v, s.clock, fixed_count(200, 3));
+        let b = estimate(&net, &ev, &v, s.clock, fixed_count(200, 3));
         assert_eq!(a, b);
-        assert!((0.0..=1.0).contains(&a.yield_fraction));
+        assert!((0.0..=1.0).contains(&a.overall.yield_fraction));
         for y in &a.channel_yield {
             assert!((0.0..=1.0).contains(y));
         }
         // Network yield cannot exceed its weakest channel's yield.
-        assert!(a.yield_fraction <= a.limiting_channel().1 + 1e-12);
+        let weakest = a.channel_yield.iter().copied().fold(1.0, f64::min);
+        assert!(a.overall.yield_fraction <= weakest + 1e-12);
     }
 
     #[test]
@@ -307,19 +249,12 @@ mod tests {
         let v = VariationModel::nominal();
         let tight = synthesized(&s, 1.0);
         let banded = synthesized(&s, 0.85);
-        let y_tight =
-            network_timing_yield(&tight, &ev, DesignStyle::SingleSpacing, &v, s.clock, 300, 9)
-                .yield_fraction;
-        let y_banded = network_timing_yield(
-            &banded,
-            &ev,
-            DesignStyle::SingleSpacing,
-            &v,
-            s.clock,
-            300,
-            9,
-        )
-        .yield_fraction;
+        let y_tight = estimate(&tight, &ev, &v, s.clock, fixed_count(300, 9))
+            .overall
+            .yield_fraction;
+        let y_banded = estimate(&banded, &ev, &v, s.clock, fixed_count(300, 9))
+            .overall
+            .yield_fraction;
         assert!(
             y_banded > y_tight + 0.2,
             "tight {y_tight} vs guard-banded {y_banded}"
@@ -332,17 +267,15 @@ mod tests {
         let s = setup();
         let ev = LineEvaluator::new(&s.models, &s.tech);
         let net = synthesized(&s, 1.0);
-        let y = network_timing_yield(
+        let y = estimate(
             &net,
             &ev,
-            DesignStyle::SingleSpacing,
             &VariationModel::none(),
             s.clock,
-            50,
-            1,
+            fixed_count(50, 1),
         );
         assert!(
-            (y.yield_fraction - 1.0).abs() < 1e-12,
+            (y.overall.yield_fraction - 1.0).abs() < 1e-12,
             "every link was designed to meet the period"
         );
     }
@@ -353,17 +286,9 @@ mod tests {
         let ev = LineEvaluator::new(&s.models, &s.tech);
         let net = synthesized(&s, 0.9);
         let v = VariationModel::nominal();
-        let reference =
-            network_timing_yield(&net, &ev, DesignStyle::SingleSpacing, &v, s.clock, 3000, 5);
-        for method in pi_yield::Method::ALL {
-            let est = network_yield_estimate(
-                &net,
-                &ev,
-                DesignStyle::SingleSpacing,
-                &v,
-                s.clock,
-                &EstimatorConfig::new(method),
-            );
+        let reference = estimate(&net, &ev, &v, s.clock, fixed_count(3000, 5)).overall;
+        for method in Method::ALL {
+            let est = estimate(&net, &ev, &v, s.clock, EstimatorConfig::new(method));
             let slack = est.overall.half_width.max(0.03);
             assert!(
                 (est.overall.yield_fraction - reference.yield_fraction).abs() <= 3.0 * slack,
@@ -395,8 +320,8 @@ mod tests {
             .collect();
         assert_eq!(problem.channels[0].repeater_s, expected);
         // And the whole-network yield still computes (no panic, bounded).
-        let y = network_timing_yield(&net, &ev, DesignStyle::SingleSpacing, &v, s.clock, 64, 2);
-        assert!((0.0..=1.0).contains(&y.yield_fraction));
+        let y = estimate(&net, &ev, &v, s.clock, fixed_count(64, 2));
+        assert!((0.0..=1.0).contains(&y.overall.yield_fraction));
     }
 
     #[test]
@@ -450,21 +375,11 @@ mod tests {
             plain_cfg.with_yield_filter(crate::synthesis::YieldFilter::new(target, variation));
         let plain = synthesize(&dvopd(), &model, &plain_cfg).expect("plain synthesis");
         let filtered = synthesize(&dvopd(), &model, &filtered_cfg).expect("filtered synthesis");
-        let estimate = |net: &Network| {
-            network_yield_estimate(
-                net,
-                &ev,
-                DesignStyle::SingleSpacing,
-                &variation,
-                s.clock,
-                &EstimatorConfig::new(pi_yield::Method::SobolScrambled)
-                    .with_seed(7)
-                    .with_target_half_width(2e-3),
-            )
-            .overall
-        };
-        let y_plain = estimate(&plain);
-        let y_filtered = estimate(&filtered);
+        let cfg = EstimatorConfig::new(Method::SobolScrambled)
+            .with_seed(7)
+            .with_target_half_width(2e-3);
+        let y_plain = estimate(&plain, &ev, &variation, s.clock, cfg).overall;
+        let y_filtered = estimate(&filtered, &ev, &variation, s.clock, cfg).overall;
         assert!(
             y_filtered.yield_fraction + y_filtered.half_width + 0.02 >= target,
             "filtered network yield {} misses the {target} target",
@@ -480,59 +395,88 @@ mod tests {
 
     #[test]
     fn batched_network_estimates_match_standalone_calls_bit_for_bit() {
+        // Every estimator family, seeds, the control variate on and off,
+        // independent and placement-correlated variation: a batch of N
+        // must equal N batches of one, bit for bit.
         let s = setup();
         let ev = LineEvaluator::new(&s.models, &s.tech);
         let net = synthesized(&s, 0.9);
-        let v = VariationModel::nominal();
         let configs: Vec<EstimatorConfig> = [
-            (pi_yield::Method::Naive, 5u64),
-            (pi_yield::Method::SobolScrambled, 6),
-            (pi_yield::Method::Analytic, 7),
+            (Method::Naive, 5u64, false),
+            (Method::SobolScrambled, 6, false),
+            (Method::Analytic, 7, false),
+            (Method::Sobol, 8, false),
+            (Method::ImportanceSampling, 9, false),
+            (Method::SurrogateIs, 10, false),
+            (Method::Naive, 11, true),
+            (Method::SobolScrambled, 6, true),
         ]
         .iter()
-        .map(|&(m, seed)| EstimatorConfig::new(m).with_seed(seed).with_max_evals(2048))
+        .map(|&(m, seed, cv)| {
+            EstimatorConfig::new(m)
+                .with_seed(seed)
+                .with_max_evals(2048)
+                .with_control_variate(cv)
+        })
         .collect();
-        let batch =
-            network_yield_estimates(&net, &ev, DesignStyle::SingleSpacing, &v, s.clock, &configs);
-        assert_eq!(batch.len(), configs.len());
-        for (cfg, got) in configs.iter().zip(&batch) {
-            let one =
-                network_yield_estimate(&net, &ev, DesignStyle::SingleSpacing, &v, s.clock, cfg);
-            assert_eq!(
-                one.overall.yield_fraction.to_bits(),
-                got.overall.yield_fraction.to_bits()
+        let independent = VariationModel::nominal();
+        let correlated = independent.with_regional(0.7, Length::mm(2.0));
+        for v in [independent, correlated] {
+            let batch = network_yield_estimates(
+                &net,
+                &ev,
+                DesignStyle::SingleSpacing,
+                &v,
+                s.clock,
+                &configs,
             );
-            assert_eq!(one.overall.evals, got.overall.evals);
-            assert_eq!(one.channel_yield, got.channel_yield);
+            assert_eq!(batch.len(), configs.len());
+            for (cfg, got) in configs.iter().zip(&batch) {
+                let one = estimate(&net, &ev, &v, s.clock, *cfg);
+                assert_eq!(
+                    one.overall.yield_fraction.to_bits(),
+                    got.overall.yield_fraction.to_bits(),
+                    "{} rho {}",
+                    cfg.method,
+                    v.rho_region
+                );
+                assert_eq!(
+                    one.overall.half_width.to_bits(),
+                    got.overall.half_width.to_bits()
+                );
+                assert_eq!(one.overall.evals, got.overall.evals);
+                assert_eq!(one.overall.method, got.overall.method);
+                let bits = |ys: &[f64]| ys.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&one.channel_yield), bits(&got.channel_yield));
+            }
         }
-        assert!(
-            network_yield_estimates(&net, &ev, DesignStyle::SingleSpacing, &v, s.clock, &[])
-                .is_empty()
-        );
+        assert!(network_yield_estimates(
+            &net,
+            &ev,
+            DesignStyle::SingleSpacing,
+            &independent,
+            s.clock,
+            &[]
+        )
+        .is_empty());
     }
 
     #[test]
     fn naive_estimator_reproduces_the_legacy_tallies() {
         // Same seed, same die count: the pi-yield naive estimator and the
-        // legacy fixed-count loop must agree exactly (shared draw order
-        // through NetworkProblem::sample_die).
+        // fixed-count loop must agree exactly (shared draw order through
+        // NetworkProblem::sample_die).
         let s = setup();
         let ev = LineEvaluator::new(&s.models, &s.tech);
         let net = synthesized(&s, 0.95);
         let v = VariationModel::nominal();
-        let legacy =
-            network_timing_yield(&net, &ev, DesignStyle::SingleSpacing, &v, s.clock, 512, 21);
-        let cfg = EstimatorConfig::new(pi_yield::Method::Naive)
-            .with_seed(21)
-            .with_max_evals(512)
-            .with_target_half_width(0.0);
-        let est = network_yield_estimate(&net, &ev, DesignStyle::SingleSpacing, &v, s.clock, &cfg);
+        let problem = network_problem(&net, &ev, DesignStyle::SingleSpacing, &v, s.clock);
+        let (legacy, legacy_channels) = legacy_tallies(&problem, 512, 21);
+        let est = estimate(&net, &ev, &v, s.clock, fixed_count(512, 21));
         assert_eq!(est.overall.evals, 512);
-        assert_eq!(
-            legacy.yield_fraction.to_bits(),
-            est.overall.yield_fraction.to_bits()
-        );
-        for (a, b) in legacy.channel_yield.iter().zip(&est.channel_yield) {
+        assert_eq!(legacy.to_bits(), est.overall.yield_fraction.to_bits());
+        assert_eq!(legacy_channels.len(), est.channel_yield.len());
+        for (a, b) in legacy_channels.iter().zip(&est.channel_yield) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

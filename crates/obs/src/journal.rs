@@ -1,9 +1,10 @@
-//! JSONL trace journal: record emitters, a flat-JSON parser, and the schema
-//! checker behind `pi obs-report --check` and the verify.sh gate.
+//! JSONL trace journal: record emitters and the schema checker behind
+//! `pi obs-report --check` and the verify.sh gate.
 //!
 //! Every journal line is one flat JSON object — string and number values
-//! only, no nesting — so a tiny hand-rolled parser suffices and any external
-//! JSON tool can also read it. The record types (schema version 1):
+//! only, no nesting — so any external JSON tool can read it. Strings are
+//! written, and lines parsed, by the workspace codec ([`crate::json`]).
+//! The record types (schema version 1):
 //!
 //! | `type`        | fields |
 //! |---------------|--------|
@@ -23,26 +24,16 @@
 //! finishing (main) thread's id so report tooling can separate main-thread
 //! roots from worker-thread roots.
 
-use std::collections::BTreeMap;
+use crate::json::{self, Json};
 
 // ---------------------------------------------------------------------------
 // Emission
 // ---------------------------------------------------------------------------
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// `s` as a JSON string literal, quotes included.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    json::write_string(&mut out, s);
     out
 }
 
@@ -63,8 +54,8 @@ fn num(v: f64) -> String {
 
 pub(crate) fn meta_line(schema: u64, mode: &str) -> String {
     format!(
-        "{{\"type\":\"meta\",\"schema\":{schema},\"mode\":\"{}\"}}",
-        esc(mode)
+        "{{\"type\":\"meta\",\"schema\":{schema},\"mode\":{}}}",
+        quoted(mode)
     )
 }
 
@@ -78,15 +69,15 @@ pub(crate) fn span_line(
 ) -> String {
     format!(
         "{{\"type\":\"span\",\"id\":{id},\"parent\":{parent},\"thread\":{thread},\
-         \"name\":\"{}\",\"start_ns\":{start_ns},\"dur_ns\":{dur_ns}}}",
-        esc(name)
+         \"name\":{},\"start_ns\":{start_ns},\"dur_ns\":{dur_ns}}}",
+        quoted(name)
     )
 }
 
 pub(crate) fn sample_line(name: &str, x: f64, y: f64) -> String {
     format!(
-        "{{\"type\":\"sample\",\"name\":\"{}\",\"x\":{},\"y\":{}}}",
-        esc(name),
+        "{{\"type\":\"sample\",\"name\":{},\"x\":{},\"y\":{}}}",
+        quoted(name),
         num(x),
         num(y)
     )
@@ -94,23 +85,23 @@ pub(crate) fn sample_line(name: &str, x: f64, y: f64) -> String {
 
 pub(crate) fn counter_line(name: &str, value: u64) -> String {
     format!(
-        "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
-        esc(name)
+        "{{\"type\":\"counter\",\"name\":{},\"value\":{value}}}",
+        quoted(name)
     )
 }
 
 pub(crate) fn gauge_line(name: &str, value: f64) -> String {
     format!(
-        "{{\"type\":\"gauge\",\"name\":\"{}\",\"value\":{}}}",
-        esc(name),
+        "{{\"type\":\"gauge\",\"name\":{},\"value\":{}}}",
+        quoted(name),
         num(value)
     )
 }
 
 pub(crate) fn hist_bucket_line(name: &str, lo: f64, hi: f64, count: u64) -> String {
     format!(
-        "{{\"type\":\"hist_bucket\",\"name\":\"{}\",\"lo\":{},\"hi\":{},\"count\":{count}}}",
-        esc(name),
+        "{{\"type\":\"hist_bucket\",\"name\":{},\"lo\":{},\"hi\":{},\"count\":{count}}}",
+        quoted(name),
         num(lo),
         num(hi)
     )
@@ -118,9 +109,9 @@ pub(crate) fn hist_bucket_line(name: &str, lo: f64, hi: f64, count: u64) -> Stri
 
 pub(crate) fn warn_line(name: &str, msg: &str) -> String {
     format!(
-        "{{\"type\":\"warn\",\"name\":\"{}\",\"msg\":\"{}\"}}",
-        esc(name),
-        esc(msg)
+        "{{\"type\":\"warn\",\"name\":{},\"msg\":{}}}",
+        quoted(name),
+        quoted(msg)
     )
 }
 
@@ -129,197 +120,22 @@ pub(crate) fn finish_line(wall_ns: u64, thread: u64) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON scalar. Journal records only ever hold strings and numbers.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    /// A JSON number (parsed as f64; journal integers stay exact below 2^53).
-    Num(f64),
-    /// A JSON string, unescaped.
-    Str(String),
-}
-
-impl Value {
-    /// Returns the number, or None for strings.
-    #[must_use]
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            Value::Str(_) => None,
-        }
-    }
-
-    /// Returns the string, or None for numbers.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            Value::Num(_) => None,
-        }
-    }
-}
-
-/// A parsed journal record: field name → scalar value.
-pub type Record = BTreeMap<String, Value>;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err("truncated \\u escape".to_string());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err("bad escape".to_string()),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Advance over one UTF-8 char.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<f64, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid utf-8 in number".to_string())?;
-        text.parse::<f64>()
-            .map_err(|_| format!("bad number `{text}`"))
-    }
-}
-
-/// Parses one journal line as a flat JSON object. Rejects nesting, booleans,
-/// null, duplicate keys, and trailing garbage — the journal never emits them.
-pub fn parse_line(line: &str) -> Result<Record, String> {
-    let mut p = Parser::new(line);
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut rec = Record::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.parse_string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let val = match p.peek() {
-                Some(b'"') => Value::Str(p.parse_string()?),
-                Some(b) if b.is_ascii_digit() || b == b'-' => Value::Num(p.parse_number()?),
-                _ => return Err(format!("unsupported value for key `{key}`")),
-            };
-            if rec.insert(key.clone(), val).is_some() {
-                return Err(format!("duplicate key `{key}`"));
-            }
-            p.skip_ws();
-            match p.peek() {
-                Some(b',') => {
-                    p.pos += 1;
-                }
-                Some(b'}') => {
-                    p.pos += 1;
-                    break;
-                }
-                _ => return Err("expected `,` or `}`".to_string()),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err("trailing bytes after object".to_string());
-    }
-    Ok(rec)
-}
-
-// ---------------------------------------------------------------------------
 // Schema checking
 // ---------------------------------------------------------------------------
 
-fn need_num(rec: &Record, key: &str) -> Result<f64, String> {
+fn need_num(rec: &Json, key: &str) -> Result<f64, String> {
     rec.get(key)
-        .and_then(Value::as_num)
+        .and_then(Json::as_f64)
         .ok_or_else(|| format!("missing/non-numeric field `{key}`"))
 }
 
-fn need_str<'a>(rec: &'a Record, key: &str) -> Result<&'a str, String> {
+fn need_str<'a>(rec: &'a Json, key: &str) -> Result<&'a str, String> {
     rec.get(key)
-        .and_then(Value::as_str)
+        .and_then(Json::as_str)
         .ok_or_else(|| format!("missing/non-string field `{key}`"))
 }
 
-fn need_uint(rec: &Record, key: &str) -> Result<u64, String> {
+fn need_uint(rec: &Json, key: &str) -> Result<u64, String> {
     let v = need_num(rec, key)?;
     if v < 0.0 || v.fract() != 0.0 {
         return Err(format!(
@@ -330,10 +146,25 @@ fn need_uint(rec: &Record, key: &str) -> Result<u64, String> {
 }
 
 /// Validates one journal line against the schema and returns the parsed
-/// record. The record `type` drives which fields are required; unknown types
-/// are errors (the schema version in the `meta` line is the upgrade path).
-pub fn check_line(line: &str) -> Result<Record, String> {
-    let rec = parse_line(line)?;
+/// record: a flat JSON object whose values are strings or numbers. The
+/// record `type` drives which fields are required; unknown types are
+/// errors (the schema version in the `meta` line is the upgrade path).
+///
+/// # Errors
+///
+/// Returns a message naming the parse error, the nested or non-scalar
+/// field, or the schema violation.
+pub fn check_line(line: &str) -> Result<Json, String> {
+    let rec = json::parse(line)?;
+    let Json::Obj(fields) = &rec else {
+        return Err("journal line is not a JSON object".to_string());
+    };
+    if let Some((key, _)) = fields
+        .iter()
+        .find(|(_, v)| !matches!(v, Json::Str(_) | Json::Int(_) | Json::Num(_)))
+    {
+        return Err(format!("unsupported value for key `{key}`"));
+    }
     let ty = need_str(&rec, "type")?.to_string();
     match ty.as_str() {
         "meta" => {
@@ -411,18 +242,24 @@ mod tests {
         for line in &lines {
             check_line(line).unwrap_or_else(|e| panic!("emitted line failed check: {e}\n{line}"));
         }
-        let rec = parse_line(&lines[1]).unwrap();
-        assert_eq!(rec["name"].as_str(), Some("spice.transient"));
-        assert_eq!(rec["dur_ns"].as_num(), Some(6789.0));
-        let warn = parse_line(&lines[6]).unwrap();
-        assert_eq!(warn["msg"].as_str(), Some("weird \"value\"\nnewline"));
+        let rec = check_line(&lines[1]).unwrap();
+        assert_eq!(
+            rec.get("name").and_then(Json::as_str),
+            Some("spice.transient")
+        );
+        assert_eq!(rec.get("dur_ns").and_then(Json::as_f64), Some(6789.0));
+        let warn = check_line(&lines[6]).unwrap();
+        assert_eq!(
+            warn.get("msg").and_then(Json::as_str),
+            Some("weird \"value\"\nnewline")
+        );
     }
 
     #[test]
     fn tiny_bucket_bounds_stay_parseable() {
         let line = hist_bucket_line("h", 2f64.powi(-40), 2f64.powi(-39), 1);
         let rec = check_line(&line).unwrap();
-        assert_eq!(rec["lo"].as_num(), Some(2f64.powi(-40)));
+        assert_eq!(rec.get("lo").and_then(Json::as_f64), Some(2f64.powi(-40)));
     }
 
     #[test]

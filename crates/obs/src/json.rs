@@ -1,7 +1,10 @@
-//! Hand-rolled JSON: a small value type, a strict parser, and a writer
-//! whose output round-trips **bit-exactly** through the parser.
+//! The workspace's one JSON codec: a small value type, a strict parser,
+//! and a writer whose output round-trips **bit-exactly** through the
+//! parser. It carries the serve protocol bodies (re-exported as
+//! `pi_serve::json`), and the trace journal ([`crate::journal`]) writes
+//! its strings and checks its lines with it.
 //!
-//! The serve protocol bodies are ordinary JSON objects, but two properties
+//! The bodies and records are ordinary JSON objects, but two properties
 //! matter more than generality:
 //!
 //! 1. **Bit-exact numbers.** A batched yield response must carry the same
@@ -178,7 +181,10 @@ impl Json {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal, quotes included,
+/// escaping `"`, `\` and the control characters (`\n`, `\r`, `\t`, the
+/// rest as `\u00XX`).
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -404,6 +410,18 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 mod tests {
     use super::*;
 
+    /// SplitMix64: uniformly spread 64-bit test inputs from a seed.
+    fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
     #[test]
     fn parses_nested_values() {
         let v = parse(r#"{"a":[1,2.5,-3e2],"b":{"c":"x\ny"},"d":true,"e":null}"#).unwrap();
@@ -439,10 +457,10 @@ mod tests {
 
     #[test]
     fn floats_round_trip_bit_exactly() {
-        let mut rng = pi_rt::Rng::seed_from_u64(7);
+        let mut next = splitmix(7);
         for _ in 0..2000 {
             // Random finite f64s across the full exponent range.
-            let bits = rng.next_u64();
+            let bits = next();
             let v = f64::from_bits(bits);
             if !v.is_finite() {
                 continue;
@@ -455,9 +473,9 @@ mod tests {
 
     #[test]
     fn integers_round_trip_full_u64_range() {
-        let mut rng = pi_rt::Rng::seed_from_u64(8);
+        let mut next = splitmix(8);
         for _ in 0..2000 {
-            let v = rng.next_u64();
+            let v = next();
             let text = Json::Int(i128::from(v)).render();
             let back = parse(&text).unwrap().as_u64().unwrap();
             assert_eq!(back, v);

@@ -13,7 +13,8 @@
 //!    nothing observed ever feeds back into the numerics. Runs are
 //!    bit-identical with observability on or off, at any `PI_THREADS`.
 //! 3. **No external dependencies.** Everything here — including the JSONL
-//!    emitter, the flat-JSON parser, and the report renderer — is std-only.
+//!    emitter, the workspace's one JSON codec ([`json`]), and the report
+//!    renderer — is std-only.
 //!
 //! # Modes
 //!
@@ -48,6 +49,7 @@ use std::time::Instant;
 
 pub mod hist;
 pub mod journal;
+pub mod json;
 pub mod report;
 pub mod window;
 
@@ -521,6 +523,16 @@ pub fn snapshot() -> Snapshot {
         spans: g.spans.clone(),
         warns: g.warns.clone(),
     }
+}
+
+/// The counter totals buffered on the calling thread: what it recorded
+/// since its buffer last merged into the global aggregate (at
+/// [`snapshot`], [`finish`] or thread exit). Other threads cannot move
+/// these, so a test can diff the counters of two code paths it runs back
+/// to back while other tests probe concurrently.
+#[must_use]
+pub fn thread_counters() -> BTreeMap<&'static str, u64> {
+    with_local(|b| b.counters.iter().map(|(&k, &v)| (k, v)).collect()).unwrap_or_default()
 }
 
 /// Finalizes the run: flushes the calling thread, then either prints the

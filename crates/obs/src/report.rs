@@ -7,7 +7,8 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::journal::{self, Record, Value};
+use crate::journal;
+use crate::json::Json;
 
 /// Relative tolerance for the wall-clock accounting check: the summed
 /// duration of main-thread root spans must be within this fraction of the
@@ -42,17 +43,17 @@ struct Journal {
     finish: Option<(u64, u64)>, // (wall_ns, thread)
 }
 
-fn get_u64(rec: &Record, key: &str) -> u64 {
-    rec.get(key).and_then(Value::as_num).unwrap_or(0.0) as u64
+fn get_u64(rec: &Json, key: &str) -> u64 {
+    get_f64(rec, key) as u64
 }
 
-fn get_f64(rec: &Record, key: &str) -> f64 {
-    rec.get(key).and_then(Value::as_num).unwrap_or(0.0)
+fn get_f64(rec: &Json, key: &str) -> f64 {
+    rec.get(key).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
-fn get_str(rec: &Record, key: &str) -> String {
+fn get_str(rec: &Json, key: &str) -> String {
     rec.get(key)
-        .and_then(Value::as_str)
+        .and_then(Json::as_str)
         .unwrap_or("")
         .to_string()
 }

@@ -3,7 +3,7 @@
 //!
 //! The cumulative aggregator in the crate root answers "what happened over
 //! the whole run"; this module answers "what is happening *right now*". Every
-//! key owns a ring of [`SLOTS`] one-second buckets stamped with the epoch
+//! key owns a ring of `SLOTS` (64) one-second buckets stamped with the epoch
 //! second they cover; recording lands in the current second's bucket and a
 //! readout over a window of `w` seconds folds the last `w` *complete*
 //! seconds together. Because every fold is integer bucket-wise addition, a
@@ -19,8 +19,8 @@
 //!
 //! Latency quantiles need finer resolution than the 2x buckets of
 //! [`crate::Hist`] (a 2x bucket quantized to its midpoint can be ~41% off),
-//! so windowed histograms use [`FineHist`]: log-bucketed at [`SUB`] sub-
-//! buckets per octave (ratio `2^(1/16) ≈ 1.044`) with geometric
+//! so windowed histograms use [`FineHist`]: log-bucketed at `SUB` (16)
+//! sub-buckets per octave (ratio `2^(1/16) ≈ 1.044`) with geometric
 //! interpolation inside the bucket, bounding the worst-case quantile error
 //! to under ~4.5% — tight enough that the verify.sh gate comparing the
 //! served 60 s-window p99 against the client-side pi-load p99 holds at 15%
@@ -64,7 +64,7 @@ pub fn active() -> bool {
 // FineHist: sub-binary log-bucketed histogram
 // ---------------------------------------------------------------------------
 
-/// A sparse log-bucketed histogram with [`SUB`] sub-buckets per octave.
+/// A sparse log-bucketed histogram with `SUB` (16) sub-buckets per octave.
 /// Finite positive `v` lands in bucket `floor(SUB * log2(v))`; zero,
 /// negative, and non-finite values share one underflow bucket. Merging is
 /// bucket-wise addition, so fold order never changes a count.

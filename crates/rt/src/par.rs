@@ -58,8 +58,13 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    // Checked before `thread_count()`: resolving the count reads the
+    // environment and may query the OS, which would dominate a batch of one.
+    if n < SERIAL_CUTOFF {
+        return (0..n).map(f).collect();
+    }
     let threads = thread_count().min(n);
-    if threads <= 1 || n < SERIAL_CUTOFF {
+    if threads <= 1 {
         return (0..n).map(f).collect();
     }
 

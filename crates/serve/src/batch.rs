@@ -586,12 +586,13 @@ pub fn execute_batch(store: &NodeStore, jobs: Vec<Job>, stats: &ServerStats) {
         }
     }
 
-    // Coalesced sizing: every in-flight search advances its bisection
-    // ladder through shared `timing_yield_estimate_batch` sweeps instead
-    // of running a private estimator loop per job. GP jobs split into
-    // their own sub-batch through `size_for_yield_gp_batch`, which keeps
-    // the same lock-step verification sweeps (and ladder fallback) —
-    // either way every answer is bit-identical to its solo equivalent.
+    // Coalesced sizing: every in-flight search advances its ladder
+    // through shared `timing_yield_estimate_batch` sweeps instead of
+    // running a private estimator loop per job. GP jobs split into their
+    // own sub-batch through `size_for_yield_gp_batch`, which keeps the
+    // same lock-step verification sweeps (and ladder fallback) — either
+    // way every answer is bit-identical to the job sized as a batch of
+    // one.
     fn fill_size_slots(
         slots: &mut [Option<ApiResponse>],
         group: &[(usize, SizeQuery)],
@@ -891,11 +892,20 @@ mod tests {
 
     #[test]
     fn batched_yields_are_bit_identical_to_direct_estimates() {
-        // Mixed batch: two seeds and two estimators, plus an eval — the
-        // grouped execution must leave every per-query RNG stream alone.
+        // Mixed batch: seeds and every estimator family, plus an eval —
+        // the grouped execution must leave every per-query RNG stream
+        // alone.
         let store = NodeStore::default();
         let q = Batcher::new(16);
-        let specs = [(3u64, "naive"), (4, "naive"), (3, "sobol-scrambled")];
+        let specs = [
+            (3u64, "naive"),
+            (4, "naive"),
+            (3, "sobol-scrambled"),
+            (5, "sobol"),
+            (6, "importance"),
+            (7, "surrogate-is"),
+            (8, "analytic"),
+        ];
         let receivers: Vec<_> = specs
             .iter()
             .map(|&(seed, est)| q.submit(yield_request(seed, est)).expect("queued"))
@@ -934,114 +944,116 @@ mod tests {
         }
     }
 
+    /// The answer a size request gets when sized alone: lowered exactly
+    /// as the server lowers it, then run as a batch of one through the
+    /// engine its `gp` flag selects.
+    fn size_alone(store: &NodeStore, request: &ApiRequest) -> Option<YieldSizing> {
+        let ApiRequest::Size(r) = request else {
+            panic!("expected a size request");
+        };
+        let ctx = store.context(pi_tech::TechNode::N65);
+        let query = lower_size(&ctx, r).expect("valid request");
+        let ev = ctx.evaluator();
+        if r.gp {
+            ev.size_for_yield_gp_batch(&[query])
+        } else {
+            ev.size_for_yield_batch(&[query])
+        }
+        .remove(0)
+    }
+
+    /// Asserts a served size response carries exactly `direct`'s answer
+    /// (a 400 when the ladder was exhausted).
+    fn assert_serves(got: &ApiResponse, direct: Option<YieldSizing>, what: &str) {
+        match (got, direct) {
+            (ApiResponse::Size(got), Some(direct)) => {
+                assert_eq!(direct.plan.count as u64, got.count, "{what}: count");
+                assert_eq!(
+                    direct.plan.wn.as_um().to_bits(),
+                    got.wn_um.to_bits(),
+                    "{what}: width"
+                );
+                assert_eq!(
+                    direct.achieved_yield.to_bits(),
+                    got.achieved_yield.to_bits(),
+                    "{what}: yield bits"
+                );
+                assert_eq!(direct.steps as u64, got.steps, "{what}: steps");
+            }
+            (got, None) => assert_eq!(got.status(), 400, "{what}: exhausted ladder"),
+            (got, Some(direct)) => panic!("{what}: served {got:?}, alone {direct:?}"),
+        }
+    }
+
     #[test]
     fn batched_sizes_are_bit_identical_to_direct_sizing() {
-        // Two size jobs plus a yield in one batch: sizing coalesces into
-        // lock-step sweeps yet answers exactly like the solo search.
+        // Size jobs over every estimator family plus a yield in one
+        // batch: sizing coalesces into lock-step sweeps yet answers each
+        // job exactly like a batch of one, exhausted ladders included.
         let store = NodeStore::default();
         let q = Batcher::new(16);
-        let specs = [
-            (3u64, "naive", 5.0, 650.0),
-            (4, "sobol-scrambled", 8.0, 1100.0),
+        let requests = [
+            size_request(3, "naive", 5.0, 650.0),
+            size_request(4, "sobol-scrambled", 8.0, 1100.0),
+            size_request(5, "analytic", 3.0, 450.0),
+            size_request(6, "importance", 5.0, 700.0),
+            size_request(7, "sobol", 2.0, 330.0),
+            size_request(8, "surrogate-is", 8.0, 1150.0),
+            // Hopeless: the whole ladder is walked and exhausted.
+            size_request(9, "naive", 5.0, 10.0),
         ];
-        let receivers: Vec<_> = specs
+        let receivers: Vec<_> = requests
             .iter()
-            .map(|&(seed, est, mm, dl)| q.submit(size_request(seed, est, mm, dl)).expect("queued"))
+            .map(|r| q.submit(r.clone()).expect("queued"))
             .collect();
         let _extra = q.submit(yield_request(9, "naive")).expect("queued");
         let stats = ServerStats::default();
         execute_batch(&store, q.take_batch(Duration::ZERO).expect("open"), &stats);
         assert_eq!(stats.size_sweeps.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.size_jobs.load(Ordering::Relaxed), 2);
+        assert_eq!(
+            stats.size_jobs.load(Ordering::Relaxed),
+            requests.len() as u64
+        );
 
-        let ctx = store.context(pi_tech::TechNode::N65);
-        let ev = ctx.evaluator();
-        for (&(seed, est, mm, dl), rx) in specs.iter().zip(receivers) {
-            let ApiResponse::Size(got) = rx.recv().expect("answered").0 else {
-                panic!("expected a size response");
-            };
-            let length = Length::mm(mm);
-            let spec = LineSpec::global(length, DesignStyle::SingleSpacing);
-            let plan = ctx.plan_for(length).expect("plan");
-            let config = estimator_config(est, seed, 2.0, false).expect("config");
-            let direct = ev
-                .size_for_yield_with(
-                    &spec,
-                    &plan,
-                    &VariationModel::nominal(),
-                    Time::ps(dl),
-                    0.9,
-                    &config,
-                )
-                .expect("solo sizing succeeds");
-            assert_eq!(direct.plan.count as u64, got.count);
-            assert_eq!(direct.plan.wn.as_um().to_bits(), got.wn_um.to_bits());
-            assert_eq!(
-                direct.achieved_yield.to_bits(),
-                got.achieved_yield.to_bits()
-            );
-            assert_eq!(direct.steps as u64, got.steps);
+        let mut sized = 0;
+        for (i, (request, rx)) in requests.iter().zip(receivers).enumerate() {
+            let direct = size_alone(&store, request);
+            sized += usize::from(direct.is_some());
+            assert_serves(&rx.recv().expect("answered").0, direct, &format!("job {i}"));
         }
+        assert!(sized >= 5, "only {sized} jobs reached the target");
     }
 
     #[test]
     fn batched_gp_sizes_are_bit_identical_to_direct_gp_sizing() {
-        // A mixed group — one GP job, one ladder job — must split into
-        // the two engines yet answer each exactly like its solo path.
+        // A mixed group — GP and ladder jobs, one GP-infeasible — must
+        // split into the two engines yet answer each exactly like a batch
+        // of one through its engine.
         let store = NodeStore::default();
         let q = Batcher::new(16);
-        let rx_gp = q
-            .submit(gp_size_request(5, "sobol-scrambled", 5.0, 650.0))
-            .expect("queued");
-        let rx_ladder = q
-            .submit(size_request(5, "sobol-scrambled", 5.0, 650.0))
-            .expect("queued");
+        let requests = [
+            gp_size_request(5, "sobol-scrambled", 5.0, 650.0),
+            size_request(5, "sobol-scrambled", 5.0, 650.0),
+            gp_size_request(6, "analytic", 8.0, 1100.0),
+            gp_size_request(7, "naive", 3.0, 450.0),
+            size_request(8, "importance", 3.0, 450.0),
+            // GP-infeasible: falls back to a ladder that exhausts.
+            gp_size_request(9, "naive", 5.0, 10.0),
+        ];
+        let receivers: Vec<_> = requests
+            .iter()
+            .map(|r| q.submit(r.clone()).expect("queued"))
+            .collect();
         let stats = ServerStats::default();
         execute_batch(&store, q.take_batch(Duration::ZERO).expect("open"), &stats);
-        assert_eq!(stats.size_jobs.load(Ordering::Relaxed), 2);
-
-        let ctx = store.context(pi_tech::TechNode::N65);
-        let ev = ctx.evaluator();
-        let length = Length::mm(5.0);
-        let spec = LineSpec::global(length, DesignStyle::SingleSpacing);
-        let plan = ctx.plan_for(length).expect("plan");
-        let config = estimator_config("sobol-scrambled", 5, 2.0, false).expect("config");
-        let ApiResponse::Size(gp) = rx_gp.recv().expect("answered").0 else {
-            panic!("expected a size response");
-        };
-        let direct = ev
-            .size_for_yield_gp(
-                &spec,
-                &plan,
-                &VariationModel::nominal(),
-                Time::ps(650.0),
-                0.9,
-                &config,
-            )
-            .expect("solo GP sizing succeeds");
-        assert_eq!(direct.plan.count as u64, gp.count);
-        assert_eq!(direct.plan.wn.as_um().to_bits(), gp.wn_um.to_bits());
-        assert_eq!(direct.achieved_yield.to_bits(), gp.achieved_yield.to_bits());
-        assert_eq!(direct.steps as u64, gp.steps);
-        // The ladder companion is untouched by the split.
-        let ApiResponse::Size(ladder) = rx_ladder.recv().expect("answered").0 else {
-            panic!("expected a size response");
-        };
-        let direct = ev
-            .size_for_yield_with(
-                &spec,
-                &plan,
-                &VariationModel::nominal(),
-                Time::ps(650.0),
-                0.9,
-                &config,
-            )
-            .expect("solo ladder sizing succeeds");
-        assert_eq!(direct.plan.wn.as_um().to_bits(), ladder.wn_um.to_bits());
         assert_eq!(
-            direct.achieved_yield.to_bits(),
-            ladder.achieved_yield.to_bits()
+            stats.size_jobs.load(Ordering::Relaxed),
+            requests.len() as u64
         );
+        for (i, (request, rx)) in requests.iter().zip(receivers).enumerate() {
+            let direct = size_alone(&store, request);
+            assert_serves(&rx.recv().expect("answered").0, direct, &format!("job {i}"));
+        }
     }
 
     #[test]

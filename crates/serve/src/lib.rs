@@ -67,7 +67,6 @@ pub mod config;
 pub mod http;
 #[cfg(unix)]
 mod io_loop;
-pub mod json;
 pub mod load;
 pub mod server;
 pub mod store;
@@ -78,6 +77,7 @@ pub use api::{ApiRequest, ApiResponse};
 pub use batch::{execute_batch, Batcher, PhaseTiming};
 pub use config::{IoMode, ServeConfig};
 pub use load::{run_load, Client, LoadConfig, LoadReport, StatusLatency};
+pub use pi_obs::json;
 pub use server::{install_shutdown_signals, signalled, Server, ServerStats};
 pub use store::{NodeContext, NodeStore};
 pub use traffic::TrafficGen;

@@ -287,7 +287,7 @@ mod tests {
         // The 1.25× margin must leave the sizing ladder room to hit the
         // 0.9 target at representative lengths from both Davis regions.
         use pi_core::line::LineSpec;
-        use pi_core::variation::VariationModel;
+        use pi_core::variation::{SizeQuery, VariationModel};
         use pi_tech::units::{Length, Time};
         use pi_tech::DesignStyle;
         use pi_yield::{EstimatorConfig, Method};
@@ -300,18 +300,16 @@ mod tests {
             let deadline = Time::ps((45.0 + 130.0 * length_mm) * 1.25);
             let length = Length::mm(length_mm);
             let spec = LineSpec::global(length, DesignStyle::SingleSpacing);
-            let plan = ctx.plan_for(length).expect("plan");
-            let config = EstimatorConfig::new(Method::Analytic).with_seed(1);
-            let sized = ev.size_for_yield_with(
-                &spec,
-                &plan,
-                &VariationModel::nominal(),
+            let query = SizeQuery {
+                spec,
+                plan: ctx.plan_for(length).expect("plan"),
+                variation: VariationModel::nominal(),
                 deadline,
-                0.9,
-                &config,
-            );
+                target_yield: 0.9,
+                config: EstimatorConfig::new(Method::Analytic).with_seed(1),
+            };
             assert!(
-                sized.is_some(),
+                ev.size_for_yield_batch(&[query])[0].is_some(),
                 "no feasible sizing at {length_mm} mm under the mix deadline"
             );
         }

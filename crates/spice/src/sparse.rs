@@ -216,7 +216,7 @@ impl BorderedSolver {
     ///
     /// Interior-interior entries must lie within the analyzed bandwidth —
     /// i.e. `(i, j)` must have been present in the `edges` handed to
-    /// [`analyze`] (or be a diagonal).
+    /// [`BorderedSolver::analyze`] (or be a diagonal).
     #[inline]
     pub fn add(&mut self, i: usize, j: usize, v: f64) {
         let (pi, pj) = (self.pos[i], self.pos[j]);

@@ -24,7 +24,7 @@
 //! for every thread count.
 //!
 //! Randomization is by **digital shift**: a per-dimension 32-bit XOR mask
-//! drawn from a seeded [`Rng`](pi_rt::Rng) stream. A digital shift
+//! drawn from a seeded [`Rng`] stream. A digital shift
 //! preserves the digital-net structure (every shifted point set has the
 //! same discrepancy bound) while making independent replicates, which is
 //! how the estimator builds honest confidence intervals for QMC.

@@ -380,7 +380,7 @@ impl Surrogate {
     }
 
     /// Fits the importance-sampling proposal: one component per
-    /// competing channel (margins within [`MIXTURE_WINDOW_SIGMA`] of the
+    /// competing channel (margins within `MIXTURE_WINDOW_SIGMA` of the
     /// limiting margin), each shifted by its own variance-optimal
     /// magnitude along its sensitivity direction.
     #[must_use]

@@ -317,6 +317,11 @@ else
     echo "== clippy not installed; skipping lint check =="
 fi
 
+echo "== rustdoc (deny warnings) =="
+# Broken or private intra-doc links fail the build, so a removed or renamed
+# item cannot leave dangling references in the API docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 if cargo fmt --version >/dev/null 2>&1; then
     echo "== rustfmt =="
     cargo fmt --check

@@ -35,7 +35,7 @@ use predictive_interconnect::cosi::{mesh_network, testcases};
 use predictive_interconnect::models::buffering::{BufferingObjective, SearchSpace};
 use predictive_interconnect::models::coefficients::builtin;
 use predictive_interconnect::models::line::{BufferingPlan, LineEvaluator, LineSpec};
-use predictive_interconnect::models::variation::VariationModel;
+use predictive_interconnect::models::variation::{SizeQuery, VariationModel};
 use predictive_interconnect::tech::units::{Freq, Length, Time};
 use predictive_interconnect::tech::{DesignStyle, RepeaterKind, TechNode, Technology};
 
@@ -77,19 +77,34 @@ fn parse_clock(s: &str) -> Result<Freq, String> {
 
 fn parse_time(s: &str) -> Result<Time, String> {
     let s = s.trim().to_ascii_lowercase();
-    if let Some(v) = s.strip_suffix("ps") {
-        v.parse::<f64>()
-            .map(Time::ps)
-            .map_err(|e| format!("bad time `{s}`: {e}"))
+    let (value, unit): (Result<f64, _>, fn(f64) -> Time) = if let Some(v) = s.strip_suffix("ps") {
+        (v.parse(), Time::ps)
     } else if let Some(v) = s.strip_suffix("ns") {
-        v.parse::<f64>()
-            .map(Time::ns)
-            .map_err(|e| format!("bad time `{s}`: {e}"))
+        (v.parse(), Time::ns)
     } else {
-        s.parse::<f64>()
-            .map(Time::ps)
-            .map_err(|_| format!("bad time `{s}` (use e.g. 560ps or 1.2ns)"))
+        // Bare numbers are picoseconds.
+        (s.parse(), Time::ps)
+    };
+    let value = value.map_err(|_| format!("bad time `{s}` (use e.g. 560ps or 1.2ns)"))?;
+    // As for lengths: a NaN, zero or negative deadline would come back as
+    // a 0% yield or "no plan reaches the target", not as an error.
+    if !(value.is_finite() && value > 0.0) {
+        return Err(format!("time must be positive and finite, got `{s}`"));
     }
+    Ok(unit(value))
+}
+
+/// Parses the optional `--ci` target half-width in percent (default 0.5).
+fn parse_ci_pct(opts: &Opts) -> Result<f64, String> {
+    let ci_pct: f64 = opts
+        .get("ci")
+        .unwrap_or("0.5")
+        .parse()
+        .map_err(|e| format!("bad --ci: {e}"))?;
+    if !(ci_pct.is_finite() && ci_pct > 0.0) {
+        return Err("--ci must be a positive half-width in percent".to_owned());
+    }
+    Ok(ci_pct)
 }
 
 /// Parses the optional `--rho` spatial-correlation coefficient; `None`
@@ -387,14 +402,7 @@ fn cmd_yield(opts: &Opts) -> Result<(), String> {
         // Variance-reduced estimator with a confidence interval. The CI
         // target is given in percent yield (default ±0.5% at 95%).
         let method: Method = name.parse()?;
-        let ci_pct: f64 = opts
-            .get("ci")
-            .unwrap_or("0.5")
-            .parse()
-            .map_err(|e| format!("bad --ci: {e}"))?;
-        if ci_pct <= 0.0 {
-            return Err("--ci must be a positive half-width in percent".to_owned());
-        }
+        let ci_pct = parse_ci_pct(opts)?;
         let config = EstimatorConfig::new(method)
             .with_seed(seed)
             .with_target_half_width(ci_pct / 100.0)
@@ -473,14 +481,7 @@ fn cmd_size(opts: &Opts) -> Result<(), String> {
         .unwrap_or("1")
         .parse()
         .map_err(|e| format!("bad --seed: {e}"))?;
-    let ci_pct: f64 = opts
-        .get("ci")
-        .unwrap_or("0.5")
-        .parse()
-        .map_err(|e| format!("bad --ci: {e}"))?;
-    if ci_pct <= 0.0 {
-        return Err("--ci must be a positive half-width in percent".to_owned());
-    }
+    let ci_pct = parse_ci_pct(opts)?;
     let config = EstimatorConfig::new(method)
         .with_seed(seed)
         .with_target_half_width(ci_pct / 100.0);
@@ -490,13 +491,21 @@ fn cmd_size(opts: &Opts) -> Result<(), String> {
         .optimize_buffering(&spec, &obj, &SearchSpace::for_length(length))
         .ok_or("empty search space")?
         .plan;
-    let variation = VariationModel::nominal();
+    let query = SizeQuery {
+        spec,
+        plan: start,
+        variation: VariationModel::nominal(),
+        deadline,
+        target_yield: target,
+        config,
+    };
     let engine = if opts.flag("gp") { "gp" } else { "ladder" };
     let sized = if opts.flag("gp") {
-        ev.size_for_yield_gp(&spec, &start, &variation, deadline, target, &config)
+        ev.size_for_yield_gp_batch(&[query])
     } else {
-        ev.size_for_yield_with(&spec, &start, &variation, deadline, target, &config)
+        ev.size_for_yield_batch(&[query])
     }
+    .remove(0)
     .ok_or("no plan in the search range reaches the target yield")?;
     let timing = ev.timing(&spec, &sized.plan);
     let power = ev.power(&spec, &sized.plan, 0.25, Freq::ghz(1.0));
@@ -970,6 +979,11 @@ mod tests {
     fn time_parsing() {
         assert!((parse_time("560ps").unwrap().as_ps() - 560.0).abs() < 1e-12);
         assert!((parse_time("1.2ns").unwrap().as_ps() - 1200.0).abs() < 1e-9);
+        assert!((parse_time("700").unwrap().as_ps() - 700.0).abs() < 1e-12);
+        assert!(parse_time("soon").is_err());
+        for bad in ["nan", "nanps", "inf", "-100ps", "0ps", "0", "-1ns"] {
+            assert!(parse_time(bad).is_err(), "`{bad}` must be rejected");
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@ use pi_spice::SimError;
 use pi_tech::units::{Area, Freq, Time};
 use pi_tech::{TechNode, Technology};
 use pi_wire::bus_area;
+use pi_yield::{EstimatorConfig, Method};
 
 /// What the datasheet should include beyond the closed-form estimates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -212,14 +213,22 @@ pub fn link_datasheet(
     );
 
     let timing_yield = options.with_yield.then(|| {
-        evaluator.timing_yield(
-            spec,
-            plan,
-            &options.variation,
-            options.clock.period(),
-            options.samples,
-            0x11ea,
-        )
+        // Fixed-count naive Monte Carlo: exactly `samples` dies and no
+        // early stop, so the yield is the plain pass fraction of those
+        // dies (the sampled delay distribution's `yield_at`, bit for bit).
+        let config = EstimatorConfig::new(Method::Naive)
+            .with_seed(0x11ea)
+            .with_max_evals(options.samples)
+            .with_target_half_width(0.0);
+        evaluator
+            .timing_yield_estimate(
+                spec,
+                plan,
+                &options.variation,
+                options.clock.period(),
+                &config,
+            )
+            .yield_fraction
     });
 
     let (glitch_fraction, signoff_delay) = if options.with_signoff {

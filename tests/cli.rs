@@ -120,6 +120,46 @@ fn bad_arguments_fail_with_messages() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--batch-window`"));
 
+    // Deadlines and CI targets get the same finite-positive validation
+    // as `/v1/*` fields: never a 0% yield or an empty search instead.
+    for deadline in ["nan", "-100ps", "0ps"] {
+        let out = pi(&[
+            "yield",
+            "--tech",
+            "65",
+            "--length",
+            "5mm",
+            "--deadline",
+            deadline,
+        ]);
+        assert!(!out.status.success(), "yield --deadline {deadline}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("time must be positive and finite"), "{err}");
+    }
+    let out = pi(&[
+        "size",
+        "--tech",
+        "65",
+        "--length",
+        "5mm",
+        "--deadline",
+        "nan",
+    ]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("time must be positive and finite"), "{err}");
+    for command in ["size", "yield"] {
+        let mut args = vec![command, "--tech", "65", "--length", "5mm"];
+        args.extend(["--deadline", "560ps", "--ci", "nan"]);
+        if command == "yield" {
+            args.extend(["--estimator", "naive"]);
+        }
+        let out = pi(&args);
+        assert!(!out.status.success(), "{command} --ci nan");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--ci must be a positive half-width"), "{err}");
+    }
+
     let out = pi(&[]);
     assert!(!out.status.success());
 }

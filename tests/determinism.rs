@@ -12,9 +12,9 @@
 
 use pi_core::coefficients::builtin;
 use pi_core::line::{BufferingPlan, LineEvaluator, LineSpec};
-use pi_core::variation::VariationModel;
+use pi_core::variation::{SizeQuery, VariationModel};
 use pi_cosi::explore::{explore_link_styles, StyleResult};
-use pi_cosi::net_yield::network_timing_yield;
+use pi_cosi::net_yield::network_yield_estimates;
 use pi_cosi::synthesis::SynthesisConfig;
 use pi_cosi::testcases::dvopd;
 use pi_tech::units::{Freq, Length};
@@ -33,6 +33,15 @@ fn with_threads<R>(setting: Option<&str>, f: impl FnOnce() -> R) -> R {
 }
 
 const SETTINGS: [Option<&str>; 3] = [Some("1"), Some("2"), None];
+
+/// The naive estimator at a fixed die count with no early stop: the
+/// fixed-count Monte-Carlo tally, die for die.
+fn fixed_count(samples: usize, seed: u64) -> EstimatorConfig {
+    EstimatorConfig::new(Method::Naive)
+        .with_seed(seed)
+        .with_max_evals(samples)
+        .with_target_half_width(0.0)
+}
 
 #[test]
 fn parallel_results_are_bit_identical_across_thread_counts() {
@@ -88,14 +97,13 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
         .iter()
         .map(|s| {
             with_threads(*s, || {
-                network_timing_yield(
+                network_yield_estimates(
                     &best.network,
                     &evaluator,
                     best.choice.style,
                     &variation,
                     clock,
-                    400,
-                    7,
+                    &[fixed_count(400, 7)],
                 )
             })
         })
@@ -320,14 +328,13 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
             .iter()
             .map(|s| {
                 with_threads(*s, || {
-                    network_timing_yield(
+                    network_yield_estimates(
                         &best.network,
                         &evaluator,
                         best.choice.style,
                         &correlated,
                         clock,
-                        400,
-                        7,
+                        &[fixed_count(400, 7)],
                     )
                 })
             })
@@ -643,17 +650,18 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
                 let config = EstimatorConfig::new(estimator.parse::<Method>().expect("method"))
                     .with_seed(seed)
                     .with_target_half_width(2.0 / 100.0);
+                let query = SizeQuery {
+                    spec,
+                    plan: cli_plan,
+                    variation: VariationModel::nominal(),
+                    deadline: pi_tech::units::Time::ps(deadline_ps),
+                    target_yield: 0.9,
+                    config,
+                };
                 let direct = with_threads(Some("1"), || {
-                    evaluator.size_for_yield_with(
-                        &spec,
-                        &cli_plan,
-                        &VariationModel::nominal(),
-                        pi_tech::units::Time::ps(deadline_ps),
-                        0.9,
-                        &config,
-                    )
+                    evaluator.size_for_yield_batch(&[query]).remove(0)
                 })
-                .expect("solo sizing succeeds");
+                .expect("sizing as a batch of one succeeds");
                 assert_eq!(
                     direct.plan.count as u64, got.count,
                     "{io:?}: batched size count, seed {seed}"
@@ -808,7 +816,8 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
     //     so its answers must be bit-identical at any PI_THREADS — and a
     //     pipelined burst of `gp: true` /v1/size requests must serve
     //     bytes identical across thread counts AND io modes, parsing to
-    //     exactly the in-process `size_for_yield_gp` result.
+    //     exactly the in-process `size_for_yield_gp_batch` result for
+    //     each request sized as a batch of one.
     {
         use pi_serve::api::{ApiRequest, SizeRequest, SizeResponse};
         use pi_serve::http::{read_response, write_request};
@@ -825,24 +834,23 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
             .expect("plan exists")
             .plan;
         let size_jobs = [(13u64, "sobol-scrambled", 650.0), (14u64, "naive", 900.0)];
-        let config_for = |seed: u64, estimator: &str| {
-            EstimatorConfig::new(estimator.parse::<Method>().expect("method"))
+        let query_for = |seed: u64, estimator: &str, deadline_ps: f64| SizeQuery {
+            spec,
+            plan: cli_plan,
+            variation: VariationModel::nominal(),
+            deadline: pi_tech::units::Time::ps(deadline_ps),
+            target_yield: 0.9,
+            config: EstimatorConfig::new(estimator.parse::<Method>().expect("method"))
                 .with_seed(seed)
-                .with_target_half_width(2.0 / 100.0)
+                .with_target_half_width(2.0 / 100.0),
         };
 
         // In-process thread invariance of the GP engine itself.
         let gp_at = |threads: &str| {
             with_threads(Some(threads), || {
                 evaluator
-                    .size_for_yield_gp(
-                        &spec,
-                        &cli_plan,
-                        &VariationModel::nominal(),
-                        pi_tech::units::Time::ps(650.0),
-                        0.9,
-                        &config_for(13, "sobol-scrambled"),
-                    )
+                    .size_for_yield_gp_batch(&[query_for(13, "sobol-scrambled", 650.0)])
+                    .remove(0)
                     .expect("GP sizing succeeds")
             })
         };
@@ -911,17 +919,11 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
             for (&(seed, estimator, deadline_ps), body) in size_jobs.iter().zip(&runs[0]) {
                 let v = pi_serve::json::parse(body).expect("json");
                 let got = SizeResponse::from_json(&v).expect("size body");
+                let query = query_for(seed, estimator, deadline_ps);
                 let direct = with_threads(Some("1"), || {
-                    evaluator.size_for_yield_gp(
-                        &spec,
-                        &cli_plan,
-                        &VariationModel::nominal(),
-                        pi_tech::units::Time::ps(deadline_ps),
-                        0.9,
-                        &config_for(seed, estimator),
-                    )
+                    evaluator.size_for_yield_gp_batch(&[query]).remove(0)
                 })
-                .expect("solo GP sizing succeeds");
+                .expect("GP sizing as a batch of one succeeds");
                 assert_eq!(
                     direct.plan.count as u64, got.count,
                     "{io:?}: served gp count, seed {seed}"
