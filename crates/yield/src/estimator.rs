@@ -5,13 +5,15 @@
 //! Every estimator follows the same deterministic skeleton: a batch
 //! schedule fixed by the configuration alone (256 dies, then doubling),
 //! each batch split into **fixed-size chunks** that are mapped in
-//! parallel through `pi_rt::par_map` and merged in chunk order. Because
-//! the chunk boundaries never depend on the thread count and every die
-//! draws from its own `Rng::stream(seed, index)` (or Sobol index), the
-//! estimate — including the early-stop decision — is bit-identical for
-//! any `PI_THREADS` setting. After each batch the 95 % confidence
-//! interval is recomputed and the loop stops as soon as its half-width
-//! reaches the target.
+//! parallel through `pi_rt::par_map` — or on the calling thread when the
+//! batch is too small to repay the fan-out — and merged in chunk order.
+//! Because the chunk boundaries never depend on the thread count and
+//! every die draws from its own `Rng::stream(seed, index)` (or the Sobol
+//! point at its index, stepped from the chunk start), the estimate —
+//! including the early-stop decision — is bit-identical for any
+//! `PI_THREADS` setting. After each batch the 95 % confidence interval
+//! is recomputed and the loop stops as soon as its half-width reaches
+//! the target.
 //!
 //! Confidence intervals:
 //!
@@ -257,22 +259,30 @@ pub fn estimate_network_yield(
 ) -> NetworkYieldEstimate {
     assert!(config.max_evals > 0, "need a positive evaluation budget");
     let _obs_span = pi_obs::span("yield.estimate");
-    let est = match config.method {
-        Method::Naive => run_counting(problem, config, &DieSampler::Rng),
+    let est = estimate_with(problem, config, INLINE_DIE_DIMS);
+    if pi_obs::enabled() {
+        pi_obs::counter_add("yield.estimates", 1);
+        pi_obs::counter_add("yield.evals", est.overall.evals as u64);
+    }
+    est
+}
+
+/// [`estimate_network_yield`] with rounds of fewer than `inline_below`
+/// die-dimensions mapped serially (see [`map_round`]).
+fn estimate_with(
+    problem: &NetworkProblem,
+    config: &EstimatorConfig,
+    inline_below: usize,
+) -> NetworkYieldEstimate {
+    match config.method {
+        Method::Naive => run_counting(problem, config, None, inline_below),
         Method::Sobol => {
             let sobol = Sobol::new(problem.dimension());
-            run_counting(
-                problem,
-                config,
-                &DieSampler::Sobol {
-                    sobol,
-                    shifts: Vec::new(),
-                },
-            )
+            run_counting(problem, config, Some(&sobol), inline_below)
         }
-        Method::SobolScrambled => run_scrambled(problem, config),
-        Method::ImportanceSampling => run_importance(problem, config),
-        Method::SurrogateIs => run_surrogate(problem, config),
+        Method::SobolScrambled => run_scrambled(problem, config, inline_below),
+        Method::ImportanceSampling => run_importance(problem, config, inline_below),
+        Method::SurrogateIs => run_surrogate(problem, config, inline_below),
         Method::Analytic => {
             let (overall, channel_yield) = analytic::network_yield(problem);
             NetworkYieldEstimate {
@@ -286,12 +296,7 @@ pub fn estimate_network_yield(
                 channel_yield,
             }
         }
-    };
-    if pi_obs::enabled() {
-        pi_obs::counter_add("yield.estimates", 1);
-        pi_obs::counter_add("yield.evals", est.overall.evals as u64);
     }
-    est
 }
 
 /// First adaptive batch size (dies).
@@ -318,64 +323,85 @@ fn wilson_half_width(passes: usize, n: usize, z: f64) -> f64 {
     z * (p * (1.0 - p) / nf + z2 / (4.0 * nf * nf)).sqrt() / (1.0 + z2 / nf)
 }
 
-/// How one die's normal vector is produced.
-enum DieSampler {
-    /// Legacy draw order from `Rng::stream(seed, index)`.
-    Rng,
-    /// Sobol point `index` (optionally digitally shifted) through the
-    /// inverse normal CDF.
-    Sobol { sobol: Sobol, shifts: Vec<u32> },
+/// Rounds whose dies × dimension fall below this run on the calling
+/// thread: spawning the fan-out's scoped threads costs tens of
+/// microseconds, more than a small round's work. The scrambled rounds of
+/// a line estimate (≤ 64 points × 8 replicates × ~25 dimensions) sit
+/// below it; those of a NoC estimate (≥ 32 × 8 × 127) sit above it.
+const INLINE_DIE_DIMS: usize = 1 << 14;
+
+/// Maps a round's work items in item order: serially when the round
+/// spans fewer than `inline_below` die-dimensions, through
+/// `pi_rt::par_map` otherwise. Each item's result depends on the item
+/// alone and results merge in item order, so both paths give the same
+/// bits.
+fn map_round<T: Sync, R: Send>(
+    items: &[T],
+    die_dims: usize,
+    inline_below: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    if die_dims < inline_below {
+        pi_obs::counter_add("yield.round_inline", 1);
+        items.iter().map(f).collect()
+    } else {
+        pi_obs::counter_add("yield.round_fanout", 1);
+        pi_rt::par_map(items, f)
+    }
 }
 
-impl DieSampler {
-    /// Evaluates die `index`, filling per-channel passes.
-    fn die(&self, problem: &NetworkProblem, seed: u64, index: usize, pass: &mut [bool]) -> bool {
-        match self {
-            DieSampler::Rng => {
-                let mut rng = Rng::stream(seed, index as u64);
-                problem.sample_die(&mut rng, pass)
-            }
-            DieSampler::Sobol { sobol, shifts } => {
-                let dim = problem.dimension();
-                let mut z = vec![0.0; dim];
-                for (j, slot) in z.iter_mut().enumerate() {
-                    let shift = if shifts.is_empty() { 0 } else { shifts[j] };
-                    *slot = normal_inv_cdf(sobol.coord(j, index as u64, shift));
+/// Tallies dies `start..end`: Sobol points through the inverse normal
+/// CDF under per-dimension digital `shifts` (all zero for the plain
+/// sequence) when `sobol` is given, else the legacy `Rng::stream(seed,
+/// index)` draws. Every buffer — the Sobol digits, `z`, `pass`,
+/// `sur_pass` — is allocated once per chunk, and Sobol points are
+/// stepped in natural order from the chunk start.
+fn count_chunk(
+    problem: &NetworkProblem,
+    seed: u64,
+    sobol: Option<(&Sobol, &[u32])>,
+    cv: Option<&CvContext>,
+    (start, end): (usize, usize),
+) -> CountTally {
+    let channels = problem.channels.len();
+    let mut part = CountTally::zero(channels);
+    let mut pass = vec![false; channels];
+    let mut sur_pass = vec![false; channels];
+    let mut z = vec![0.0; problem.dimension()];
+    let mut sobol = sobol.map(|(sobol, shifts)| (sobol.cursor(start as u64), shifts));
+    for index in start..end {
+        match &mut sobol {
+            Some((cursor, shifts)) => {
+                if index > start {
+                    cursor.advance();
                 }
-                problem.die_from_normals(&z, pass)
+                for (slot, u) in z.iter_mut().zip(cursor.coords(shifts)) {
+                    *slot = normal_inv_cdf(u);
+                }
             }
-        }
-    }
-
-    /// Evaluates die `index` while exposing its normal vector in `z`,
-    /// so the surrogate can judge the *same* die. Bit-identical to
-    /// [`DieSampler::die`]: drawing the RNG normals up front and
-    /// replaying them through the explicit path reproduces the streamed
-    /// evaluation exactly (pinned by the problem-layer tests).
-    fn die_with_z(
-        &self,
-        problem: &NetworkProblem,
-        seed: u64,
-        index: usize,
-        z: &mut [f64],
-        pass: &mut [bool],
-    ) -> bool {
-        match self {
-            DieSampler::Rng => {
+            None => {
+                // Drawing the normals up front and replaying them through
+                // the explicit path reproduces the streamed `sample_die`
+                // exactly (pinned by the problem-layer tests).
                 let mut rng = Rng::stream(seed, index as u64);
-                for slot in z.iter_mut() {
+                for slot in &mut z {
                     *slot = rng.normal();
                 }
             }
-            DieSampler::Sobol { sobol, shifts } => {
-                for (j, slot) in z.iter_mut().enumerate() {
-                    let shift = if shifts.is_empty() { 0 } else { shifts[j] };
-                    *slot = normal_inv_cdf(sobol.coord(j, index as u64, shift));
-                }
-            }
         }
-        problem.die_from_normals(z, pass)
+        let exact = problem.die_from_normals(&z, &mut pass);
+        part.dies += 1;
+        part.pass_all += usize::from(exact);
+        for (slot, &ok) in part.pass_channel.iter_mut().zip(&pass) {
+            *slot += usize::from(ok);
+        }
+        if let Some(ctx) = cv {
+            let sur = ctx.surrogate.die(&z, &mut sur_pass);
+            part.sur_pass_all += usize::from(sur);
+            part.disagree += usize::from(exact != sur);
+        }
     }
+    part
 }
 
 /// Integer pass tallies (exactly additive, so the merge order over chunks
@@ -448,55 +474,27 @@ fn counting_cv_interval(tally: &CountTally, e_pass: f64, z: f64) -> (f64, f64) {
     (mean, z * (var / n).sqrt())
 }
 
-/// Counting estimators (naive MC, plain Sobol): adaptive batches with a
-/// Wilson interval on the pass fraction.
+/// Counting estimators (naive MC, plain Sobol when `sobol` is given):
+/// adaptive batches with a Wilson interval on the pass fraction.
 fn run_counting(
     problem: &NetworkProblem,
     config: &EstimatorConfig,
-    sampler: &DieSampler,
+    sobol: Option<&Sobol>,
+    inline_below: usize,
 ) -> NetworkYieldEstimate {
     let channels = problem.channels.len();
     let dim = problem.dimension();
     let cv = config.control_variate.then(|| CvContext::fit(problem));
+    let unshifted = sobol.map(|sobol| vec![0u32; sobol.dimension()]);
+    let points = sobol.zip(unshifted.as_deref());
     let mut tally = CountTally::zero(channels);
     let mut batch = FIRST_BATCH;
     let mut hit_target = false;
     while tally.dies < config.max_evals {
         let take = batch.min(config.max_evals - tally.dies);
         let chunks = fixed_chunks(tally.dies, tally.dies + take);
-        let partials = pi_rt::par_map(&chunks, |&(start, end)| {
-            let mut part = CountTally::zero(channels);
-            let mut pass = vec![false; channels];
-            match &cv {
-                None => {
-                    for index in start..end {
-                        part.dies += 1;
-                        if sampler.die(problem, config.seed, index, &mut pass) {
-                            part.pass_all += 1;
-                        }
-                        for (slot, &ok) in part.pass_channel.iter_mut().zip(&pass) {
-                            *slot += usize::from(ok);
-                        }
-                    }
-                }
-                Some(ctx) => {
-                    let mut z = vec![0.0; dim];
-                    let mut sur_pass = vec![false; channels];
-                    for index in start..end {
-                        part.dies += 1;
-                        let exact =
-                            sampler.die_with_z(problem, config.seed, index, &mut z, &mut pass);
-                        let sur = ctx.surrogate.die(&z, &mut sur_pass);
-                        part.pass_all += usize::from(exact);
-                        part.sur_pass_all += usize::from(sur);
-                        part.disagree += usize::from(exact != sur);
-                        for (slot, &ok) in part.pass_channel.iter_mut().zip(&pass) {
-                            *slot += usize::from(ok);
-                        }
-                    }
-                }
-            }
-            part
+        let partials = map_round(&chunks, take * dim, inline_below, |&chunk| {
+            count_chunk(problem, config.seed, points, cv.as_ref(), chunk)
         });
         for part in &partials {
             tally.merge(part);
@@ -525,9 +523,10 @@ fn run_counting(
         1,
     );
     let n = tally.dies as f64;
-    let method = match sampler {
-        DieSampler::Rng => Method::Naive,
-        DieSampler::Sobol { .. } => Method::Sobol,
+    let method = if sobol.is_some() {
+        Method::Sobol
+    } else {
+        Method::Naive
     };
     let dis_rate = match &cv {
         Some(_) => tally.disagree as f64 / n,
@@ -589,7 +588,11 @@ const MIN_REPLICATE_POINTS: usize = 128;
 /// Scrambled-Sobol estimator: `replicates` independent digital shifts,
 /// CI from the replicate means. Point counts stay powers of two (Sobol
 /// prefixes at powers of two are themselves digital nets).
-fn run_scrambled(problem: &NetworkProblem, config: &EstimatorConfig) -> NetworkYieldEstimate {
+fn run_scrambled(
+    problem: &NetworkProblem,
+    config: &EstimatorConfig,
+    inline_below: usize,
+) -> NetworkYieldEstimate {
     let replicates = config.replicates;
     assert!(
         replicates >= 2,
@@ -598,12 +601,9 @@ fn run_scrambled(problem: &NetworkProblem, config: &EstimatorConfig) -> NetworkY
     let channels = problem.channels.len();
     let dim = problem.dimension();
     let cv = config.control_variate.then(|| CvContext::fit(problem));
-    let sobol = Sobol::new(problem.dimension());
-    let samplers: Vec<DieSampler> = (0..replicates)
-        .map(|r| DieSampler::Sobol {
-            sobol: sobol.clone(),
-            shifts: sobol.digital_shifts(config.seed, r as u64),
-        })
+    let sobol = Sobol::new(dim);
+    let shifts: Vec<Vec<u32>> = (0..replicates)
+        .map(|r| sobol.digital_shifts(config.seed, r as u64))
         .collect();
 
     let mut tallies: Vec<CountTally> = (0..replicates)
@@ -618,47 +618,23 @@ fn run_scrambled(problem: &NetworkProblem, config: &EstimatorConfig) -> NetworkY
             break;
         }
         // (replicate, chunk) work items, mapped in a fixed order.
-        let mut items: Vec<(usize, usize, usize)> = Vec::new();
+        let mut items: Vec<(usize, (usize, usize))> = Vec::new();
         for r in 0..replicates {
-            for (s, e) in fixed_chunks(points, target) {
-                items.push((r, s, e));
+            for chunk in fixed_chunks(points, target) {
+                items.push((r, chunk));
             }
         }
-        let partials = pi_rt::par_map(&items, |&(r, start, end)| {
-            let mut part = CountTally::zero(channels);
-            let mut pass = vec![false; channels];
-            match &cv {
-                None => {
-                    for index in start..end {
-                        part.dies += 1;
-                        if samplers[r].die(problem, config.seed, index, &mut pass) {
-                            part.pass_all += 1;
-                        }
-                        for (slot, &ok) in part.pass_channel.iter_mut().zip(&pass) {
-                            *slot += usize::from(ok);
-                        }
-                    }
-                }
-                Some(ctx) => {
-                    let mut z = vec![0.0; dim];
-                    let mut sur_pass = vec![false; channels];
-                    for index in start..end {
-                        part.dies += 1;
-                        let exact =
-                            samplers[r].die_with_z(problem, config.seed, index, &mut z, &mut pass);
-                        let sur = ctx.surrogate.die(&z, &mut sur_pass);
-                        part.pass_all += usize::from(exact);
-                        part.sur_pass_all += usize::from(sur);
-                        part.disagree += usize::from(exact != sur);
-                        for (slot, &ok) in part.pass_channel.iter_mut().zip(&pass) {
-                            *slot += usize::from(ok);
-                        }
-                    }
-                }
-            }
-            part
+        let die_dims = (target - points) * replicates * dim;
+        let partials = map_round(&items, die_dims, inline_below, |&(r, chunk)| {
+            count_chunk(
+                problem,
+                config.seed,
+                Some((&sobol, &shifts[r])),
+                cv.as_ref(),
+                chunk,
+            )
         });
-        for (&(r, _, _), part) in items.iter().zip(&partials) {
+        for (&(r, _), part) in items.iter().zip(&partials) {
             tallies[r].merge(part);
         }
         points = target;
@@ -941,7 +917,11 @@ const MIN_IS_DIES: usize = 1024;
 
 /// Importance-sampling estimator: adaptive batches of mean-shifted dies
 /// with likelihood-ratio reweighting and a CLT interval.
-fn run_importance(problem: &NetworkProblem, config: &EstimatorConfig) -> NetworkYieldEstimate {
+fn run_importance(
+    problem: &NetworkProblem,
+    config: &EstimatorConfig,
+    inline_below: usize,
+) -> NetworkYieldEstimate {
     let channels = problem.channels.len();
     let dim = problem.dimension();
     let shift = importance_shift(problem);
@@ -959,7 +939,7 @@ fn run_importance(problem: &NetworkProblem, config: &EstimatorConfig) -> Network
     while tally.dies < config.max_evals {
         let take = batch.min(config.max_evals - tally.dies);
         let chunks = fixed_chunks(tally.dies, tally.dies + take);
-        let partials = pi_rt::par_map(&chunks, |&(start, end)| {
+        let partials = map_round(&chunks, take * dim, inline_below, |&(start, end)| {
             let mut part = WeightTally::zero(channels);
             let mut pass = vec![false; channels];
             let mut sur_pass = vec![false; channels];
@@ -1093,7 +1073,11 @@ fn weighted_stats(
 /// themselves. When the disagreement rate exceeds the configured
 /// threshold the surrogate is distrusted and the run degrades to the
 /// plain importance-sampling statistic (reported as such in `method`).
-fn run_surrogate(problem: &NetworkProblem, config: &EstimatorConfig) -> NetworkYieldEstimate {
+fn run_surrogate(
+    problem: &NetworkProblem,
+    config: &EstimatorConfig,
+    inline_below: usize,
+) -> NetworkYieldEstimate {
     let channels = problem.channels.len();
     let dim = problem.dimension();
     let surrogate = Surrogate::fit(problem);
@@ -1112,7 +1096,7 @@ fn run_surrogate(problem: &NetworkProblem, config: &EstimatorConfig) -> NetworkY
     while tally.dies < config.max_evals {
         let take = batch.min(config.max_evals - tally.dies);
         let chunks = fixed_chunks(tally.dies, tally.dies + take);
-        let partials = pi_rt::par_map(&chunks, |&(start, end)| {
+        let partials = map_round(&chunks, take * dim, inline_below, |&(start, end)| {
             let mut part = WeightTally::zero(channels);
             let mut pass = vec![false; channels];
             let mut sur_pass = vec![false; channels];
@@ -1536,5 +1520,49 @@ mod tests {
             naive.yield_fraction,
         );
         assert!(is.yield_fraction < 1.0, "tail problem has real failures");
+    }
+    /// Every sampling method and control-variate setting must give the
+    /// same bits whether its rounds run inline or fan out, on a problem
+    /// whose rounds all sit below the inline bound and on one whose
+    /// rounds all sit above it.
+    #[test]
+    fn inline_and_fanout_rounds_give_identical_estimates() {
+        let small = line(1.06).as_network();
+        let large = {
+            let ch = || StageDelays::new(vec![26e-12; 8], vec![10e-12; 8]);
+            let period = ch().nominal_delay() * 1.09;
+            let regions: Vec<usize> = (0..64).map(|s| s / 16).collect();
+            NetworkProblem::new(
+                (0..8).map(|_| ch()).collect(),
+                DriveVariation {
+                    sigma_d2d: 0.08,
+                    sigma_wid: 0.05,
+                },
+                period,
+            )
+            .with_correlation(SpatialCorrelation::regional(0.5, regions))
+        };
+        let (small_evals, large_evals) = (1024, 4096);
+        // Largest round of the small runs, smallest round of the large.
+        assert!(small_evals * small.dimension() < INLINE_DIE_DIMS);
+        let first_round = FIRST_BATCH.min(FIRST_REPLICATE_POINTS * 8);
+        assert!(first_round * large.dimension() >= INLINE_DIE_DIMS);
+        for (problem, max_evals) in [(&small, small_evals), (&large, large_evals)] {
+            for method in Method::ALL {
+                for cv in [false, true] {
+                    let cfg = EstimatorConfig::new(method)
+                        .with_seed(41)
+                        .with_control_variate(cv)
+                        .with_target_half_width(0.0)
+                        .with_max_evals(max_evals);
+                    let default = estimate_network_yield(problem, &cfg);
+                    let inline = estimate_with(problem, &cfg, usize::MAX);
+                    let fanout = estimate_with(problem, &cfg, 0);
+                    let dim = problem.dimension();
+                    assert_eq!(default, inline, "{method} cv={cv} dim {dim}: inline");
+                    assert_eq!(default, fanout, "{method} cv={cv} dim {dim}: fan-out");
+                }
+            }
+        }
     }
 }

@@ -17,17 +17,27 @@
 //! 3. The remaining numbers follow the standard Sobol recurrence
 //!    `m_k = 2a₁m_{k−1} ⊕ 4a₂m_{k−2} ⊕ … ⊕ 2^d m_{k−d} ⊕ m_{k−d}`.
 //!
-//! Points are **index-addressable** (`point`/`coord` take the raw index
-//! `n` and XOR the direction numbers selected by its binary digits — no
-//! Gray-code iterator state), which is what lets the estimation engine
-//! evaluate any batch of indices in parallel while staying bit-identical
-//! for every thread count.
+//! Points are **index-addressable** (`point_bits`/`coord` take the raw
+//! index `n` and XOR the direction numbers selected by its binary digits —
+//! no Gray-code iterator state), which is what lets the estimation engine
+//! start a chunk of dies at any index. Inside a chunk a cursor steps in
+//! *natural* order, `n → n + 1`, by XOR-ing one prefix of the direction
+//! numbers per dimension, so its points equal `point_bits` at every
+//! index. Chunk starts never depend on the thread count, so the estimates
+//! stay bit-identical for any `PI_THREADS`.
+//!
+//! The direction-number table is built once per process and grown on
+//! demand: dimension `j`'s numbers do not depend on the total dimension,
+//! so one table sized to the largest dimension seen serves every
+//! generator.
 //!
 //! Randomization is by **digital shift**: a per-dimension 32-bit XOR mask
 //! drawn from a seeded [`Rng`] stream. A digital shift
 //! preserves the digital-net structure (every shifted point set has the
 //! same discrepancy bound) while making independent replicates, which is
 //! how the estimator builds honest confidence intervals for QMC.
+
+use std::sync::{Arc, Mutex, PoisonError};
 
 use pi_rt::rng::{mix64, SplitMix64};
 use pi_rt::Rng;
@@ -108,37 +118,146 @@ fn is_primitive(p: u64, d: u32) -> bool {
         .all(|q| gf2_pow_x(order / q, p, d) != 1)
 }
 
-/// The first `count` primitive polynomials over GF(2), in increasing
-/// degree and lexicographic order, as `(degree, coefficient mask)`.
-fn primitive_polynomials(count: usize) -> Vec<(u32, u64)> {
-    let mut out = Vec::with_capacity(count);
-    let mut d = 1u32;
-    while out.len() < count {
+/// The primitive polynomial after `prev` over GF(2), in increasing
+/// degree and lexicographic order (`None` = the first, `x + 1`), as
+/// `(degree, coefficient mask)`.
+fn next_primitive(prev: Option<(u32, u64)>) -> (u32, u64) {
+    // Leading and constant coefficients are 1 for any candidate.
+    let (mut d, mut mask) = match prev {
+        None => (1, 0b11),
+        Some((d, mask)) => (d, mask + 2),
+    };
+    loop {
         assert!(d <= 24, "Sobol dimension beyond the supported range");
-        // Leading and constant coefficients are 1 for any candidate.
-        let lead = 1u64 << d;
-        let mut mask = lead | 1;
-        while mask < lead << 1 && out.len() < count {
+        while mask < 1u64 << (d + 1) {
             if is_primitive(mask, d) {
-                out.push((d, mask));
+                return (d, mask);
             }
             mask += 2;
         }
         d += 1;
+        mask = (1u64 << d) | 1;
     }
-    out
+}
+
+/// Direction numbers of dimension `dim ≥ 1`, whose primitive polynomial
+/// has degree `d` and coefficient mask `mask`.
+fn direction_numbers(dim: usize, d: u32, mask: u64) -> [u32; BITS] {
+    let d = d as usize;
+    // Initial m_1..m_d: odd, m_k < 2^k, from the fixed stream.
+    let mut m = [0u64; BITS + 1];
+    let mut sm = SplitMix64::new(mix64(INIT_SEED ^ dim as u64));
+    for (k, slot) in m.iter_mut().enumerate().skip(1).take(d) {
+        *slot = (sm.next_u64() & ((1u64 << k) - 1)) | 1;
+    }
+    // Recurrence for m_{d+1}..m_32.
+    for k in (d + 1)..=BITS {
+        let mut mk = m[k - d] ^ (m[k - d] << d);
+        for i in 1..d {
+            // a_i is the coefficient of x^{d-i} in the polynomial.
+            if (mask >> (d - i)) & 1 == 1 {
+                mk ^= m[k - i] << i;
+            }
+        }
+        m[k] = mk;
+    }
+    let mut dirs = [0u32; BITS];
+    for (k, slot) in dirs.iter_mut().enumerate() {
+        let mk = m[k + 1];
+        debug_assert!(mk < 1u64 << (k + 1), "m_k must stay below 2^k");
+        *slot = u32::try_from(mk << (BITS - 1 - k)).expect("32-bit direction number");
+    }
+    dirs
+}
+
+/// The direction-number table shared by every [`Sobol`] in the process.
+///
+/// Dimension `j`'s numbers depend on `j` alone, never on how many
+/// dimensions were built, so the table for `d` dimensions is a prefix of
+/// the table for any larger `d`: one table, grown on demand to the
+/// largest dimension asked for, serves every generator.
+#[derive(Debug)]
+struct Directions {
+    /// `v[j][k]`: direction number `k` of dimension `j`, left-aligned in
+    /// 32 bits (the binary point sits above bit 31).
+    v: Vec<[u32; BITS]>,
+    /// `steps[t][j] = v[j][0] ⊕ … ⊕ v[j][t]`: the XOR that takes point
+    /// `n` to point `n + 1` in dimension `j` when `t` is the number of
+    /// trailing zeros of `n + 1`. Step-major, so one step is a contiguous
+    /// sweep over the dimensions.
+    steps: Vec<Vec<u32>>,
+    /// The polynomial of the last dimension built (`None` while only the
+    /// van der Corput dimension exists); growth resumes the search here.
+    last_poly: Option<(u32, u64)>,
+}
+
+impl Directions {
+    /// A table of exactly `dim` dimensions extending `prev` (if any).
+    fn grown(prev: Option<&Directions>, dim: usize) -> Self {
+        let (mut v, mut last_poly) = match prev {
+            Some(t) => (t.v.clone(), t.last_poly),
+            // Dimension 0: van der Corput in base 2 (identity matrix).
+            None => (vec![std::array::from_fn(|k| 1u32 << (BITS - 1 - k))], None),
+        };
+        v.reserve_exact(dim.saturating_sub(v.len()));
+        while v.len() < dim {
+            let (d, mask) = next_primitive(last_poly);
+            v.push(direction_numbers(v.len(), d, mask));
+            last_poly = Some((d, mask));
+        }
+        let mut steps: Vec<Vec<u32>> = (0..BITS).map(|_| Vec::with_capacity(v.len())).collect();
+        for dirs in &v {
+            let mut prefix = 0;
+            for (row, &x) in steps.iter_mut().zip(dirs) {
+                prefix ^= x;
+                row.push(prefix);
+            }
+        }
+        Directions {
+            v,
+            steps,
+            last_poly,
+        }
+    }
+}
+
+/// The shared table, replaced (never mutated) when a larger dimension is
+/// asked for; generators already holding the old one keep it alive.
+static TABLE: Mutex<Option<Arc<Directions>>> = Mutex::new(None);
+
+/// A table covering at least `dim` dimensions.
+fn table(dim: usize) -> Arc<Directions> {
+    // A panic while growing leaves the previous table in place, so a
+    // poisoned lock still guards a consistent value.
+    let mut slot = TABLE.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(t) = slot.as_ref().filter(|t| t.v.len() >= dim) {
+        return Arc::clone(t);
+    }
+    let grown = Arc::new(Directions::grown(slot.as_deref(), dim));
+    *slot = Some(Arc::clone(&grown));
+    grown
+}
+
+/// Maps 32 raw digits to the open unit interval. The half-spacing offset
+/// keeps every value strictly inside `(0, 1)`, so the inverse-normal
+/// transform never sees an endpoint; the extreme is `Φ⁻¹(2⁻³³) ≈ −6.4σ`.
+fn unit(bits: u32) -> f64 {
+    (f64::from(bits) + 0.5) / (1u64 << BITS) as f64
 }
 
 /// A Sobol sequence of fixed dimension with index-addressable points.
 #[derive(Debug, Clone)]
 pub struct Sobol {
-    /// `v[j][k]`: direction number `k` of dimension `j`, left-aligned in
-    /// 32 bits (the binary point sits above bit 31).
-    v: Vec<[u32; BITS]>,
+    /// The shared direction numbers; may cover more than `dim` dimensions.
+    table: Arc<Directions>,
+    dim: usize,
 }
 
 impl Sobol {
-    /// Builds the direction-number table for `dim` dimensions.
+    /// A generator for `dim` dimensions. The direction-number table is
+    /// built once per process and grown on demand, so only the first
+    /// generator of a new largest dimension pays for the polynomial
+    /// search.
     ///
     /// # Panics
     ///
@@ -148,50 +267,16 @@ impl Sobol {
     #[must_use]
     pub fn new(dim: usize) -> Self {
         assert!(dim > 0, "Sobol dimension must be positive");
-        let mut v = Vec::with_capacity(dim);
-
-        // Dimension 0: van der Corput in base 2 (identity matrix).
-        let mut first = [0u32; BITS];
-        for (k, slot) in first.iter_mut().enumerate() {
-            *slot = 1u32 << (BITS - 1 - k);
+        Sobol {
+            table: table(dim),
+            dim,
         }
-        v.push(first);
-
-        let polys = primitive_polynomials(dim.saturating_sub(1));
-        for (j, &(d, mask)) in polys.iter().enumerate() {
-            let d = d as usize;
-            // Initial m_1..m_d: odd, m_k < 2^k, from the fixed stream.
-            let mut m = [0u64; BITS + 1];
-            let mut sm = SplitMix64::new(mix64(INIT_SEED ^ (j as u64 + 1)));
-            for (k, slot) in m.iter_mut().enumerate().skip(1).take(d) {
-                *slot = (sm.next_u64() & ((1u64 << k) - 1)) | 1;
-            }
-            // Recurrence for m_{d+1}..m_32.
-            for k in (d + 1)..=BITS {
-                let mut mk = m[k - d] ^ (m[k - d] << d);
-                for i in 1..d {
-                    // a_i is the coefficient of x^{d-i} in the polynomial.
-                    if (mask >> (d - i)) & 1 == 1 {
-                        mk ^= m[k - i] << i;
-                    }
-                }
-                m[k] = mk;
-            }
-            let mut dirs = [0u32; BITS];
-            for (k, slot) in dirs.iter_mut().enumerate() {
-                let mk = m[k + 1];
-                debug_assert!(mk < 1u64 << (k + 1), "m_k must stay below 2^k");
-                *slot = u32::try_from(mk << (BITS - 1 - k)).expect("32-bit direction number");
-            }
-            v.push(dirs);
-        }
-        Sobol { v }
     }
 
     /// Number of dimensions.
     #[must_use]
     pub fn dimension(&self) -> usize {
-        self.v.len()
+        self.dim
     }
 
     /// Raw 32-bit digits of point `index` in dimension `dim`.
@@ -201,8 +286,8 @@ impl Sobol {
     /// Panics if `dim` is out of range or `index` needs more than 32 bits.
     #[must_use]
     pub fn point_bits(&self, dim: usize, index: u64) -> u32 {
-        assert!(index < 1u64 << BITS, "Sobol index beyond 2^32");
-        let dirs = &self.v[dim];
+        assert_index(index);
+        let dirs = &self.table.v[..self.dim][dim];
         let mut x = 0u32;
         let mut n = index;
         let mut k = 0;
@@ -218,27 +303,23 @@ impl Sobol {
 
     /// Coordinate `dim` of point `index`, digitally shifted by `shift`
     /// (pass 0 for the plain sequence), mapped to the open unit interval.
-    ///
-    /// The half-spacing offset keeps every value strictly inside
-    /// `(0, 1)`, so the inverse-normal transform never sees an endpoint;
-    /// the extreme is `Φ⁻¹(2⁻³³) ≈ −6.4σ`.
     #[must_use]
     pub fn coord(&self, dim: usize, index: u64, shift: u32) -> f64 {
-        (f64::from(self.point_bits(dim, index) ^ shift) + 0.5) / (1u64 << BITS) as f64
+        unit(self.point_bits(dim, index) ^ shift)
     }
 
-    /// Fills `out[j]` with coordinate `j` of point `index` under the
-    /// per-dimension digital `shifts` (empty slice = unshifted).
+    /// A cursor at point `start`, for walking consecutive points in
+    /// natural order.
     ///
     /// # Panics
     ///
-    /// Panics if `out` is longer than the table's dimension, or `shifts`
-    /// is non-empty but shorter than `out`.
-    pub fn fill_point(&self, index: u64, shifts: &[u32], out: &mut [f64]) {
-        assert!(out.len() <= self.dimension(), "dimension overflow");
-        for (j, slot) in out.iter_mut().enumerate() {
-            let shift = if shifts.is_empty() { 0 } else { shifts[j] };
-            *slot = self.coord(j, index, shift);
+    /// Panics if `start` needs more than 32 bits.
+    #[must_use]
+    pub(crate) fn cursor(&self, start: u64) -> SobolCursor<'_> {
+        SobolCursor {
+            bits: (0..self.dim).map(|j| self.point_bits(j, start)).collect(),
+            sobol: self,
+            index: start,
         }
     }
 
@@ -247,15 +328,71 @@ impl Sobol {
     #[must_use]
     pub fn digital_shifts(&self, seed: u64, replicate: u64) -> Vec<u32> {
         let mut rng = Rng::stream(mix64(seed) ^ mix64(replicate), 0);
-        (0..self.dimension())
+        (0..self.dim)
             .map(|_| (rng.next_u64() >> BITS) as u32)
             .collect()
+    }
+}
+
+/// Points are addressed by 32-bit indices.
+fn assert_index(index: u64) {
+    assert!(index < 1u64 << BITS, "Sobol index beyond 2^32");
+}
+
+/// Consecutive Sobol points in natural order: the digits of the start
+/// point are computed once by [`Sobol::point_bits`], and each
+/// [`advance`](Self::advance) then costs one XOR per dimension. The
+/// digits equal `point_bits` at every index.
+#[derive(Debug)]
+pub(crate) struct SobolCursor<'a> {
+    sobol: &'a Sobol,
+    index: u64,
+    /// Unshifted digits of point `index`, one per dimension.
+    bits: Vec<u32>,
+}
+
+impl SobolCursor<'_> {
+    /// Coordinates of the current point under the per-dimension digital
+    /// `shifts`, mapped to the open unit interval exactly as
+    /// [`Sobol::coord`] maps them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shifts` does not hold one mask per dimension.
+    pub(crate) fn coords<'s>(&'s self, shifts: &'s [u32]) -> impl Iterator<Item = f64> + 's {
+        assert_eq!(shifts.len(), self.bits.len(), "one shift per dimension");
+        self.bits.iter().zip(shifts).map(|(&b, &s)| unit(b ^ s))
+    }
+
+    /// Steps to the next point: `n + 1` differs from `n` in direction
+    /// numbers `0..=t`, `t` the trailing zeros of `n + 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the current point is the last one, `2³² − 1`.
+    pub(crate) fn advance(&mut self) {
+        let next = self.index + 1;
+        assert_index(next);
+        let step = &self.sobol.table.steps[next.trailing_zeros() as usize];
+        for (x, &s) in self.bits.iter_mut().zip(step) {
+            *x ^= s;
+        }
+        self.index = next;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The first `count` primitive polynomials, in search order.
+    fn primitive_polynomials(count: usize) -> Vec<(u32, u64)> {
+        let mut out: Vec<(u32, u64)> = Vec::with_capacity(count);
+        while out.len() < count {
+            out.push(next_primitive(out.last().copied()));
+        }
+        out
+    }
 
     #[test]
     fn polynomial_counts_per_degree_match_theory() {
@@ -373,5 +510,79 @@ mod tests {
             seen[(s.point_bits(399, n) >> (BITS - 6)) as usize] += 1;
         }
         assert!(seen.iter().all(|&c| c == 1));
+    }
+    /// Walks `len` points from `start` and checks every digit, raw and
+    /// through a digital shift, against index-addressed `point_bits`.
+    fn assert_cursor_matches(s: &Sobol, shifts: &[u32], start: u64, len: u64) {
+        let mut cursor = s.cursor(start);
+        for index in start..start + len {
+            if index > start {
+                cursor.advance();
+            }
+            assert_eq!(cursor.index, index);
+            for (j, &bits) in cursor.bits.iter().enumerate() {
+                assert_eq!(bits, s.point_bits(j, index), "dim {j} at {index}");
+            }
+            for (j, u) in cursor.coords(shifts).enumerate() {
+                let want = s.coord(j, index, shifts[j]);
+                assert_eq!(u.to_bits(), want.to_bits(), "shifted dim {j} at {index}");
+            }
+        }
+    }
+
+    #[test]
+    fn cursor_steps_reproduce_point_bits() {
+        let s = Sobol::new(37);
+        let shifts = s.digital_shifts(5, 2);
+        let mut starts = vec![0u64, 1];
+        for k in [1u32, 5, 10, 20, 31] {
+            starts.extend([(1u64 << k) - 1, 1u64 << k]);
+        }
+        let mut rng = Rng::stream(0xC0DE, 0);
+        starts.extend((0..8).map(|_| rng.next_u64() >> 33));
+        for start in starts {
+            assert_cursor_matches(&s, &shifts, start, 300);
+        }
+        // Up to the very last point, whose successor does not exist.
+        let last = (1u64 << BITS) - 1;
+        assert_cursor_matches(&s, &shifts, last - 40, 41);
+    }
+
+    #[test]
+    #[should_panic(expected = "Sobol index beyond 2^32")]
+    fn cursor_never_steps_past_the_last_point() {
+        let s = Sobol::new(3);
+        let mut cursor = s.cursor((1u64 << BITS) - 1);
+        cursor.advance();
+    }
+
+    #[test]
+    fn shared_table_is_a_prefix_for_every_dimension() {
+        let small = Sobol::new(7);
+        let large = Sobol::new(260);
+        let again = Sobol::new(7);
+        for s in [&small, &again] {
+            assert_eq!(s.dimension(), 7);
+            // Exactly `dim` masks, whatever the table currently covers.
+            assert_eq!(s.digital_shifts(3, 1).len(), 7);
+            assert_eq!(s.digital_shifts(3, 1), large.digital_shifts(3, 1)[..7]);
+            for j in 0..7 {
+                for n in [1u64, 2, 3, 1000, 123_456_789] {
+                    assert_eq!(s.point_bits(j, n), large.point_bits(j, n));
+                }
+            }
+        }
+        // Dimension 259's numbers match a cold derivation of its own.
+        let polys = primitive_polynomials(259);
+        let (d, mask) = polys[258];
+        assert_eq!(large.table.v[259], direction_numbers(259, d, mask));
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn point_bits_rejects_dimensions_beyond_the_generator() {
+        let _large = Sobol::new(50);
+        let s = Sobol::new(4);
+        let _ = s.point_bits(4, 1);
     }
 }

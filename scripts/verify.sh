@@ -187,6 +187,10 @@ serve_log=target/verify-serve.log
 rm -f "$serve_journal" "$serve_log"
 PI_OBS="jsonl:$serve_journal" target/release/pi serve --port 0 >"$serve_log" 2>&1 &
 serve_pid=$!
+# Any gate below that fails exits the script: stop the server and the
+# background pi-load on the way out, whichever are still running.
+load_pid=
+trap 'kill $serve_pid $load_pid 2>/dev/null || true' EXIT
 for _ in $(seq 1 50); do
     grep -q 'listening on' "$serve_log" 2>/dev/null && break
     sleep 0.1
@@ -297,6 +301,7 @@ done
 rm -f "$load_json" "$metrics_post" "$metrics_live"
 kill -TERM "$serve_pid"
 wait "$serve_pid"
+trap - EXIT
 if ! grep -q 'served .* requests in .* batches' "$serve_log"; then
     echo "serve smoke: SIGTERM did not produce a clean shutdown summary"
     cat "$serve_log"

@@ -32,7 +32,7 @@ fn with_threads<R>(setting: Option<&str>, f: impl FnOnce() -> R) -> R {
     out
 }
 
-const SETTINGS: [Option<&str>; 3] = [Some("1"), Some("2"), None];
+const SETTINGS: [Option<&str>; 4] = [Some("1"), Some("2"), Some("4"), None];
 
 /// The naive estimator at a fixed die count with no early stop: the
 /// fixed-count Monte-Carlo tally, die for die.
@@ -73,7 +73,8 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
         })
         .collect();
     assert_eq!(distributions[0], distributions[1], "MC: 1 vs 2 threads");
-    assert_eq!(distributions[0], distributions[2], "MC: 1 vs default");
+    assert_eq!(distributions[0], distributions[2], "MC: 1 vs 4 threads");
+    assert_eq!(distributions[0], distributions[3], "MC: 1 vs default");
 
     // 2. NoC style exploration — the per-style synthesis fan-out must
     //    return the same networks, reports, and ordering.
@@ -88,10 +89,12 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
         })
         .collect();
     assert_eq!(explored[0], explored[1], "explore: 1 vs 2 threads");
-    assert_eq!(explored[0], explored[2], "explore: 1 vs default");
+    assert_eq!(explored[0], explored[2], "explore: 1 vs 4 threads");
+    assert_eq!(explored[0], explored[3], "explore: 1 vs default");
 
     // 3. Network yield — the chunked pass counters must merge to the same
-    //    tallies regardless of chunk scheduling.
+    //    tallies regardless of chunk scheduling, for the per-die RNG
+    //    streams and for Sobol chunks stepped from their start index.
     let best = &explored[0][0];
     let yields: Vec<_> = SETTINGS
         .iter()
@@ -103,13 +106,22 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
                     best.choice.style,
                     &variation,
                     clock,
-                    &[fixed_count(400, 7)],
+                    &[
+                        fixed_count(400, 7),
+                        // Eight replicates of 128 points: the rounds fan
+                        // out over (replicate, chunk) items.
+                        EstimatorConfig::new(Method::SobolScrambled)
+                            .with_seed(7)
+                            .with_max_evals(1024)
+                            .with_target_half_width(0.0),
+                    ],
                 )
             })
         })
         .collect();
     assert_eq!(yields[0], yields[1], "yield: 1 vs 2 threads");
-    assert_eq!(yields[0], yields[2], "yield: 1 vs default");
+    assert_eq!(yields[0], yields[2], "yield: 1 vs 4 threads");
+    assert_eq!(yields[0], yields[3], "yield: 1 vs default");
 
     // 4. pi-yield estimators — every sampling estimator runs a fixed,
     //    index-addressed batch schedule, so the estimate (value bits,
@@ -145,7 +157,8 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
             .collect();
         let name = method.name();
         assert_eq!(estimates[0], estimates[1], "{name}: 1 vs 2 threads");
-        assert_eq!(estimates[0], estimates[2], "{name}: 1 vs default");
+        assert_eq!(estimates[0], estimates[2], "{name}: 1 vs 4 threads");
+        assert_eq!(estimates[0], estimates[3], "{name}: 1 vs default");
     }
 
     // 5. Characterization grid through the new structure-exploiting
@@ -172,7 +185,8 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
         })
         .collect();
     assert_eq!(grids[0], grids[1], "characterize: 1 vs 2 threads");
-    assert_eq!(grids[0], grids[2], "characterize: 1 vs default");
+    assert_eq!(grids[0], grids[2], "characterize: 1 vs 4 threads");
+    assert_eq!(grids[0], grids[3], "characterize: 1 vs default");
 
     // 6. And a cache replay must be indistinguishable from recomputation.
     let replay: Vec<(u64, u64)> = with_threads(Some("2"), || {
@@ -334,7 +348,15 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
                         best.choice.style,
                         &correlated,
                         clock,
-                        &[fixed_count(400, 7)],
+                        &[
+                            fixed_count(400, 7),
+                            // Eight replicates of 128 points: the rounds fan
+                            // out over (replicate, chunk) items.
+                            EstimatorConfig::new(Method::SobolScrambled)
+                                .with_seed(7)
+                                .with_max_evals(1024)
+                                .with_target_half_width(0.0),
+                        ],
                     )
                 })
             })
