@@ -518,6 +518,28 @@ pub struct Proposal {
 }
 
 impl Proposal {
+    /// A one-component proposal with the given dense mean `shift`: the
+    /// plain importance sampler's. Its likelihood ratio reads the shift's
+    /// non-zeros in index order. The margin it targets is unknown here,
+    /// so [`Proposal::boundary_weight_cap`] stays at the conservative 1.
+    pub(crate) fn single(shift: Vec<f64>) -> Self {
+        let sparse = (0..shift.len())
+            .filter(|&k| shift[k] != 0.0)
+            .map(|k| (k, shift[k]))
+            .collect();
+        let shift_sq: f64 = shift.iter().map(|m| m * m).sum();
+        Proposal {
+            components: vec![Component {
+                weight: 1.0,
+                shift,
+                sparse,
+                shift_sq,
+                magnitude: shift_sq.sqrt(),
+                margin: f64::INFINITY,
+            }],
+        }
+    }
+
     /// Number of mixture components (≥ 1).
     #[must_use]
     pub fn components(&self) -> usize {
