@@ -1,4 +1,5 @@
-//! Allocation ledger for the estimator hot loops.
+//! Allocation ledger for the estimator hot loops: every sampling
+//! method, with and without the control variate.
 //!
 //! A counting global allocator tallies every heap allocation in the
 //! process, on every thread. The estimator's buffers are per chunk and
@@ -56,7 +57,7 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 }
 
 #[test]
-fn scrambled_estimates_allocate_per_chunk_not_per_die() {
+fn sampling_estimates_allocate_per_chunk_not_per_die() {
     let stages = StageDelays::new(vec![28e-12; 10], vec![11e-12; 10]);
     let problem = LineProblem {
         deadline_s: stages.nominal_delay() * 1.06,
@@ -67,25 +68,28 @@ fn scrambled_estimates_allocate_per_chunk_not_per_die() {
         },
         correlation: SpatialCorrelation::none(),
     };
-    for cv in [false, true] {
-        let run = |max_evals: usize| {
-            let cfg = EstimatorConfig::new(Method::SobolScrambled)
-                .with_seed(5)
-                .with_control_variate(cv)
-                .with_target_half_width(0.0)
-                .with_max_evals(max_evals);
-            let est = estimate_line_yield(&problem, &cfg);
-            assert_eq!(est.evals, max_evals);
-        };
-        // Warm-up: the shared Sobol table and any lazily built state.
-        run(1024);
-        let small = allocs_during(|| run(1024));
-        let large = allocs_during(|| run(8192));
-        let per_die = large.saturating_sub(small) as f64 / (8192 - 1024) as f64;
-        assert!(
-            per_die < 0.05,
-            "cv={cv}: {small} allocations at 1024 dies, {large} at 8192: \
-             {per_die:.3} per extra die"
-        );
+    let sampling = Method::ALL.into_iter().filter(|&m| m != Method::Analytic);
+    for method in sampling {
+        for cv in [false, true] {
+            let run = |max_evals: usize| {
+                let cfg = EstimatorConfig::new(method)
+                    .with_seed(5)
+                    .with_control_variate(cv)
+                    .with_target_half_width(0.0)
+                    .with_max_evals(max_evals);
+                let est = estimate_line_yield(&problem, &cfg);
+                assert_eq!(est.evals, max_evals);
+            };
+            // Warm-up: the shared Sobol table and any lazily built state.
+            run(1024);
+            let small = allocs_during(|| run(1024));
+            let large = allocs_during(|| run(8192));
+            let per_die = large.saturating_sub(small) as f64 / (8192 - 1024) as f64;
+            assert!(
+                per_die < 0.05,
+                "{method} cv={cv}: {small} allocations at 1024 dies, {large} at 8192: \
+                 {per_die:.3} per extra die"
+            );
+        }
     }
 }

@@ -123,20 +123,18 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
     assert_eq!(yields[0], yields[2], "yield: 1 vs 4 threads");
     assert_eq!(yields[0], yields[3], "yield: 1 vs default");
 
-    // 4. pi-yield estimators — every sampling estimator runs a fixed,
-    //    index-addressed batch schedule, so the estimate (value bits,
-    //    interval bits, and evaluation count) must not depend on how the
-    //    chunks were scheduled across threads.
-    for method in [
-        Method::Naive,
-        Method::Sobol,
-        Method::SobolScrambled,
-        Method::ImportanceSampling,
-    ] {
+    // 4. pi-yield estimators — every sampling estimator, with and without
+    //    the control variate, runs a fixed, index-addressed batch
+    //    schedule, so the estimate (value, interval and disagreement
+    //    bits, evaluation count and reported method) must not depend on
+    //    how the chunks were scheduled across threads.
+    let sampling = Method::ALL.into_iter().filter(|&m| m != Method::Analytic);
+    for (method, cv) in sampling.flat_map(|m| [(m, false), (m, true)]) {
         let config = EstimatorConfig::new(method)
             .with_seed(9)
-            .with_target_half_width(2e-2);
-        let estimates: Vec<(u64, u64, usize)> = SETTINGS
+            .with_target_half_width(2e-2)
+            .with_control_variate(cv);
+        let estimates: Vec<(u64, u64, u64, usize, Method)> = SETTINGS
             .iter()
             .map(|s| {
                 with_threads(*s, || {
@@ -150,12 +148,14 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
                     (
                         est.yield_fraction.to_bits(),
                         est.half_width.to_bits(),
+                        est.surrogate_disagreement.to_bits(),
                         est.evals,
+                        est.method,
                     )
                 })
             })
             .collect();
-        let name = method.name();
+        let name = format!("{method} cv={cv}");
         assert_eq!(estimates[0], estimates[1], "{name}: 1 vs 2 threads");
         assert_eq!(estimates[0], estimates[2], "{name}: 1 vs 4 threads");
         assert_eq!(estimates[0], estimates[3], "{name}: 1 vs default");
