@@ -1,13 +1,14 @@
 //! Request batching: a bounded queue with load-aware admission control,
-//! a drain-and-coalesce batcher, and the executors that turn coalesced
+//! a drain-and-coalesce step, and the executors that turn coalesced
 //! requests into answers.
 //!
-//! Batching is greedy and adaptive, with no timer: the batcher thread
-//! drains whatever is queued the moment it is free
-//! ([`Batcher::take_batch`]) and blocks only while the queue is empty.
-//! A lone request on an idle server is dispatched at once; requests that
-//! arrive while a batch executes queue up behind it and form the next
-//! batch. Coalescing therefore grows with load and costs nothing at idle.
+//! Batching is greedy and adaptive, with no timer: at the top of each
+//! event-loop iteration the I/O thread drains whatever was parsed since
+//! the last batch ([`Batcher::take_batch`], which never blocks) and runs
+//! it through [`execute_batch`]. A lone request on an idle server is
+//! dispatched at once; requests parsed while a batch executes queue up
+//! behind it and form the next batch. Coalescing therefore grows with
+//! load and costs nothing at idle.
 //!
 //! The scaling idea: concurrent requests that share a `(technology node,
 //! process corner)` pair are drained together and dispatched as **one**
@@ -31,12 +32,15 @@
 //! cheap evals keep flowing, and a full queue sheds everything. Shed
 //! counts surface as the `serve.shed` counter and in `/v1/stats`.
 //!
-//! Observability: `serve.queue_wait` spans cover a handler blocked on the
-//! batcher, `serve.batch` spans cover one coalesced execution, the
+//! Every [`Job`] is answered exactly once: a job dropped unanswered —
+//! most often one unwound over by a panic in [`execute_batch`] — answers
+//! `500` on its way out, so a failed batch never leaves a client hanging.
+//!
+//! Observability: `serve.batch` spans cover one coalesced execution, the
 //! `serve.batch_size` and `serve.size_batch` histograms record how much
 //! coalescing actually happened, and `serve.queue_depth_hwm` gauges the
 //! high-water mark of the queue. Each job additionally carries its phase
-//! accounting: `take_batch` stamps the queue wait, `respond` stamps the
+//! accounting: `take_batch` stamps the queue wait, answering stamps the
 //! compute time (drain → answer), and both travel back to the connection
 //! layer as a [`PhaseTiming`] alongside the response, feeding the
 //! `serve.phase.*` windowed histograms and the access log.
@@ -44,7 +48,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use pi_core::line::{BufferingPlan, LineSpec};
@@ -61,11 +65,11 @@ use crate::api::{
 use crate::server::ServerStats;
 use crate::store::{NodeContext, NodeStore};
 
-/// How a job's answer leaves the batcher: a boxed callback so both
-/// connection models plug in — thread mode sends on an mpsc channel the
-/// handler blocks on, the event loop pushes a completion and wakes the
-/// poll thread. The callback also receives the job's [`PhaseTiming`] so
-/// the connection layer can finish the request's phase breakdown.
+/// How a job's answer leaves the batch: a boxed callback, so the event
+/// loop can route it back to the job's connection and in-process callers
+/// ([`Batcher::submit`]) can receive it on a channel. The callback also
+/// receives the job's [`PhaseTiming`] so the connection layer can finish
+/// the request's phase breakdown.
 pub type Responder = Box<dyn FnOnce(ApiResponse, PhaseTiming) + Send + 'static>;
 
 /// Batcher-side phase durations of one job, handed back with its answer.
@@ -87,7 +91,8 @@ pub struct Job {
     pub id: u64,
     queue_us: f64,
     drained: Option<Instant>,
-    resp: Responder,
+    /// `None` once answered.
+    resp: Option<Responder>,
 }
 
 impl std::fmt::Debug for Job {
@@ -104,15 +109,22 @@ impl Job {
     /// Sends the response (a responder whose receiver hung up is a no-op),
     /// stamping the compute phase (batch drain → this answer) and handing
     /// the job's [`PhaseTiming`] to the responder. Jobs answered without
-    /// ever being drained (close-time 503s, shed) report zero compute.
-    pub fn respond(self, response: ApiResponse) {
+    /// ever being drained (close-time 503s) report zero compute.
+    pub fn respond(mut self, response: ApiResponse) {
+        self.answer(response);
+    }
+
+    fn answer(&mut self, response: ApiResponse) {
+        let Some(resp) = self.resp.take() else {
+            return;
+        };
         let compute_us = self
             .drained
             .map_or(0.0, |d| d.elapsed().as_secs_f64() * 1e6);
         if self.drained.is_some() {
             crate::telemetry::hist("serve.phase.compute_us", compute_us);
         }
-        (self.resp)(
+        resp(
             response,
             PhaseTiming {
                 queue_us: self.queue_us,
@@ -122,15 +134,25 @@ impl Job {
     }
 }
 
+impl Drop for Job {
+    /// A job dropped unanswered — unwound over by a panic in its batch —
+    /// answers `500` rather than leaving its client waiting forever.
+    fn drop(&mut self) {
+        self.answer(ApiResponse::error(
+            500,
+            "the batch executing this request failed",
+        ));
+    }
+}
+
 struct QueueState {
     jobs: VecDeque<Job>,
     closed: bool,
 }
 
-/// The bounded request queue between connection handlers and the batcher.
+/// The bounded queue of parsed requests awaiting their batch.
 pub struct Batcher {
     state: Mutex<QueueState>,
-    ready: Condvar,
     depth: usize,
     shed_threshold: usize,
     retry_after_s: u64,
@@ -175,7 +197,6 @@ impl Batcher {
                 jobs: VecDeque::new(),
                 closed: false,
             }),
-            ready: Condvar::new(),
             depth,
             shed_threshold: shed_threshold.clamp(1, depth),
             retry_after_s,
@@ -248,29 +269,27 @@ impl Batcher {
             id,
             queue_us: 0.0,
             drained: None,
-            resp,
+            resp: Some(resp),
         });
         let now = st.jobs.len() as u64;
         if now > self.hwm.fetch_max(now, Ordering::Relaxed) {
             crate::telemetry::gauge("serve.queue_depth_hwm", now as f64);
         }
-        self.ready.notify_all();
         Ok(())
     }
 
     /// Locks the queue. A panic elsewhere while the lock was held
     /// (poisoning it) leaves the queue consistent — every critical section
-    /// is a single push, drain or flag store — so the batcher recovers the
+    /// is a single push, drain or flag store — so the queue recovers the
     /// guard instead of cascading the panic into every later request.
     fn lock(&self) -> MutexGuard<'_, QueueState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The server's dispatch call: blocks only while the queue is empty,
-    /// then drains everything queued as one batch, with no timed wait. A
-    /// lone job on an idle server leaves at once; jobs that arrive while
-    /// the previous batch executes come back together from the next call.
-    /// Returns `None` once the queue is closed and empty.
+    /// The server's dispatch call: drains everything queued as one batch,
+    /// or returns `None` at once when nothing is queued. It never waits: a
+    /// lone job leaves on the next call, and jobs queued while the previous
+    /// batch executed come back together.
     ///
     /// `_window` is ignored: it is what remains of the retired coalescing
     /// window, kept only so existing callers that pass `Duration::ZERO`
@@ -278,14 +297,8 @@ impl Batcher {
     #[must_use]
     pub fn take_batch(&self, _window: Duration) -> Option<Vec<Job>> {
         let mut st = self.lock();
-        loop {
-            if !st.jobs.is_empty() {
-                break;
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
+        if st.jobs.is_empty() {
+            return None;
         }
         let mut batch: Vec<Job> = st.jobs.drain(..).collect();
         // Record outside the queue lock: probe sinks must never hold up a
@@ -335,13 +348,12 @@ impl Batcher {
         self.hwm.load(Ordering::Relaxed)
     }
 
-    /// Closes the queue: pending jobs are answered `503`, later submits
-    /// fail fast, and the batcher loop drains out.
+    /// Closes the queue: pending jobs are answered `503` and later submits
+    /// fail fast.
     pub fn close(&self) {
         let pending: Vec<Job> = {
             let mut st = self.lock();
             st.closed = true;
-            self.ready.notify_all();
             st.jobs.drain(..).collect()
         };
         // Answer outside the lock: a responder may re-enter the server.
@@ -770,34 +782,28 @@ mod tests {
     #[test]
     fn dispatch_never_waits_on_a_timer_and_coalesces_behind_a_batch() {
         let q = Batcher::new(16);
-        // A lone job leaves at once, whatever window a caller passes: the
-        // argument is ignored, so even an hour-long one holds nothing
-        // back. (A timed coalescing wait would hold the job for the full
-        // hour and trip the generous receive bound below.)
+        // An empty queue answers `None` at once, whatever window a caller
+        // passes: the argument is ignored, so even an hour-long one holds
+        // nothing back. (A timed or blocking wait would hang this test.)
+        assert!(q.take_batch(Duration::from_secs(3600)).is_none());
+
+        // A lone job leaves on the next call, alone.
         let lone = q.submit(eval_request(1.0)).expect("queued");
-        let (tx, rx) = mpsc::channel();
-        let drainer = Arc::clone(&q);
-        std::thread::spawn(move || {
-            let batch = drainer.take_batch(Duration::from_secs(3600));
-            let _ = tx.send(batch);
-        });
-        let batch = rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("a lone job is dispatched without a timed wait")
-            .expect("open queue");
+        let batch = q.take_batch(Duration::from_secs(3600)).expect("queued");
         assert_eq!(batch.len(), 1, "the lone job, alone");
+        assert!(q.take_batch(Duration::ZERO).is_none(), "drained");
         execute_batch(&NodeStore::default(), batch, &ServerStats::default());
         assert_eq!(lone.recv().expect("answered").0.status(), 200);
 
         // Jobs submitted while a drained batch is still unanswered queue
         // behind it and come back together, in order, from the next call.
         let first = q.submit(eval_request(1.0)).expect("queued");
-        let in_flight = q.take_batch(Duration::ZERO).expect("open queue");
+        let in_flight = q.take_batch(Duration::ZERO).expect("queued");
         assert_eq!(in_flight.len(), 1);
         let behind: Vec<_> = (2..=4)
             .map(|mm| q.submit(eval_request(f64::from(mm))).expect("queued"))
             .collect();
-        let next = q.take_batch(Duration::ZERO).expect("open queue");
+        let next = q.take_batch(Duration::ZERO).expect("queued");
         assert_eq!(next.len(), 3, "arrivals behind the in-flight batch");
         assert!(next.windows(2).all(|w| w[0].id < w[1].id), "FIFO order");
         assert!(q.is_empty());
@@ -809,12 +815,32 @@ mod tests {
         for rx in behind {
             assert_eq!(rx.recv().expect("answered").0.status(), 200);
         }
+    }
 
-        // An idle batcher blocks only until the next arrival.
-        let idle = Arc::clone(&q);
-        let waiter = std::thread::spawn(move || idle.take_batch(Duration::ZERO).map(|b| b.len()));
-        let _late = q.submit(eval_request(5.0)).expect("queued");
-        assert_eq!(waiter.join().expect("batcher thread"), Some(1));
+    #[test]
+    fn jobs_unwound_over_answer_500() {
+        // The first job's responder panics, so `execute_batch` unwinds
+        // with the rest of the batch still unanswered.
+        let q = Batcher::new(16);
+        q.submit_with(
+            eval_request(1.0),
+            0,
+            Box::new(|_, _| panic!("a responder failing mid-batch")),
+        )
+        .expect("queued");
+        let receivers: Vec<_> = (2..=4)
+            .map(|mm| q.submit(eval_request(f64::from(mm))).expect("queued"))
+            .collect();
+        let batch = q.take_batch(Duration::ZERO).expect("queued");
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute_batch(&NodeStore::default(), batch, &ServerStats::default());
+        }));
+        assert!(unwound.is_err());
+        for rx in receivers {
+            let (resp, timing) = rx.recv().expect("answered, not dropped");
+            assert_eq!(resp.status(), 500, "{resp:?}");
+            assert!(timing.compute_us > 0.0, "drained jobs report compute time");
+        }
     }
 
     #[test]

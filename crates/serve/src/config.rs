@@ -4,7 +4,6 @@
 //! |-------------------|----------------------------------------|---------|
 //! | `PI_SERVE_PORT`   | TCP port to bind (`0` = ephemeral)     | 7878    |
 //! | `PI_SERVE_QUEUE`  | bounded request-queue depth            | 1024    |
-//! | `PI_SERVE_IO`     | connection handling: `poll` / `threads`| poll    |
 //! | `PI_SERVE_SHED_PCT` | queue fill (percent of depth) above which expensive requests shed | 75 |
 //! | `PI_SERVE_RETRY_AFTER_S` | `Retry-After` seconds on a shed/overload 503 | 1 |
 //! | `PI_SERVE_ACCESS_LOG` | path of the JSONL access log (unset = off) | unset |
@@ -16,37 +15,12 @@
 //! naming the value actually used**, instead of silently becoming the
 //! default or crashing the server at startup. A parseable but out-of-range
 //! value is clamped, again with a warning carrying the effective value.
-//! The string-valued `PI_SERVE_IO` follows the same policy: an unknown
-//! spelling warns once and uses the default `poll` mode.
 //!
-//! `PI_SERVE_BATCH_US`, the old fixed coalescing window, is retired:
-//! batching is adaptive (the batcher dispatches whatever is queued the
-//! moment it is free), so a set value is ignored with a one-time warning
-//! saying so rather than silently.
-
-/// How connections are handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// One `poll(2)`-driven I/O thread owns every connection (the
-    /// default): non-blocking sockets, per-connection buffers, keep-alive
-    /// and pipelining preserved.
-    #[default]
-    Poll,
-    /// One handler thread per connection — the pinned reference mode the
-    /// event loop is checked against (`PI_SERVE_IO=threads`).
-    Threads,
-}
-
-impl IoMode {
-    /// Stable spelling (`poll` / `threads`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            IoMode::Poll => "poll",
-            IoMode::Threads => "threads",
-        }
-    }
-}
+//! Two variables are retired, and a set value is ignored with a one-time
+//! warning saying so rather than silently: `PI_SERVE_BATCH_US`, the old
+//! fixed coalescing window (batching is adaptive: each batch is whatever
+//! was parsed since the last one), and `PI_SERVE_IO`, the old connection
+//! mode selector (the poll event loop is the only mode).
 
 /// Resolved server configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,8 +29,6 @@ pub struct ServeConfig {
     pub port: u16,
     /// Bounded queue depth; requests beyond it are answered `503`.
     pub queue_depth: usize,
-    /// Connection-handling mode.
-    pub io: IoMode,
     /// Queue fill percentage (of `queue_depth`) at which **expensive**
     /// requests (yield / size / net-yield) are shed with `503` +
     /// `Retry-After` while cheap evals still queue. `100` disables
@@ -76,7 +48,6 @@ impl Default for ServeConfig {
         ServeConfig {
             port: 7878,
             queue_depth: 1024,
-            io: IoMode::Poll,
             shed_pct: 75,
             retry_after_s: 1,
             access_log: None,
@@ -95,6 +66,10 @@ impl ServeConfig {
             "PI_SERVE_BATCH_US",
             "batching is adaptive, with no coalescing window",
         );
+        env_retired(
+            "PI_SERVE_IO",
+            "the poll event loop is the only connection mode",
+        );
         ServeConfig {
             port: env_u64(
                 "PI_SERVE_PORT",
@@ -103,7 +78,6 @@ impl ServeConfig {
                 u64::from(u16::MAX),
             ) as u16,
             queue_depth: env_u64("PI_SERVE_QUEUE", default.queue_depth as u64, 1, 1 << 20) as usize,
-            io: env_io("PI_SERVE_IO", default.io),
             shed_pct: env_u64("PI_SERVE_SHED_PCT", default.shed_pct, 1, 100),
             retry_after_s: env_u64("PI_SERVE_RETRY_AFTER_S", default.retry_after_s, 1, 3600),
             access_log: env_path("PI_SERVE_ACCESS_LOG"),
@@ -171,28 +145,6 @@ fn env_path(name: &'static str) -> Option<String> {
     Some(trimmed.to_owned())
 }
 
-/// Parses `PI_SERVE_IO`: `poll` / `threads` (trimmed, case-insensitive);
-/// anything else warns once and uses the default mode.
-fn env_io(name: &'static str, default: IoMode) -> IoMode {
-    let Ok(raw) = std::env::var(name) else {
-        return default;
-    };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "poll" => IoMode::Poll,
-        "threads" => IoMode::Threads,
-        _ => {
-            pi_obs::warn_once(
-                name,
-                &format!(
-                    "{name}=`{raw}` is not `poll` or `threads`; using the default `{}`",
-                    default.name()
-                ),
-            );
-            default
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,6 +172,7 @@ mod tests {
         }
         assert_eq!(ServeConfig::from_env(), d);
         assert!(!env_retired("PI_SERVE_BATCH_US", "retired"));
+        assert!(!env_retired("PI_SERVE_IO", "retired"));
 
         // Valid values pass through.
         std::env::set_var("PI_SERVE_PORT", "0");
@@ -232,20 +185,18 @@ mod tests {
         std::env::set_var("PI_SERVE_SLOW_US", "250000");
         let c = ServeConfig::from_env();
         assert_eq!((c.port, c.queue_depth), (0, 64));
-        assert_eq!(c.io, IoMode::Threads);
         assert_eq!((c.shed_pct, c.retry_after_s), (50, 5));
         assert_eq!(c.shed_threshold(), 32, "50% of a 64-deep queue");
         assert_eq!(c.access_log.as_deref(), Some("/tmp/pi-access.jsonl"));
         assert_eq!(c.slow_us, 250_000);
-        // The retired window knob is seen (and warned about) but changes
-        // nothing: the config with it set equals the config without it.
+        // The retired window and mode knobs are seen (and warned about)
+        // but change nothing: the config with them set equals the config
+        // without them.
         assert!(env_retired("PI_SERVE_BATCH_US", "retired"));
+        assert!(env_retired("PI_SERVE_IO", "retired"));
         std::env::remove_var("PI_SERVE_BATCH_US");
+        std::env::remove_var("PI_SERVE_IO");
         assert_eq!(ServeConfig::from_env(), c);
-
-        // Case-insensitive mode spellings pass through too.
-        std::env::set_var("PI_SERVE_IO", " Poll ");
-        assert_eq!(ServeConfig::from_env().io, IoMode::Poll);
 
         // Near-miss spellings fall back to the defaults (with a warning,
         // exercised once per key per process by warn_once).
@@ -260,6 +211,7 @@ mod tests {
         let c = ServeConfig::from_env();
         assert_eq!(c, d);
         assert!(env_retired("PI_SERVE_BATCH_US", "retired"));
+        assert!(env_retired("PI_SERVE_IO", "retired"));
 
         // Out-of-range values are clamped, not defaulted.
         std::env::set_var("PI_SERVE_PORT", "70000");

@@ -1,23 +1,37 @@
-//! Poll-driven connection handling: one I/O thread multiplexes every
-//! client socket through `poll(2)`.
+//! The serving thread: one `pi-serve-io` thread multiplexes every client
+//! socket through `poll(2)` and executes the batches itself.
 //!
-//! Thread-per-connection (the `PI_SERVE_IO=threads` reference mode) burns
-//! a stack and a scheduler slot per idle keep-alive connection; at 64+
-//! persistent connections the context-switch churn dominates the cheap
-//! requests it serves. This module replaces it with the classic readiness
-//! loop: non-blocking sockets, per-connection read/write buffers and
-//! parser state, and a self-pipe waker through which batcher completions
-//! re-enter the loop. Keep-alive and pipelining are preserved —
-//! pipelined responses flush strictly in request order even though the
-//! batcher answers out of order. A peer that pipelines requests without
-//! reading responses hits per-connection backlog caps
-//! ([`WRITE_BACKLOG_CAP`], [`PENDING_CAP`]) that pause reading until it
-//! drains, the moral equivalent of thread mode's blocking writes.
+//! ```text
+//!  loop ┬─ take_batch → execute_batch → deliver answers, flush in order
+//!       │     (repeated until a delivery leaves nothing queued)
+//!       ├─ shutdown check
+//!       └─ poll(2) over {listener, conns} → accept, read, parse → queue
+//! ```
 //!
-//! The syscalls (`poll`, `pipe`, `read`, `write`, `close`) are declared
-//! `extern "C"` against the libc `std` already links — no new crates,
-//! matching the workspace's zero-dependency rule. Everything else
-//! (sockets, accept) stays on `std::net` in non-blocking mode.
+//! Each iteration first executes everything parsed since the last batch,
+//! *before* `poll` is built: a job left queued while the loop sleeps would
+//! wait for the next socket event or for the poll timeout. Requests parsed
+//! in one socket pass therefore form the next iteration's batch, and a
+//! lone request runs as soon as it is parsed. Non-blocking sockets,
+//! per-connection read/write buffers and parser state keep keep-alive
+//! and pipelining: pipelined responses flush strictly in request order
+//! even though immediate routes answer before batched ones. A peer that
+//! pipelines requests without reading responses hits per-connection
+//! backlog caps ([`WRITE_BACKLOG_CAP`], [`PENDING_CAP`]) that pause
+//! reading until it drains.
+//!
+//! A panic while a batch executes is caught here: the batch's unanswered
+//! jobs answer `500` as they are dropped (see [`crate::batch::Job`]), the
+//! `serve.compute_panic` counter counts it, and the loop keeps serving.
+//! Answers reach their connections over an mpsc channel, which also
+//! carries the `503`s that [`Batcher::close`] gives queued jobs from
+//! another thread. Shutdown needs no wake-up: the loop re-checks the flag
+//! at least every [`POLL_TIMEOUT_MS`].
+//!
+//! The `poll` syscall is declared `extern "C"` against the libc `std`
+//! already links — no new crates, matching the workspace's
+//! zero-dependency rule. Everything else (sockets, accept) stays on
+//! `std::net` in non-blocking mode.
 //!
 //! Observability: each wakeup that carries events runs under a
 //! `serve.io_wakeup` span, the `serve.io_ready_events` histogram records
@@ -28,14 +42,17 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::api::ApiResponse;
-use crate::batch::{Batcher, PhaseTiming};
+use crate::batch::{execute_batch, Batcher, PhaseTiming};
 use crate::http::{read_request, MAX_BODY_BYTES, MAX_HEADER_BYTES};
 use crate::server::{route, Rendered, RouteOutcome, ServerStats};
+use crate::store::NodeStore;
 use crate::telemetry::{AccessEntry, Telemetry};
 
 #[repr(C)]
@@ -50,15 +67,11 @@ type NfdsT = u32;
 #[cfg(not(target_os = "macos"))]
 type NfdsT = u64;
 
-// std links libc on every Unix target, so these entry points are
-// available without any crate dependency (same trick as the signal
-// handler in `server`).
+// std links libc on every Unix target, so this entry point is available
+// without any crate dependency (same trick as the signal handler in
+// `server`).
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: i32) -> i32;
-    fn pipe(fds: *mut i32) -> i32;
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-    fn close(fd: i32) -> i32;
 }
 
 const POLLIN: i16 = 0x001;
@@ -81,38 +94,13 @@ const READ_CAP: usize = MAX_HEADER_BYTES + MAX_BODY_BYTES + 1024;
 /// response bytes, the loop stops reading and parsing its input until the
 /// peer drains some. Without this, a client pipelining cheap immediate
 /// requests (`GET /healthz`) while never reading responses grows
-/// `write_buf` without bound — the batcher queue caps API jobs but not
+/// `write_buf` without bound — the request queue caps API jobs but not
 /// immediate responses.
 const WRITE_BACKLOG_CAP: usize = 256 * 1024;
 
 /// Companion cap on un-answered pipeline slots, bounding the per-request
 /// bookkeeping the same way `WRITE_BACKLOG_CAP` bounds rendered bytes.
 const PENDING_CAP: usize = 128;
-
-/// Wakes the poll loop from another thread via the self-pipe, with an
-/// atomic suppressing redundant pipe writes (at most one byte is ever in
-/// flight between drains).
-#[derive(Debug)]
-pub(crate) struct Waker {
-    write_fd: i32,
-    pending: AtomicBool,
-}
-
-impl Waker {
-    /// Makes the next (or current) `poll` call return promptly.
-    pub(crate) fn wake(&self) {
-        if !self.pending.swap(true, Ordering::AcqRel) {
-            let byte = 1u8;
-            let _ = unsafe { write(self.write_fd, &byte, 1) };
-        }
-    }
-}
-
-impl Drop for Waker {
-    fn drop(&mut self) {
-        let _ = unsafe { close(self.write_fd) };
-    }
-}
 
 /// One answered job on its way back to the loop.
 struct Completion {
@@ -123,10 +111,11 @@ struct Completion {
     timing: PhaseTiming,
 }
 
-/// One response slot in a connection's pipeline: filled out of order by
-/// the batcher, flushed strictly in `seq` order. Carries the request's
-/// phase trace: id and parse time stamped at parse, batcher timing copied
-/// from the completion, render time stamped when the response body is
+/// One response slot in a connection's pipeline: filled out of order
+/// (immediate routes at parse, API requests when their batch answers),
+/// flushed strictly in `seq` order. Carries the request's phase trace: id
+/// and parse time stamped at parse, batch timing copied from the
+/// completion, render time stamped when the response body is
 /// serialized, and `t_ready` marking the start of the flush phase.
 struct Slot {
     seq: u64,
@@ -144,11 +133,10 @@ struct Slot {
 /// Everything the parse/deliver/flush helpers share, bundled so the loop
 /// threads one context instead of seven parameters.
 struct Ctx<'a> {
-    shutdown: &'a Arc<AtomicBool>,
-    queue: &'a Arc<Batcher>,
-    stats: &'a Arc<ServerStats>,
+    shutdown: &'a AtomicBool,
+    queue: &'a Batcher,
+    stats: &'a ServerStats,
     completion_tx: &'a mpsc::Sender<Completion>,
-    waker: &'a Arc<Waker>,
     tel: &'a Telemetry,
 }
 
@@ -186,67 +174,32 @@ impl Conn {
 
     /// The peer is not consuming responses it already asked for: stop
     /// reading and parsing until flushes bring the backlog back under
-    /// the caps (mirroring the natural blocking-write backpressure of
-    /// thread mode).
+    /// the caps.
     fn backpressured(&self) -> bool {
         self.write_buf.len() - self.write_pos > WRITE_BACKLOG_CAP
             || self.pending.len() > PENDING_CAP
     }
 }
 
-/// The running I/O thread plus the waker `Server::shutdown` pokes.
-#[derive(Debug)]
-pub(crate) struct IoHandle {
-    pub(crate) waker: Arc<Waker>,
-    pub(crate) thread: std::thread::JoinHandle<()>,
-}
-
-/// Spawns the `pi-serve-io` thread owning `listener` and every accepted
-/// connection.
+/// Spawns the `pi-serve-io` thread owning `listener`, every accepted
+/// connection and the execution of every batch.
 pub(crate) fn spawn(
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
     queue: Arc<Batcher>,
     stats: Arc<ServerStats>,
-    tel: Arc<Telemetry>,
-) -> std::io::Result<IoHandle> {
-    let mut fds = [-1i32; 2];
-    if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
-        return Err(std::io::Error::other("pipe() failed for the waker"));
-    }
-    let (pipe_rd, pipe_wr) = (fds[0], fds[1]);
-    let waker = Arc::new(Waker {
-        write_fd: pipe_wr,
-        pending: AtomicBool::new(false),
-    });
-    let spawned = {
-        let waker = Arc::clone(&waker);
-        std::thread::Builder::new()
-            .name("pi-serve-io".to_owned())
-            .spawn(move || {
-                run(&listener, pipe_rd, &waker, &shutdown, &queue, &stats, &tel);
-                let _ = unsafe { close(pipe_rd) };
-            })
-    };
-    match spawned {
-        Ok(thread) => Ok(IoHandle { waker, thread }),
-        Err(e) => {
-            // The closure that would close `pipe_rd` never ran (the
-            // write end is closed by `Waker`'s Drop).
-            let _ = unsafe { close(pipe_rd) };
-            Err(e)
-        }
-    }
+    tel: Telemetry,
+) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name("pi-serve-io".to_owned())
+        .spawn(move || run(&listener, &shutdown, &queue, &stats, &tel))
 }
 
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn run(
     listener: &TcpListener,
-    pipe_rd: i32,
-    waker: &Arc<Waker>,
-    shutdown: &Arc<AtomicBool>,
-    queue: &Arc<Batcher>,
-    stats: &Arc<ServerStats>,
+    shutdown: &AtomicBool,
+    queue: &Batcher,
+    stats: &ServerStats,
     tel: &Telemetry,
 ) {
     let (completion_tx, completions) = mpsc::channel::<Completion>();
@@ -255,12 +208,10 @@ fn run(
         queue,
         stats,
         completion_tx: &completion_tx,
-        waker,
         tel,
     };
     // Token-indexed connection slab; generations guard against a token
-    // being reused while a completion for its previous tenant is in
-    // flight.
+    // being reused while an answer for its previous tenant is in flight.
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut next_generation: u64 = 0;
     let mut pollfds: Vec<PollFd> = Vec::new();
@@ -268,6 +219,8 @@ fn run(
     let mut drain_deadline: Option<Instant> = None;
 
     loop {
+        run_batches(&completions, &mut conns, &ctx);
+
         let draining = shutdown.load(Ordering::SeqCst);
         if draining {
             let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
@@ -279,11 +232,6 @@ fn run(
 
         pollfds.clear();
         targets.clear();
-        pollfds.push(PollFd {
-            fd: pipe_rd,
-            events: POLLIN,
-            revents: 0,
-        });
         let listener_at = if draining {
             None
         } else {
@@ -292,7 +240,7 @@ fn run(
                 events: POLLIN,
                 revents: 0,
             });
-            Some(pollfds.len() - 1)
+            Some(0)
         };
         let fixed = pollfds.len();
         for (token, conn) in conns.iter().enumerate() {
@@ -320,27 +268,10 @@ fn run(
             )
         };
         if n <= 0 {
-            // Timeout or EINTR: deliver completions anyway — a wake that
-            // lost its pipe byte must not strand an answered job — then
-            // loop back to the shutdown check.
-            deliver_completions(&completions, &mut conns, &ctx);
-            continue;
+            continue; // timeout or EINTR: back to the batch and shutdown checks
         }
         let _span = pi_obs::span("serve.io_wakeup");
         pi_obs::hist_record("serve.io_ready_events", f64::from(n));
-
-        // Self-pipe first: drain the pipe *before* clearing the
-        // suppression flag. With the opposite order, a wake() landing
-        // between the store and the read has its byte swallowed by this
-        // same drain while `pending` stays true, muting every later
-        // wake(). This order suppresses that interleaved wake's byte
-        // instead, and its completion is picked up by the drain below.
-        if pollfds[0].revents != 0 {
-            let mut sink = [0u8; 64];
-            let _ = unsafe { read(pipe_rd, sink.as_mut_ptr(), sink.len()) };
-            waker.pending.store(false, Ordering::Release);
-        }
-        deliver_completions(&completions, &mut conns, &ctx);
 
         if let Some(at) = listener_at {
             if pollfds[at].revents != 0 {
@@ -366,8 +297,34 @@ fn run(
     }
 }
 
-/// Hands every queued batcher completion to its connection and services
-/// the result.
+/// Executes everything queued, batch by batch, delivering each batch's
+/// answers (and any given off-thread, such as close-time `503`s) before
+/// taking the next: a delivery can re-run [`service`], which may parse
+/// and queue more. Returns once a delivery leaves the queue empty.
+fn run_batches(
+    completions: &mpsc::Receiver<Completion>,
+    conns: &mut [Option<Conn>],
+    ctx: &Ctx<'_>,
+) {
+    loop {
+        deliver_completions(completions, conns, ctx);
+        let Some(jobs) = ctx.queue.take_batch(Duration::ZERO) else {
+            return;
+        };
+        ctx.stats.batches.fetch_add(1, Ordering::Relaxed);
+        ctx.stats
+            .batched_jobs
+            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
+        // A panic drops the batch's unanswered jobs, which answer 500 on
+        // their way out; the loop itself keeps serving.
+        let batch = AssertUnwindSafe(|| execute_batch(NodeStore::global(), jobs, ctx.stats));
+        if catch_unwind(batch).is_err() {
+            crate::telemetry::counter("serve.compute_panic", 1);
+        }
+    }
+}
+
+/// Hands every queued answer to its connection and services the result.
 fn deliver_completions(
     completions: &mpsc::Receiver<Completion>,
     conns: &mut [Option<Conn>],
@@ -528,7 +485,6 @@ fn parse_buffered(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) {
                     RouteOutcome::Api(api) => {
                         conn.pending.push_back(slot(request.keep_alive, None));
                         let tx = ctx.completion_tx.clone();
-                        let waker = Arc::clone(ctx.waker);
                         let generation = conn.generation;
                         let submitted = ctx.queue.submit_with(
                             api,
@@ -541,7 +497,6 @@ fn parse_buffered(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) {
                                     response,
                                     timing,
                                 });
-                                waker.wake();
                             }),
                         );
                         if let Err(response) = submitted {
@@ -572,8 +527,8 @@ fn parse_buffered(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) {
     }
 }
 
-/// Answers a malformed/oversized request the same way the thread mode
-/// does — an error body and a forced close — then stops reading.
+/// Answers a malformed/oversized request with an error body and a forced
+/// close, then stops reading.
 fn push_parse_error(conn: &mut Conn, status: u16, message: &str) {
     let seq = conn.next_seq;
     conn.next_seq += 1;

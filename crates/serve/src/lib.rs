@@ -13,17 +13,16 @@
 //!   in-process ones without tolerance;
 //! - a warm store ([`store`]) of per-technology-node contexts (calibrated
 //!   models, cached buffering plans, cached synthesized networks);
-//! - **request batching** ([`batch`]): concurrent requests drain from a
-//!   bounded queue and coalesce into single structure-of-arrays sweeps
-//!   through `pi-core`/`pi-cosi` batch entry points, bit-identical to
-//!   one-shot evaluation;
-//! - the serving loop ([`server`]): a single `poll(2)`-driven event
-//!   loop multiplexing every connection (thread-per-connection kept as
-//!   a reference mode behind `PI_SERVE_IO=threads`), load-aware
-//!   admission control that sheds expensive queries with 503 +
-//!   `Retry-After` before cheap evals, cooperative shutdown, and
-//!   `pi-obs` spans/counters on every wakeup, request, batch and queue
-//!   wait;
+//! - **request batching** ([`batch`]): requests parsed since the last
+//!   batch drain from a bounded queue and coalesce into single
+//!   structure-of-arrays sweeps through `pi-core`/`pi-cosi` batch entry
+//!   points, bit-identical to one-shot evaluation;
+//! - the serving loop ([`server`]): one `poll(2)`-driven thread that
+//!   multiplexes every connection and executes each batch at the top of
+//!   its loop (a panicking batch answers `500` and the loop keeps
+//!   serving), load-aware admission control that sheds expensive queries
+//!   with 503 + `Retry-After` before cheap evals, cooperative shutdown,
+//!   and `pi-obs` spans/counters on every wakeup and batch;
 //! - live telemetry: rolling-window metrics behind a zero-dependency
 //!   Prometheus `GET /metrics` endpoint, per-request phase tracing
 //!   (parse → queue → compute → render → flush) into `serve.phase.*`
@@ -75,7 +74,7 @@ pub mod traffic;
 
 pub use api::{ApiRequest, ApiResponse};
 pub use batch::{execute_batch, Batcher, PhaseTiming};
-pub use config::{IoMode, ServeConfig};
+pub use config::ServeConfig;
 pub use load::{run_load, Client, LoadConfig, LoadReport, StatusLatency};
 pub use pi_obs::json;
 pub use server::{install_shutdown_signals, signalled, Server, ServerStats};

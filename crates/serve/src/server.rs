@@ -1,49 +1,34 @@
-//! The serving loop: connection handling (poll event loop or
-//! thread-per-connection), and the single batcher thread that drains the
-//! queue.
-//!
-//! Default topology (`PI_SERVE_IO=poll`):
+//! The serving loop: [`Server`] binds the listener and starts the one
+//! `pi-serve-io` thread that owns every connection and executes every
+//! batch; `route` dispatches each parsed request.
 //!
 //! ```text
-//!  pi-serve-io thread ── poll(2) over {waker pipe, listener, conns}
+//!  main thread ── Server::start / shutdown / stats
+//!  pi-serve-io ── poll(2) over {listener, conns}
 //!     │  accept → non-blocking socket, per-connection buffers
 //!     │  parse HTTP → route → Batcher::submit_with ──▶ bounded queue
-//!     │  completions re-enter via the self-pipe waker, flush in order
-//!  pi-serve-batch thread ◀── take_batch() drains the queue when free
-//!     └─ execute_batch: coalesced sweeps, answers every responder
+//!     └─ loop top: take_batch → execute_batch → answers flush in order
 //! ```
 //!
-//! The pinned reference mode (`PI_SERVE_IO=threads`) keeps the original
-//! shape — an accept thread spawning one handler thread per connection,
-//! each blocking on an mpsc channel for its answers. Both modes route and
-//! render identically, so their wire bytes are bit-identical (determinism
-//! suite, section 11).
-//!
-//! Shutdown is cooperative: a flag checked by every loop, the queue is
-//! closed so pending jobs are answered `503` and the batcher drains out,
-//! the event loop gets a waker poke, and `shutdown()` joins everything —
-//! no thread is detached or killed.
+//! Shutdown is cooperative: a flag checked by the loop at least every
+//! 50 ms (its poll timeout), the queue is closed so pending jobs are
+//! answered `503`, in-flight responses flush, and `shutdown()` joins the
+//! thread — nothing is detached or killed. The event loop is Unix-only:
+//! elsewhere [`Server::start`] fails with
+//! [`std::io::ErrorKind::Unsupported`].
 
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use crate::api::{ApiRequest, ApiResponse};
-use crate::batch::{execute_batch, Batcher, PhaseTiming};
-use crate::config::{IoMode, ServeConfig};
-use crate::http::{read_request, write_response_with, Request};
+use crate::batch::Batcher;
+use crate::config::ServeConfig;
+use crate::http::{write_response_with, Request};
 use crate::json::{obj, Json};
-use crate::store::{plan_cache_counts, plan_cache_hit_rate, NodeStore};
-use crate::telemetry::{AccessEntry, Telemetry};
-
-/// How often blocked loops wake to check the shutdown flag.
-const POLL: Duration = Duration::from_micros(500);
-
-/// How long a handler waits for request bytes before re-checking shutdown.
-const READ_POLL: Duration = Duration::from_millis(50);
+use crate::store::{plan_cache_counts, plan_cache_hit_rate};
 
 /// Monotonic serving counters, exposed at `GET /v1/stats`.
 #[derive(Debug, Default)]
@@ -132,7 +117,7 @@ impl ServerStats {
     }
 }
 
-/// One response, rendered: what both connection modes write to the wire.
+/// One response, rendered: what the event loop writes to the wire.
 #[derive(Debug)]
 pub(crate) struct Rendered {
     pub(crate) status: u16,
@@ -155,7 +140,7 @@ impl Rendered {
         }
     }
 
-    /// Serializes the full HTTP response (identically in both modes).
+    /// Serializes the full HTTP response.
     pub(crate) fn write_to<W: Write>(&self, w: &mut W, keep_alive: bool) -> std::io::Result<()> {
         let extra: Vec<(&str, String)> = self
             .retry_after
@@ -177,12 +162,11 @@ impl Rendered {
 pub(crate) enum RouteOutcome {
     /// Answer now (health/stats/admin endpoints and all routing errors).
     Immediate(Rendered),
-    /// A valid API request: submit it to the batcher.
+    /// A valid API request: queue it for the next batch.
     Api(ApiRequest),
 }
 
-/// Routes one parsed request. Both connection modes share this, so any
-/// endpoint behaves identically under `poll` and `threads`.
+/// Routes one parsed request.
 pub(crate) fn route(
     request: &Request,
     shutdown: &AtomicBool,
@@ -241,51 +225,30 @@ pub(crate) fn route(
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
-    io: IoMode,
     shutdown: Arc<AtomicBool>,
     queue: Arc<Batcher>,
     stats: Arc<ServerStats>,
-    accept: Option<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
-    #[cfg(unix)]
-    waker: Option<Arc<crate::io_loop::Waker>>,
-}
-
-/// The connection-handling mode actually available on this platform.
-fn effective_io(requested: IoMode) -> IoMode {
-    #[cfg(unix)]
-    {
-        requested
-    }
-    #[cfg(not(unix))]
-    {
-        if requested == IoMode::Poll {
-            pi_obs::warn_once(
-                "serve.io",
-                "the poll event loop is Unix-only; using thread-per-connection",
-            );
-        }
-        IoMode::Threads
-    }
+    io: Option<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds `127.0.0.1:{config.port}` (port 0 picks an ephemeral port —
-    /// read it back from [`Server::addr`]) and starts the I/O and batcher
-    /// threads per `config.io`.
+    /// read it back from [`Server::addr`]) and starts the serving thread.
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// Propagates bind and thread-spawn failures;
+    /// [`std::io::ErrorKind::Unsupported`] off Unix.
+    #[cfg(unix)]
     pub fn start(config: &ServeConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(("127.0.0.1", config.port))?;
+        let listener = std::net::TcpListener::bind(("127.0.0.1", config.port))?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
         // A long-running service keeps rolling windows so `GET /metrics`
         // has live rates and quantiles even when journaling is off.
         pi_obs::window::activate();
-        let tel = Arc::new(Telemetry::from_config(config));
+        let tel = crate::telemetry::Telemetry::from_config(config);
         let shutdown = Arc::new(AtomicBool::new(false));
         let queue = Batcher::with_admission(
             config.queue_depth,
@@ -293,76 +256,39 @@ impl Server {
             config.retry_after_s,
         );
         let stats = Arc::new(ServerStats::default());
-
-        let batcher = {
-            let queue = Arc::clone(&queue);
-            let stats = Arc::clone(&stats);
-            std::thread::Builder::new()
-                .name("pi-serve-batch".to_owned())
-                .spawn(move || {
-                    let store = NodeStore::global();
-                    // Greedy adaptive batching: whatever queued while the
-                    // previous batch executed is the next batch.
-                    while let Some(jobs) = queue.take_batch(Duration::ZERO) {
-                        stats.batches.fetch_add(1, Ordering::Relaxed);
-                        stats
-                            .batched_jobs
-                            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-                        execute_batch(store, jobs, &stats);
-                    }
-                })?
-        };
-
-        let io = effective_io(config.io);
-        #[cfg(unix)]
-        let mut waker = None;
-        let accept = match io {
-            #[cfg(unix)]
-            IoMode::Poll => {
-                let handle = crate::io_loop::spawn(
-                    listener,
-                    Arc::clone(&shutdown),
-                    Arc::clone(&queue),
-                    Arc::clone(&stats),
-                    Arc::clone(&tel),
-                )?;
-                waker = Some(handle.waker);
-                handle.thread
-            }
-            #[cfg(not(unix))]
-            IoMode::Poll => unreachable!("effective_io never picks Poll off Unix"),
-            IoMode::Threads => spawn_thread_accept(
-                listener,
-                Arc::clone(&shutdown),
-                Arc::clone(&queue),
-                Arc::clone(&stats),
-                Arc::clone(&tel),
-            )?,
-        };
-
+        let io = crate::io_loop::spawn(
+            listener,
+            Arc::clone(&shutdown),
+            Arc::clone(&queue),
+            Arc::clone(&stats),
+            tel,
+        )?;
         Ok(Server {
             addr,
-            io,
             shutdown,
             queue,
             stats,
-            accept: Some(accept),
-            batcher: Some(batcher),
-            #[cfg(unix)]
-            waker,
+            io: Some(io),
         })
+    }
+
+    /// The poll(2) event loop is Unix-only, so there is nothing to start.
+    ///
+    /// # Errors
+    ///
+    /// Always [`std::io::ErrorKind::Unsupported`].
+    #[cfg(not(unix))]
+    pub fn start(_config: &ServeConfig) -> std::io::Result<Server> {
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "pi serve's poll(2) event loop is Unix-only",
+        ))
     }
 
     /// The bound address (useful with an ephemeral port).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The connection-handling mode actually running.
-    #[must_use]
-    pub fn io_mode(&self) -> IoMode {
-        self.io
     }
 
     /// The serving counters.
@@ -384,19 +310,13 @@ impl Server {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Stops accepting, closes the queue, and joins every thread. Safe to
-    /// call more than once.
+    /// Stops accepting, closes the queue, and joins the serving thread,
+    /// which notices the flag within its 50 ms poll timeout. Safe to call
+    /// more than once.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.queue.close();
-        #[cfg(unix)]
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.batcher.take() {
+        if let Some(h) = self.io.take() {
             let _ = h.join();
         }
     }
@@ -405,202 +325,6 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// The `PI_SERVE_IO=threads` reference mode: an accept loop spawning one
-/// handler thread per connection.
-fn spawn_thread_accept(
-    listener: TcpListener,
-    shutdown: Arc<AtomicBool>,
-    queue: Arc<Batcher>,
-    stats: Arc<ServerStats>,
-    tel: Arc<Telemetry>,
-) -> std::io::Result<JoinHandle<()>> {
-    std::thread::Builder::new()
-        .name("pi-serve-accept".to_owned())
-        .spawn(move || {
-            let handlers: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
-            while !shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        crate::telemetry::counter("serve.connections", 1);
-                        let shutdown = Arc::clone(&shutdown);
-                        let queue = Arc::clone(&queue);
-                        let stats = Arc::clone(&stats);
-                        let tel = Arc::clone(&tel);
-                        let handle = std::thread::Builder::new()
-                            .name("pi-serve-conn".to_owned())
-                            .spawn(move || {
-                                handle_connection(stream, &shutdown, &queue, &stats, &tel);
-                            });
-                        match handle {
-                            Ok(h) => handlers.lock().expect("handler list").push(h),
-                            Err(e) => {
-                                pi_obs::warn_once(
-                                    "serve.spawn",
-                                    &format!("could not spawn a handler thread: {e}"),
-                                );
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL);
-                    }
-                    Err(_) => {
-                        pi_obs::counter_add("serve.accept_fail", 1);
-                        stats.accept_failures.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(POLL);
-                    }
-                }
-                // Reap finished handlers so a long-lived server does not
-                // accumulate dead join handles.
-                let mut list = handlers.lock().expect("handler list");
-                let mut live = Vec::with_capacity(list.len());
-                for h in list.drain(..) {
-                    if h.is_finished() {
-                        let _ = h.join();
-                    } else {
-                        live.push(h);
-                    }
-                }
-                *list = live;
-            }
-            for h in handlers.into_inner().expect("handler list").drain(..) {
-                let _ = h.join();
-            }
-        })
-}
-
-/// One connection: requests are read back-to-back (keep-alive and
-/// pipelining are honored) until the peer hangs up, a parse error forces
-/// a close, or the server shuts down.
-fn handle_connection(
-    stream: TcpStream,
-    shutdown: &AtomicBool,
-    queue: &Batcher,
-    stats: &ServerStats,
-    tel: &Telemetry,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-
-    loop {
-        // Between requests, wait for bytes without holding `read_request`
-        // across a timeout (a timeout mid-parse would drop the bytes read
-        // so far). Pipelined bytes already buffered skip the wait.
-        if reader.buffer().is_empty() {
-            let mut peek = [0u8; 1];
-            loop {
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                match reader.get_ref().peek(&mut peek) {
-                    Ok(0) => return, // peer closed
-                    Ok(_) => break,
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) => {}
-                    Err(_) => return,
-                }
-            }
-        }
-
-        let t_start = Instant::now();
-        let request = match read_request(&mut reader) {
-            Ok(Some(r)) => r,
-            Ok(None) => return,
-            Err(e) => {
-                let status = e.status();
-                if status != 0 {
-                    let rendered =
-                        Rendered::of(&ApiResponse::error(status, format!("{e:?}")), false);
-                    let _ = rendered.write_to(&mut writer, false);
-                }
-                return;
-            }
-        };
-        let parse_us = t_start.elapsed().as_secs_f64() * 1e6;
-        crate::telemetry::hist("serve.phase.parse_us", parse_us);
-        let id = crate::telemetry::next_request_id();
-        let endpoint = crate::telemetry::endpoint_of(&request);
-
-        let _span = pi_obs::span("serve.request");
-        crate::telemetry::counter("serve.requests", 1);
-        stats.requests.fetch_add(1, Ordering::Relaxed);
-
-        let (rendered, timing, render_us) = respond(&request, shutdown, queue, stats, id);
-        let keep = rendered.keep_alive && !shutdown.load(Ordering::SeqCst);
-        let t_ready = Instant::now();
-        let write_ok = rendered.write_to(&mut writer, keep).is_ok();
-        tel.finish_request(&AccessEntry {
-            id,
-            endpoint,
-            status: rendered.status,
-            total_us: t_start.elapsed().as_secs_f64() * 1e6,
-            parse_us,
-            queue_us: timing.queue_us,
-            compute_us: timing.compute_us,
-            render_us,
-            flush_us: t_ready.elapsed().as_secs_f64() * 1e6,
-        });
-        if !write_ok || !keep {
-            return;
-        }
-    }
-}
-
-/// Thread-mode answer for one request: route, submit, block on the
-/// response channel. Returns the rendered response, the batcher-side
-/// [`PhaseTiming`], and the render-phase duration in microseconds.
-fn respond(
-    request: &Request,
-    shutdown: &AtomicBool,
-    queue: &Batcher,
-    stats: &ServerStats,
-    id: u64,
-) -> (Rendered, PhaseTiming, f64) {
-    let immediate = |rendered| (rendered, PhaseTiming::default(), 0.0);
-    match route(request, shutdown, queue, stats) {
-        RouteOutcome::Immediate(rendered) => immediate(rendered),
-        RouteOutcome::Api(api) => {
-            let (tx, rx) = mpsc::channel();
-            let submitted = queue.submit_with(
-                api,
-                id,
-                Box::new(move |resp, timing| {
-                    let _ = tx.send((resp, timing));
-                }),
-            );
-            if let Err(resp) = submitted {
-                return immediate(Rendered::of(&resp, request.keep_alive));
-            }
-            let received = {
-                let _span = pi_obs::span("serve.queue_wait");
-                rx.recv()
-            };
-            match received {
-                Ok((resp, timing)) => {
-                    let t_render = Instant::now();
-                    let rendered = Rendered::of(&resp, request.keep_alive);
-                    let render_us = t_render.elapsed().as_secs_f64() * 1e6;
-                    crate::telemetry::hist("serve.phase.render_us", render_us);
-                    (rendered, timing, render_us)
-                }
-                // The queue was torn down underneath us.
-                Err(_) => immediate(Rendered::of(
-                    &ApiResponse::error(503, "server is shutting down"),
-                    request.keep_alive,
-                )),
-            }
-        }
     }
 }
 
@@ -646,19 +370,18 @@ mod tests {
     use crate::api::EvalResponse;
     use crate::http::{read_response, write_request};
     use crate::json::parse;
+    use std::io::BufReader;
+    use std::net::TcpStream;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
-    fn start_with(io: IoMode) -> Server {
+    fn test_server() -> Server {
         let config = ServeConfig {
             port: 0,
             queue_depth: 64,
-            io,
             ..ServeConfig::default()
         };
         Server::start(&config).expect("bind on an ephemeral port")
-    }
-
-    fn test_server() -> Server {
-        start_with(IoMode::Poll)
     }
 
     fn connect(server: &Server) -> (TcpStream, BufReader<TcpStream>) {
@@ -717,11 +440,6 @@ mod tests {
     #[test]
     fn healthz_stats_and_errors_over_a_real_socket() {
         battery(&mut test_server());
-    }
-
-    #[test]
-    fn thread_mode_serves_the_same_battery() {
-        battery(&mut start_with(IoMode::Threads));
     }
 
     #[test]
@@ -790,6 +508,82 @@ mod tests {
         assert!(!resp.keep_alive, "shutdown closes the connection");
         assert!(server.shutdown_requested());
         server.shutdown(); // joins cleanly
+    }
+
+    #[test]
+    fn shutdown_with_an_idle_keep_alive_connection_returns_promptly() {
+        let mut server = test_server();
+        let (mut stream, mut reader) = connect(&server);
+        write_request(&mut stream, "GET", "/healthz", b"").unwrap();
+        let resp = read_response(&mut reader).unwrap().unwrap();
+        assert!(resp.keep_alive, "the connection stays open, idle");
+        let t0 = Instant::now();
+        server.shutdown();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    }
+
+    #[test]
+    fn a_panicking_batch_answers_500_and_the_loop_keeps_serving() {
+        let mut server = test_server();
+        let eval = || {
+            crate::api::ApiRequest::Eval(crate::api::EvalRequest {
+                tech: "65nm".to_owned(),
+                length_mm: 5.0,
+                count: None,
+                wn_um: None,
+                corner: None,
+            })
+        };
+        // Hold the serving thread inside a first batch, so the two jobs
+        // queued meanwhile are guaranteed to share the next one.
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        server
+            .queue()
+            .submit_with(
+                eval(),
+                0,
+                Box::new(move |_, _| {
+                    let _ = entered_tx.send(());
+                    let _ = released.recv();
+                }),
+            )
+            .expect("queued");
+        entered
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the first batch runs");
+        server
+            .queue()
+            .submit_with(
+                eval(),
+                0,
+                Box::new(|_, _| panic!("an injected failure mid-batch")),
+            )
+            .expect("queued");
+        let unanswered = server.queue().submit(eval()).expect("queued");
+        release.send(()).unwrap();
+
+        let (resp, _) = unanswered
+            .recv_timeout(Duration::from_secs(30))
+            .expect("answered, not dropped");
+        assert_eq!(resp.status(), 500, "{resp:?}");
+
+        // The loop survived: a request over the wire still gets its 200,
+        // and the panic is counted.
+        let (mut stream, mut reader) = connect(&server);
+        let body = br#"{"tech":"65nm","length_mm":5.0}"#;
+        write_request(&mut stream, "POST", "/v1/eval", body).unwrap();
+        assert_eq!(read_response(&mut reader).unwrap().unwrap().status, 200);
+        write_request(&mut stream, "GET", "/metrics", b"").unwrap();
+        let metrics = read_response(&mut reader).unwrap().unwrap();
+        let text = metrics.body_str().unwrap().to_owned();
+        let panics = text
+            .lines()
+            .find_map(|l| l.strip_prefix("serve_compute_panic_total "))
+            .and_then(|v| v.parse::<f64>().ok());
+        assert!(panics >= Some(1.0), "{text}");
+        server.shutdown();
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use pi_core::coefficients::builtin;
 use pi_core::line::{BufferingPlan, LineEvaluator, LineSpec};
@@ -105,7 +105,7 @@ impl NodeContext {
     #[must_use]
     pub fn plan_for(&self, length: Length) -> Option<BufferingPlan> {
         let key = length.si().to_bits();
-        if let Some(plan) = self.plans.lock().expect("plan cache poisoned").get(&key) {
+        if let Some(plan) = lock(&self.plans).get(&key) {
             pi_obs::counter_add("serve.plan_cache.hits", 1);
             PLAN_HITS.fetch_add(1, Ordering::Relaxed);
             return Some(*plan);
@@ -118,10 +118,7 @@ impl NodeContext {
             .evaluator()
             .optimize_buffering(&spec, &obj, &SearchSpace::for_length(length))?
             .plan;
-        self.plans
-            .lock()
-            .expect("plan cache poisoned")
-            .insert(key, plan);
+        lock(&self.plans).insert(key, plan);
         Some(plan)
     }
 
@@ -136,12 +133,7 @@ impl NodeContext {
     /// (the execution layer maps them to a 400).
     pub fn network_for(&self, design: &str, clock: Freq) -> Result<Arc<Network>, String> {
         let key = (design.to_owned(), clock.si().to_bits());
-        if let Some(net) = self
-            .networks
-            .lock()
-            .expect("network cache poisoned")
-            .get(&key)
-        {
+        if let Some(net) = lock(&self.networks).get(&key) {
             pi_obs::counter_add("serve.net_cache.hits", 1);
             return Ok(Arc::clone(net));
         }
@@ -160,12 +152,18 @@ impl NodeContext {
         let net = synthesize(&spec, &model, &SynthesisConfig::at_clock(clock))
             .map_err(|e| format!("synthesis failed for `{design}`: {e:?}"))?;
         let net = Arc::new(net);
-        self.networks
-            .lock()
-            .expect("network cache poisoned")
-            .insert(key, Arc::clone(&net));
+        lock(&self.networks).insert(key, Arc::clone(&net));
         Ok(net)
     }
+}
+
+/// Locks one of the store's maps. A panic elsewhere while the lock was
+/// held (poisoning it) leaves the map consistent — every critical section
+/// is a lookup or a single insert of a finished value — so the store
+/// recovers the guard instead of cascading the panic into every later
+/// request.
+fn lock<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 static PLAN_HITS: AtomicU64 = AtomicU64::new(0);
@@ -223,7 +221,7 @@ impl NodeStore {
     ///
     /// Propagates a calibration failure at a non-typical corner as text.
     pub fn context_at(&self, node: TechNode, corner: Corner) -> Result<Arc<NodeContext>, String> {
-        let mut nodes = self.nodes.lock().expect("node store poisoned");
+        let mut nodes = lock(&self.nodes);
         if let Some(ctx) = nodes.get(&(node, corner)) {
             return Ok(Arc::clone(ctx));
         }
@@ -267,6 +265,45 @@ mod tests {
         assert_eq!(tt.corner(), Corner::Typical);
         assert!(store.context_for("7nm", None).is_err());
         assert!(store.context_for("n65", Some("sf")).is_err());
+    }
+
+    #[test]
+    fn poisoned_store_locks_are_recovered_not_cascaded() {
+        let store = NodeStore::default();
+        let ctx = store.context(TechNode::N65);
+        std::thread::scope(|s| {
+            let panicked = [
+                s.spawn(|| {
+                    let _guard = store.nodes.lock().expect("first lock");
+                    panic!("a panic while holding the node-store lock");
+                }),
+                s.spawn(|| {
+                    let _guard = ctx.plans.lock().expect("first lock");
+                    panic!("a panic while holding the plan-cache lock");
+                }),
+                s.spawn(|| {
+                    let _guard = ctx.networks.lock().expect("first lock");
+                    panic!("a panic while holding the network-cache lock");
+                }),
+            ];
+            for handle in panicked {
+                assert!(handle.join().is_err());
+            }
+        });
+        assert!(store.nodes.is_poisoned());
+        assert!(ctx.plans.is_poisoned());
+        assert!(ctx.networks.is_poisoned());
+
+        // Hits, misses and inserts all carry on as normal.
+        assert!(Arc::ptr_eq(&ctx, &store.context(TechNode::N65)));
+        assert_eq!(store.context(TechNode::N45).tech.node(), TechNode::N45);
+        let length = Length::mm(5.0);
+        let plan = ctx.plan_for(length).expect("plan exists");
+        assert_eq!(ctx.plan_for(length), Some(plan));
+        let clock = Freq::ghz(2.25);
+        let net = ctx.network_for("dvopd", clock).expect("synthesis");
+        let cached = ctx.network_for("dvopd", clock).expect("cached");
+        assert!(Arc::ptr_eq(&net, &cached));
     }
 
     #[test]

@@ -359,7 +359,9 @@ impl Row {
     /// and stops on target from 128. Weighted rows run the naive rounds;
     /// their control-variate interval is honest from the first round (rule
     /// of three on bounded terms), so a trusted run may stop at 256 dies,
-    /// the plain one at 1024 (both capped at the budget).
+    /// the plain one at 1024. Every floor is capped at the row's budget
+    /// per unit, so a run whose last round meets the target counts a
+    /// target stop whatever its budget.
     fn of(config: &EstimatorConfig) -> Row {
         let rounds = Row {
             rule: Rule::Wilson,
@@ -378,7 +380,7 @@ impl Row {
                     // Doubling the points run so far lands every stop on a
                     // power of two, where a Sobol prefix is a digital net.
                     next_round: |done| done.max(FIRST_REPLICATE_POINTS),
-                    floor: [MIN_REPLICATE_POINTS; 2],
+                    floor: [MIN_REPLICATE_POINTS.min(config.max_evals.div_ceil(units)); 2],
                     ..rounds
                 }
             }
@@ -1193,6 +1195,49 @@ mod tests {
                     assert_eq!(default, fanout, "{method} cv={cv} dim {dim}: fan-out");
                 }
             }
+        }
+    }
+
+    /// The `yield.stop_*` counters `f` adds on the calling thread, with
+    /// observability on. Thread-local, so concurrent tests cannot perturb
+    /// it.
+    fn stop_counters<R>(f: impl FnOnce() -> R) -> (R, Vec<(&'static str, u64)>) {
+        static ENABLE: std::sync::Once = std::sync::Once::new();
+        ENABLE.call_once(|| {
+            std::env::set_var("PI_OBS", "summary");
+            pi_obs::reinit_from_env();
+        });
+        let before = pi_obs::thread_counters();
+        let out = f();
+        let added = pi_obs::thread_counters()
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("yield.stop_"))
+            .map(|(name, total)| (name, total - before.get(name).copied().unwrap_or(0)))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        (out, added)
+    }
+
+    /// A budget below a row's early-stop floor caps the floor: a run whose
+    /// last round meets the target counts a target stop, for scrambled
+    /// Sobol as for importance sampling, and one that misses it a budget
+    /// stop. The answers themselves are pinned by `estimator_golden.rs`.
+    #[test]
+    fn a_budget_below_the_floor_still_stops_on_target() {
+        let sure = line(2.0);
+        for method in [Method::SobolScrambled, Method::ImportanceSampling] {
+            let cfg = EstimatorConfig::new(method)
+                .with_seed(5)
+                .with_max_evals(100)
+                .with_target_half_width(0.05);
+            let (est, stops) = stop_counters(|| estimate_line_yield(&sure, &cfg));
+            assert!(est.half_width <= 0.05, "{method}: {est:?}");
+            assert_eq!(stops, [("yield.stop_target", 1)], "{method}: {est:?}");
+
+            let missed = cfg.with_target_half_width(1e-9);
+            let (est, stops) = stop_counters(|| estimate_line_yield(&line(1.0), &missed));
+            assert!(est.half_width > 1e-9, "{method}: {est:?}");
+            assert_eq!(stops, [("yield.stop_budget", 1)], "{method}: {est:?}");
         }
     }
 }

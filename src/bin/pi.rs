@@ -14,7 +14,7 @@
 //!             [--estimator naive|sobol|sobol-scrambled|importance|surrogate-is|analytic]
 //!             [--seed 1] [--ci 0.5]
 //! pi report   --tech 65nm --length 5mm --clock 2GHz [--bits 128] [--full]
-//! pi serve    [--port 7878] [--queue-depth 1024] [--io poll|threads]
+//! pi serve    [--port 7878] [--queue-depth 1024]
 //! pi load     [--addr 127.0.0.1:7878] [--qps 2000] [--conns 4] [--duration 3] [--size-pct 0]
 //!             [--yield-pct 10] [--seed 1] [--tech 65nm] [--json]
 //! pi obs-top  <host:port> [--interval 2] [--count N] [--raw]
@@ -779,9 +779,9 @@ fn cmd_obs_top(args: &[String]) -> Result<(), String> {
 
 fn cmd_serve(opts: &Opts) -> Result<(), String> {
     use predictive_interconnect::serve::{
-        install_shutdown_signals, signalled, IoMode, ServeConfig, Server,
+        install_shutdown_signals, signalled, ServeConfig, Server,
     };
-    opts.only(&["port", "queue-depth", "io"])?;
+    opts.only(&["port", "queue-depth"])?;
     let mut config = ServeConfig::from_env();
     if let Some(v) = opts.get("port") {
         config.port = v.parse().map_err(|e| format!("bad --port: {e}"))?;
@@ -789,20 +789,9 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     if let Some(v) = opts.get("queue-depth") {
         config.queue_depth = v.parse().map_err(|e| format!("bad --queue-depth: {e}"))?;
     }
-    if let Some(v) = opts.get("io") {
-        config.io = match v.to_ascii_lowercase().as_str() {
-            "poll" => IoMode::Poll,
-            "threads" => IoMode::Threads,
-            other => return Err(format!("bad --io `{other}` (poll or threads)")),
-        };
-    }
     install_shutdown_signals();
     let mut server = Server::start(&config).map_err(|e| format!("bind failed: {e}"))?;
-    println!(
-        "pi serve listening on {} ({} mode)",
-        server.addr(),
-        server.io_mode().name()
-    );
+    println!("pi serve listening on {}", server.addr());
     println!(
         "endpoints: POST /v1/eval /v1/yield /v1/size /v1/net-yield | \
          GET /healthz /v1/stats | POST /admin/shutdown (or ctrl-c / SIGTERM)"

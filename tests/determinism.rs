@@ -541,15 +541,13 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
 
     // 11. The poll(2) event loop: a single connection pipelining yield
     //     AND sizing queries back-to-back over a real socket must get
-    //     answers bit-identical to in-process estimates (sizes queued
-    //     behind an in-flight batch coalesce into one batched ladder
-    //     sweep), invariant across
-    //     PI_THREADS, and byte-identical on the wire to the
-    //     thread-per-connection reference mode.
+    //     answers bit-identical to in-process estimates (sizes parsed
+    //     together coalesce into one batched ladder sweep), with wire
+    //     bytes invariant across PI_THREADS.
     {
         use pi_serve::api::{ApiRequest, SizeRequest, SizeResponse, YieldRequest, YieldResponse};
         use pi_serve::http::{read_response, write_request};
-        use pi_serve::{IoMode, ServeConfig, Server};
+        use pi_serve::{ServeConfig, Server};
 
         let length = Length::mm(5.0);
         let spec = LineSpec::global(length, DesignStyle::SingleSpacing);
@@ -568,12 +566,11 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
         // One pipelined burst: write all five requests before reading any
         // response, so whatever queues behind the first in-flight batch
         // coalesces server-side.
-        let run = |io: IoMode, threads: &str| -> Vec<String> {
+        let run = |threads: &str| -> Vec<String> {
             with_threads(Some(threads), || {
                 let mut server = Server::start(&ServeConfig {
                     port: 0,
                     queue_depth: 64,
-                    io,
                     ..ServeConfig::default()
                 })
                 .expect("bind ephemeral");
@@ -631,96 +628,85 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
             })
         };
 
-        let mut by_mode: Vec<Vec<String>> = Vec::new();
-        for io in [IoMode::Poll, IoMode::Threads] {
-            let runs: Vec<Vec<String>> = ["1", "4"].iter().map(|t| run(io, t)).collect();
-            assert_eq!(runs[0], runs[1], "{io:?}: served bytes, 1 vs 4 threads");
+        let runs = [run("1"), run("4")];
+        assert_eq!(runs[0], runs[1], "served bytes, 1 vs 4 threads");
 
-            for (&seed, body) in yield_seeds.iter().zip(&runs[0]) {
-                let v = pi_serve::json::parse(body).expect("json");
-                let got = YieldResponse::from_json(&v).expect("yield body");
-                let config =
-                    EstimatorConfig::new("sobol-scrambled".parse::<Method>().expect("method"))
-                        .with_seed(seed)
-                        .with_target_half_width(2.0 / 100.0);
-                let direct = with_threads(Some("1"), || {
-                    evaluator.timing_yield_estimate(
-                        &spec,
-                        &cli_plan,
-                        &VariationModel::nominal(),
-                        deadline,
-                        &config,
-                    )
-                });
-                assert_eq!(
-                    direct.yield_fraction.to_bits(),
-                    got.yield_fraction.to_bits(),
-                    "{io:?}: pipelined yield vs in-process, seed {seed}"
-                );
-                assert_eq!(
-                    direct.half_width.to_bits(),
-                    got.half_width.to_bits(),
-                    "{io:?}: half-width, seed {seed}"
-                );
-                assert_eq!(direct.evals as u64, got.evals, "{io:?}: seed {seed}");
-            }
-            for (&(seed, estimator, deadline_ps), body) in
-                size_jobs.iter().zip(&runs[0][yield_seeds.len()..])
-            {
-                let v = pi_serve::json::parse(body).expect("json");
-                let got = SizeResponse::from_json(&v).expect("size body");
-                let config = EstimatorConfig::new(estimator.parse::<Method>().expect("method"))
-                    .with_seed(seed)
-                    .with_target_half_width(2.0 / 100.0);
-                let query = SizeQuery {
-                    spec,
-                    plan: cli_plan,
-                    variation: VariationModel::nominal(),
-                    deadline: pi_tech::units::Time::ps(deadline_ps),
-                    target_yield: 0.9,
-                    config,
-                };
-                let direct = with_threads(Some("1"), || {
-                    evaluator.size_for_yield_batch(&[query]).remove(0)
-                })
-                .expect("sizing as a batch of one succeeds");
-                assert_eq!(
-                    direct.plan.count as u64, got.count,
-                    "{io:?}: batched size count, seed {seed}"
-                );
-                assert_eq!(
-                    direct.plan.wn.as_um().to_bits(),
-                    got.wn_um.to_bits(),
-                    "{io:?}: batched size width, seed {seed}"
-                );
-                assert_eq!(
-                    direct.achieved_yield.to_bits(),
-                    got.achieved_yield.to_bits(),
-                    "{io:?}: achieved yield, seed {seed}"
-                );
-                assert_eq!(
-                    direct.steps as u64, got.steps,
-                    "{io:?}: sizing steps, seed {seed}"
-                );
-            }
-            by_mode.push(runs.into_iter().next().expect("one run"));
+        for (&seed, body) in yield_seeds.iter().zip(&runs[0]) {
+            let v = pi_serve::json::parse(body).expect("json");
+            let got = YieldResponse::from_json(&v).expect("yield body");
+            let config = EstimatorConfig::new("sobol-scrambled".parse::<Method>().expect("method"))
+                .with_seed(seed)
+                .with_target_half_width(2.0 / 100.0);
+            let direct = with_threads(Some("1"), || {
+                evaluator.timing_yield_estimate(
+                    &spec,
+                    &cli_plan,
+                    &VariationModel::nominal(),
+                    deadline,
+                    &config,
+                )
+            });
+            assert_eq!(
+                direct.yield_fraction.to_bits(),
+                got.yield_fraction.to_bits(),
+                "pipelined yield vs in-process, seed {seed}"
+            );
+            assert_eq!(
+                direct.half_width.to_bits(),
+                got.half_width.to_bits(),
+                "half-width, seed {seed}"
+            );
+            assert_eq!(direct.evals as u64, got.evals, "seed {seed}");
         }
-        assert_eq!(
-            by_mode[0], by_mode[1],
-            "poll event loop vs thread-per-connection: wire bodies differ"
-        );
+        for (&(seed, estimator, deadline_ps), body) in
+            size_jobs.iter().zip(&runs[0][yield_seeds.len()..])
+        {
+            let v = pi_serve::json::parse(body).expect("json");
+            let got = SizeResponse::from_json(&v).expect("size body");
+            let config = EstimatorConfig::new(estimator.parse::<Method>().expect("method"))
+                .with_seed(seed)
+                .with_target_half_width(2.0 / 100.0);
+            let query = SizeQuery {
+                spec,
+                plan: cli_plan,
+                variation: VariationModel::nominal(),
+                deadline: pi_tech::units::Time::ps(deadline_ps),
+                target_yield: 0.9,
+                config,
+            };
+            let direct = with_threads(Some("1"), || {
+                evaluator.size_for_yield_batch(&[query]).remove(0)
+            })
+            .expect("sizing as a batch of one succeeds");
+            assert_eq!(
+                direct.plan.count as u64, got.count,
+                "batched size count, seed {seed}"
+            );
+            assert_eq!(
+                direct.plan.wn.as_um().to_bits(),
+                got.wn_um.to_bits(),
+                "batched size width, seed {seed}"
+            );
+            assert_eq!(
+                direct.achieved_yield.to_bits(),
+                got.achieved_yield.to_bits(),
+                "achieved yield, seed {seed}"
+            );
+            assert_eq!(direct.steps as u64, got.steps, "sizing steps, seed {seed}");
+        }
     }
 
     // 12. Live telemetry must be invisible on the wire: the same
     //     pipelined burst served with the JSONL trace journal AND the
     //     access log on must produce bytes identical to a run with every
-    //     sink off — per io mode, at 1 and 4 threads. While the sinks
+    //     sink off — at 1 and 4 threads, and identical across the two
+    //     thread counts. While the sinks
     //     are on, the access log itself must be well-formed JSONL with
     //     one line per request.
     {
         use pi_serve::api::{ApiRequest, YieldRequest};
         use pi_serve::http::{read_response, write_request};
-        use pi_serve::{IoMode, ServeConfig, Server};
+        use pi_serve::{ServeConfig, Server};
 
         let journal = std::env::temp_dir().join("pi_determinism_serve_obs.jsonl");
         let access = std::env::temp_dir().join("pi_determinism_access.jsonl");
@@ -742,12 +728,11 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
             })
             .collect();
 
-        let run = |io: IoMode, threads: &str, sinks_on: bool| -> Vec<String> {
+        let run = |threads: &str, sinks_on: bool| -> Vec<String> {
             with_threads(Some(threads), || {
                 let mut server = Server::start(&ServeConfig {
                     port: 0,
                     queue_depth: 64,
-                    io,
                     access_log: sinks_on.then(|| access.display().to_string()),
                     ..ServeConfig::default()
                 })
@@ -777,57 +762,55 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
         };
 
         let mut baseline: Option<Vec<String>> = None;
-        for io in [IoMode::Poll, IoMode::Threads] {
-            for threads in ["1", "4"] {
-                std::env::remove_var("PI_OBS");
-                pi_obs::reinit_from_env();
-                let quiet = run(io, threads, false);
+        for threads in ["1", "4"] {
+            std::env::remove_var("PI_OBS");
+            pi_obs::reinit_from_env();
+            let quiet = run(threads, false);
 
-                let _ = std::fs::remove_file(&journal);
-                let _ = std::fs::remove_file(&access);
-                std::env::set_var("PI_OBS", format!("jsonl:{}", journal.display()));
-                pi_obs::reinit_from_env();
-                let traced = run(io, threads, true);
-                pi_obs::finish();
-                std::env::remove_var("PI_OBS");
-                pi_obs::reinit_from_env();
+            let _ = std::fs::remove_file(&journal);
+            let _ = std::fs::remove_file(&access);
+            std::env::set_var("PI_OBS", format!("jsonl:{}", journal.display()));
+            pi_obs::reinit_from_env();
+            let traced = run(threads, true);
+            pi_obs::finish();
+            std::env::remove_var("PI_OBS");
+            pi_obs::reinit_from_env();
 
+            assert_eq!(
+                quiet, traced,
+                "at {threads} thread(s): telemetry sinks changed served bytes"
+            );
+            match &baseline {
+                None => baseline = Some(quiet),
+                Some(b) => assert_eq!(
+                    b, &quiet,
+                    "at {threads} thread(s): served bytes drifted across thread counts"
+                ),
+            }
+
+            let log = std::fs::read_to_string(&access).expect("access log written");
+            let lines: Vec<&str> = log.lines().collect();
+            assert_eq!(
+                lines.len(),
+                requests.len(),
+                "at {threads} thread(s): one access-log line per request"
+            );
+            for line in lines {
+                let v = pi_serve::json::parse(line).expect("access-log line is JSON");
                 assert_eq!(
-                    quiet, traced,
-                    "{io:?} at {threads} thread(s): telemetry sinks changed served bytes"
+                    v.get("endpoint").and_then(pi_serve::json::Json::as_str),
+                    Some("yield")
                 );
-                match &baseline {
-                    None => baseline = Some(quiet),
-                    Some(b) => assert_eq!(
-                        b, &quiet,
-                        "{io:?} at {threads} thread(s): served bytes drifted across modes"
-                    ),
-                }
-
-                let log = std::fs::read_to_string(&access).expect("access log written");
-                let lines: Vec<&str> = log.lines().collect();
                 assert_eq!(
-                    lines.len(),
-                    requests.len(),
-                    "{io:?} at {threads} thread(s): one access-log line per request"
+                    v.get("status").and_then(pi_serve::json::Json::as_u64),
+                    Some(200)
                 );
-                for line in lines {
-                    let v = pi_serve::json::parse(line).expect("access-log line is JSON");
-                    assert_eq!(
-                        v.get("endpoint").and_then(pi_serve::json::Json::as_str),
-                        Some("yield")
-                    );
-                    assert_eq!(
-                        v.get("status").and_then(pi_serve::json::Json::as_u64),
-                        Some(200)
-                    );
-                    assert!(v.get("id").and_then(pi_serve::json::Json::as_u64) >= Some(1));
-                    let total = v
-                        .get("total_us")
-                        .and_then(pi_serve::json::Json::as_f64)
-                        .expect("total_us present");
-                    assert!(total > 0.0, "request duration recorded");
-                }
+                assert!(v.get("id").and_then(pi_serve::json::Json::as_u64) >= Some(1));
+                let total = v
+                    .get("total_us")
+                    .and_then(pi_serve::json::Json::as_f64)
+                    .expect("total_us present");
+                assert!(total > 0.0, "request duration recorded");
             }
         }
         let _ = std::fs::remove_file(&journal);
@@ -837,13 +820,13 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
     // 13. GP sizing: the posynomial solver is serial scalar arithmetic,
     //     so its answers must be bit-identical at any PI_THREADS — and a
     //     pipelined burst of `gp: true` /v1/size requests must serve
-    //     bytes identical across thread counts AND io modes, parsing to
+    //     bytes identical across thread counts, parsing to
     //     exactly the in-process `size_for_yield_gp_batch` result for
     //     each request sized as a batch of one.
     {
         use pi_serve::api::{ApiRequest, SizeRequest, SizeResponse};
         use pi_serve::http::{read_response, write_request};
-        use pi_serve::{IoMode, ServeConfig, Server};
+        use pi_serve::{ServeConfig, Server};
 
         let length = Length::mm(5.0);
         let spec = LineSpec::global(length, DesignStyle::SingleSpacing);
@@ -885,12 +868,11 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
         );
         assert_eq!(gp_one.steps, gp_four.steps, "GP steps: 1 vs 4 threads");
 
-        let run = |io: IoMode, threads: &str| -> Vec<String> {
+        let run = |threads: &str| -> Vec<String> {
             with_threads(Some(threads), || {
                 let mut server = Server::start(&ServeConfig {
                     port: 0,
                     queue_depth: 64,
-                    io,
                     ..ServeConfig::default()
                 })
                 .expect("bind ephemeral");
@@ -934,42 +916,34 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
             })
         };
 
-        let mut by_mode: Vec<Vec<String>> = Vec::new();
-        for io in [IoMode::Poll, IoMode::Threads] {
-            let runs: Vec<Vec<String>> = ["1", "4"].iter().map(|t| run(io, t)).collect();
-            assert_eq!(runs[0], runs[1], "{io:?}: served gp bytes, 1 vs 4 threads");
-            for (&(seed, estimator, deadline_ps), body) in size_jobs.iter().zip(&runs[0]) {
-                let v = pi_serve::json::parse(body).expect("json");
-                let got = SizeResponse::from_json(&v).expect("size body");
-                let query = query_for(seed, estimator, deadline_ps);
-                let direct = with_threads(Some("1"), || {
-                    evaluator.size_for_yield_gp_batch(&[query]).remove(0)
-                })
-                .expect("GP sizing as a batch of one succeeds");
-                assert_eq!(
-                    direct.plan.count as u64, got.count,
-                    "{io:?}: served gp count, seed {seed}"
-                );
-                assert_eq!(
-                    direct.plan.wn.as_um().to_bits(),
-                    got.wn_um.to_bits(),
-                    "{io:?}: served gp width, seed {seed}"
-                );
-                assert_eq!(
-                    direct.achieved_yield.to_bits(),
-                    got.achieved_yield.to_bits(),
-                    "{io:?}: served gp yield, seed {seed}"
-                );
-                assert_eq!(
-                    direct.steps as u64, got.steps,
-                    "{io:?}: served gp steps, seed {seed}"
-                );
-            }
-            by_mode.push(runs.into_iter().next().expect("one run"));
+        let runs = [run("1"), run("4")];
+        assert_eq!(runs[0], runs[1], "served gp bytes, 1 vs 4 threads");
+        for (&(seed, estimator, deadline_ps), body) in size_jobs.iter().zip(&runs[0]) {
+            let v = pi_serve::json::parse(body).expect("json");
+            let got = SizeResponse::from_json(&v).expect("size body");
+            let query = query_for(seed, estimator, deadline_ps);
+            let direct = with_threads(Some("1"), || {
+                evaluator.size_for_yield_gp_batch(&[query]).remove(0)
+            })
+            .expect("GP sizing as a batch of one succeeds");
+            assert_eq!(
+                direct.plan.count as u64, got.count,
+                "served gp count, seed {seed}"
+            );
+            assert_eq!(
+                direct.plan.wn.as_um().to_bits(),
+                got.wn_um.to_bits(),
+                "served gp width, seed {seed}"
+            );
+            assert_eq!(
+                direct.achieved_yield.to_bits(),
+                got.achieved_yield.to_bits(),
+                "served gp yield, seed {seed}"
+            );
+            assert_eq!(
+                direct.steps as u64, got.steps,
+                "served gp steps, seed {seed}"
+            );
         }
-        assert_eq!(
-            by_mode[0], by_mode[1],
-            "gp sizing: poll event loop vs thread-per-connection wire bodies differ"
-        );
     }
 }
