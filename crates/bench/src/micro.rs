@@ -19,6 +19,8 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use pi_obs::json::{self, Json};
+
 /// Summary statistics for one benchmarked closure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
@@ -39,13 +41,21 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// One JSON object on a single line (JSON-lines record).
+    /// One JSON object on a single line (JSON-lines record), times to
+    /// 0.1 ns.
     #[must_use]
     pub fn json_line(&self) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"median_ns\":{:.1},\"mad_ns\":{:.1},\"min_ns\":{:.1},\"max_ns\":{:.1},\"trials\":{},\"iters\":{}}}",
-            self.name, self.median_ns, self.mad_ns, self.min_ns, self.max_ns, self.trials, self.iters
-        )
+        let ns = |v: f64| Json::from_f64((v * 10.0).round() / 10.0);
+        json::obj(vec![
+            ("name", Json::Str(self.name.clone())),
+            ("median_ns", ns(self.median_ns)),
+            ("mad_ns", ns(self.mad_ns)),
+            ("min_ns", ns(self.min_ns)),
+            ("max_ns", ns(self.max_ns)),
+            ("trials", Json::Int(self.trials as i128)),
+            ("iters", Json::Int(self.iters.into())),
+        ])
+        .render()
     }
 }
 
@@ -235,10 +245,28 @@ mod tests {
             max_ns: 2.0,
         };
         let j = m.json_line();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"name\":\"x\""));
-        assert!(j.contains("\"median_ns\":1.5"));
-        assert!(j.contains("\"iters\":10"));
+        assert_eq!(
+            j,
+            "{\"name\":\"x\",\"median_ns\":1.5,\"mad_ns\":0.3,\"min_ns\":1,\"max_ns\":2,\
+             \"trials\":3,\"iters\":10}"
+        );
+    }
+
+    #[test]
+    fn json_line_escapes_the_name() {
+        let name = "odd \"name\" with \\ and\ttab";
+        let m = Measurement {
+            name: name.into(),
+            trials: 1,
+            iters: 1,
+            median_ns: 1234.56,
+            mad_ns: 0.0,
+            min_ns: 1000.0,
+            max_ns: 1500.0,
+        };
+        let v = json::parse(&m.json_line()).expect("valid JSON");
+        assert_eq!(v.get("name").and_then(Json::as_str), Some(name));
+        assert_eq!(v.get("median_ns").and_then(Json::as_f64), Some(1234.6));
     }
 
     #[test]

@@ -35,7 +35,7 @@
 
 use std::collections::HashMap;
 use std::io::Write as _;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use pi_spice::ENGINE_VERSION;
 use pi_tech::units::{Cap, Length, Time};
@@ -93,7 +93,7 @@ impl JournalSink {
     /// failed write drops the handle so the next append retries the open
     /// (e.g. after the journal's directory reappears).
     fn append(&self, line: &str) {
-        let mut file = self.file.lock().expect("journal sink poisoned");
+        let mut file = lock(&self.file);
         if file.is_none() {
             *file = std::fs::OpenOptions::new()
                 .create(true)
@@ -235,6 +235,16 @@ fn load_journal(text: &str) -> (Vec<JournalEntry>, u64) {
         }
     }
     (entries, recovered)
+}
+
+/// Locks the cache state or the journal sink. A panic elsewhere while the
+/// lock was held (poisoning it) leaves both usable: every state update is
+/// a lookup, a counter bump or a single insert of a finished value, and a
+/// line cut short in the journal is skipped (and counted) at the next
+/// load. So the cache recovers the guard instead of cascading the panic
+/// into every later caller — in `pi serve`, every later request.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn state() -> &'static Mutex<CacheState> {
@@ -399,7 +409,7 @@ pub fn lookup(key: &CharKey) -> Option<(Time, Time)> {
     if !enabled() {
         return None;
     }
-    let mut st = state().lock().expect("char cache poisoned");
+    let mut st = lock(state());
     if let Some(&(d, s)) = st.map.get(key) {
         st.hits += 1;
         pi_obs::counter_add("char_cache.hits", 1);
@@ -425,7 +435,7 @@ pub fn lookup_many(keys: &[CharKey]) -> Vec<Option<(Time, Time)>> {
     if !enabled() {
         return vec![None; keys.len()];
     }
-    let mut st = state().lock().expect("char cache poisoned");
+    let mut st = lock(state());
     let out: Vec<Option<(Time, Time)>> = keys
         .iter()
         .map(|key| {
@@ -455,7 +465,7 @@ pub fn store_many(entries: &[(CharKey, Time, Time)]) {
     if entries.is_empty() || !enabled() {
         return;
     }
-    let mut st = state().lock().expect("char cache poisoned");
+    let mut st = lock(state());
     let mut fresh: Vec<(CharKey, (u64, u64))> = Vec::new();
     for &(key, delay, output_slew) in entries {
         let val = (delay.si().to_bits(), output_slew.si().to_bits());
@@ -489,7 +499,7 @@ pub fn store(key: CharKey, delay: Time, output_slew: Time) {
         return;
     }
     let val = (delay.si().to_bits(), output_slew.si().to_bits());
-    let mut st = state().lock().expect("char cache poisoned");
+    let mut st = lock(state());
     if st.map.insert(key, val).is_none() {
         // Crossing the cap mid-run is surfaced (once) but nothing is
         // evicted live — lookups must stay deterministic within a run.
@@ -518,7 +528,7 @@ pub fn store(key: CharKey, delay: Time, output_slew: Time) {
 /// Current hit/miss/entry counters.
 #[must_use]
 pub fn stats() -> CacheStats {
-    let st = state().lock().expect("char cache poisoned");
+    let st = lock(state());
     CacheStats {
         hits: st.hits,
         misses: st.misses,
@@ -531,7 +541,7 @@ pub fn stats() -> CacheStats {
 /// determinism tests to force recomputation between runs). Does not
 /// truncate a journal file.
 pub fn clear() {
-    let mut st = state().lock().expect("char cache poisoned");
+    let mut st = lock(state());
     st.map.clear();
     st.hits = 0;
     st.misses = 0;
@@ -569,6 +579,49 @@ mod tests {
         let st = stats();
         assert!(st.entries >= 1);
         assert!(st.hits >= 1 && st.misses >= 1);
+    }
+
+    #[test]
+    fn poisoned_cache_locks_are_recovered_not_cascaded() {
+        let path = std::env::temp_dir().join(format!(
+            "pi_char_cache_poison_{}.journal",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let sink = JournalSink::new(path.clone());
+        std::thread::scope(|s| {
+            let panicked = [
+                s.spawn(|| {
+                    let _guard = state().lock().expect("first lock");
+                    panic!("a panic while holding the char-cache lock");
+                }),
+                s.spawn(|| {
+                    let _guard = sink.file.lock().expect("first lock");
+                    panic!("a panic while holding the journal-sink lock");
+                }),
+            ];
+            for handle in panicked {
+                assert!(handle.join().is_err());
+            }
+        });
+        assert!(state().is_poisoned());
+        assert!(sink.file.is_poisoned());
+
+        // Every entry point that takes the state lock carries on. Other
+        // tests may `clear()` the shared map at any time, so only the
+        // absence of a panic is asserted for it.
+        let k = sample_key(0x5157);
+        let _ = lookup(&k);
+        store(k, Time::ps(1.0), Time::ps(2.0));
+        let _ = lookup_many(&[k]);
+        store_many(&[(k, Time::ps(1.0), Time::ps(2.0))]);
+        let _ = stats();
+        clear();
+        // The sink still appends whole lines.
+        sink.append("after the panic");
+        let text = std::fs::read_to_string(&path).expect("journal written");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(text, "after the panic\n");
     }
 
     #[test]

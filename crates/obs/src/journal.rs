@@ -1,15 +1,16 @@
-//! JSONL trace journal: record emitters and the schema checker behind
-//! `pi obs-report --check` and the verify.sh gate.
+//! JSONL trace journal: the one definition of its records ([`Record`]),
+//! their writer, and the schema checker behind `pi obs-report --check`
+//! and the verify.sh gate.
 //!
 //! Every journal line is one flat JSON object — string and number values
-//! only, no nesting — so any external JSON tool can read it. Strings are
-//! written, and lines parsed, by the workspace codec ([`crate::json`]).
-//! The record types (schema version 1):
+//! only, no nesting — so any external JSON tool can read it. Lines are
+//! written, and parsed, by the workspace codec ([`crate::json`]). The
+//! record types (schema version 1), with keys in the order written:
 //!
 //! | `type`        | fields |
 //! |---------------|--------|
 //! | `meta`        | `schema` (num), `mode` (str) |
-//! | `span`        | `id`, `parent`, `thread`, `start_ns`, `dur_ns` (nums), `name` (str) |
+//! | `span`        | `id`, `parent`, `thread` (nums), `name` (str), `start_ns`, `dur_ns` (nums) |
 //! | `sample`      | `name` (str), `x`, `y` (nums) |
 //! | `counter`     | `name` (str), `value` (num) |
 //! | `gauge`       | `name` (str), `value` (num) |
@@ -24,242 +25,234 @@
 //! finishing (main) thread's id so report tooling can separate main-thread
 //! roots from worker-thread roots.
 
+use std::borrow::Cow;
+
 use crate::json::{self, Json};
 
-// ---------------------------------------------------------------------------
-// Emission
-// ---------------------------------------------------------------------------
-
-/// `s` as a JSON string literal, quotes included.
-fn quoted(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    json::write_string(&mut out, s);
-    out
+/// A value a record field can hold: how it is written and read back.
+trait Field: Sized {
+    /// What a parse error says the field should have been.
+    const WHAT: &'static str;
+    fn put(&self, out: &mut String);
+    fn read(v: &Json) -> Option<Self>;
 }
 
-/// Formats an f64 as a JSON number. Uses scientific notation for very long
-/// plain expansions (e.g. 2^-40 bucket bounds); non-finite values, which the
-/// probes already filter, degrade to 0.
-fn num(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".to_string();
+impl Field for u64 {
+    const WHAT: &'static str = "a non-negative integer";
+    fn put(&self, out: &mut String) {
+        Json::Int(i128::from(*self)).write(out);
     }
-    let plain = format!("{v}");
-    if plain.len() <= 24 {
-        plain
-    } else {
-        format!("{v:e}")
+    fn read(v: &Json) -> Option<Self> {
+        v.as_u64()
     }
 }
 
-pub(crate) fn meta_line(schema: u64, mode: &str) -> String {
-    format!(
-        "{{\"type\":\"meta\",\"schema\":{schema},\"mode\":{}}}",
-        quoted(mode)
-    )
+impl Field for f64 {
+    const WHAT: &'static str = "a number";
+    /// Non-finite values, which the probes already drop, degrade to 0.
+    fn put(&self, out: &mut String) {
+        Json::from_f64(if self.is_finite() { *self } else { 0.0 }).write(out);
+    }
+    fn read(v: &Json) -> Option<Self> {
+        v.as_f64()
+    }
 }
 
-pub(crate) fn span_line(
-    id: u64,
-    parent: u64,
-    thread: u64,
-    name: &str,
-    start_ns: u64,
-    dur_ns: u64,
-) -> String {
-    format!(
-        "{{\"type\":\"span\",\"id\":{id},\"parent\":{parent},\"thread\":{thread},\
-         \"name\":{},\"start_ns\":{start_ns},\"dur_ns\":{dur_ns}}}",
-        quoted(name)
-    )
+impl Field for Cow<'_, str> {
+    const WHAT: &'static str = "a string";
+    fn put(&self, out: &mut String) {
+        json::write_string(out, self);
+    }
+    fn read(v: &Json) -> Option<Self> {
+        v.as_str().map(|s| Cow::Owned(s.to_owned()))
+    }
 }
 
-pub(crate) fn sample_line(name: &str, x: f64, y: f64) -> String {
-    format!(
-        "{{\"type\":\"sample\",\"name\":{},\"x\":{},\"y\":{}}}",
-        quoted(name),
-        num(x),
-        num(y)
-    )
+fn put<T: Field>(out: &mut String, key: &str, v: &T) {
+    out.push(',');
+    json::write_string(out, key);
+    out.push(':');
+    v.put(out);
 }
 
-pub(crate) fn counter_line(name: &str, value: u64) -> String {
-    format!(
-        "{{\"type\":\"counter\",\"name\":{},\"value\":{value}}}",
-        quoted(name)
-    )
-}
-
-pub(crate) fn gauge_line(name: &str, value: f64) -> String {
-    format!(
-        "{{\"type\":\"gauge\",\"name\":{},\"value\":{}}}",
-        quoted(name),
-        num(value)
-    )
-}
-
-pub(crate) fn hist_bucket_line(name: &str, lo: f64, hi: f64, count: u64) -> String {
-    format!(
-        "{{\"type\":\"hist_bucket\",\"name\":{},\"lo\":{},\"hi\":{},\"count\":{count}}}",
-        quoted(name),
-        num(lo),
-        num(hi)
-    )
-}
-
-pub(crate) fn warn_line(name: &str, msg: &str) -> String {
-    format!(
-        "{{\"type\":\"warn\",\"name\":{},\"msg\":{}}}",
-        quoted(name),
-        quoted(msg)
-    )
-}
-
-pub(crate) fn finish_line(wall_ns: u64, thread: u64) -> String {
-    format!("{{\"type\":\"finish\",\"wall_ns\":{wall_ns},\"thread\":{thread}}}")
-}
-
-// ---------------------------------------------------------------------------
-// Schema checking
-// ---------------------------------------------------------------------------
-
-fn need_num(rec: &Json, key: &str) -> Result<f64, String> {
+fn get<T: Field>(rec: &Json, key: &str) -> Result<T, String> {
     rec.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing/non-numeric field `{key}`"))
+        .and_then(T::read)
+        .ok_or_else(|| format!("field `{key}` is missing or not {}", T::WHAT))
 }
 
-fn need_str<'a>(rec: &'a Json, key: &str) -> Result<&'a str, String> {
-    rec.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing/non-string field `{key}`"))
-}
+/// Defines [`Record`], its writer and its reader from one table of
+/// `Variant = "type" { field: kind, ... }` rows, so the three cannot
+/// drift apart. A `str` field is a `Cow<'a, str>`.
+macro_rules! records {
+    ($($variant:ident = $tag:literal { $($field:ident: $kind:ident),* })*) => {
+        /// One journal line; the fields are the schema table's (module
+        /// docs). Strings borrow when a probe writes a record and are
+        /// owned when [`Record::parse`] reads one.
+        #[allow(missing_docs)]
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum Record<'a> {
+            $($variant { $($field: records!(@ty $kind)),* },)*
+        }
 
-fn need_uint(rec: &Json, key: &str) -> Result<u64, String> {
-    let v = need_num(rec, key)?;
-    if v < 0.0 || v.fract() != 0.0 {
-        return Err(format!(
-            "field `{key}` must be a non-negative integer, got {v}"
-        ));
-    }
-    Ok(v as u64)
-}
+        impl Record<'_> {
+            /// Appends the record to `out` as one JSON object, keys in
+            /// schema order, without a newline. Writes straight into
+            /// `out` (no JSON tree is built), so spans can be journaled
+            /// on the hot path.
+            pub fn write(&self, out: &mut String) {
+                match self {
+                    $(Record::$variant { $($field),* } => {
+                        out.push_str(concat!("{\"type\":\"", $tag, "\""));
+                        $(put(out, stringify!($field), $field);)*
+                    })*
+                }
+                out.push('}');
+            }
 
-/// Validates one journal line against the schema and returns the parsed
-/// record: a flat JSON object whose values are strings or numbers. The
-/// record `type` drives which fields are required; unknown types are
-/// errors (the schema version in the `meta` line is the upgrade path).
-///
-/// # Errors
-///
-/// Returns a message naming the parse error, the nested or non-scalar
-/// field, or the schema violation.
-pub fn check_line(line: &str) -> Result<Json, String> {
-    let rec = json::parse(line)?;
-    let Json::Obj(fields) = &rec else {
-        return Err("journal line is not a JSON object".to_string());
+            /// The fields of a `type` tag's record, read from `rec`.
+            fn read(tag: &str, rec: &Json) -> Result<Record<'static>, String> {
+                match tag {
+                    $($tag => Ok(Record::$variant { $($field: get(rec, stringify!($field))?),* }),)*
+                    other => Err(format!("unknown record type `{other}`")),
+                }
+            }
+        }
     };
-    if let Some((key, _)) = fields
-        .iter()
-        .find(|(_, v)| !matches!(v, Json::Str(_) | Json::Int(_) | Json::Num(_)))
-    {
-        return Err(format!("unsupported value for key `{key}`"));
+    (@ty str) => { Cow<'a, str> };
+    (@ty $kind:ident) => { $kind };
+}
+
+records! {
+    Meta = "meta" { schema: u64, mode: str }
+    Span = "span" { id: u64, parent: u64, thread: u64, name: str, start_ns: u64, dur_ns: u64 }
+    Sample = "sample" { name: str, x: f64, y: f64 }
+    Counter = "counter" { name: str, value: u64 }
+    Gauge = "gauge" { name: str, value: f64 }
+    HistBucket = "hist_bucket" { name: str, lo: f64, hi: f64, count: u64 }
+    Warn = "warn" { name: str, msg: str }
+    Finish = "finish" { wall_ns: u64, thread: u64 }
+}
+
+impl Record<'_> {
+    /// Validates one journal line against the schema and returns the typed
+    /// record. The line must be a flat JSON object whose values are strings
+    /// or numbers; its `type` decides the required fields, and unknown
+    /// types are errors (the schema version in the `meta` line is the
+    /// upgrade path). Extra fields are ignored.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the parse error, the nested or non-scalar
+    /// field, or the schema violation.
+    pub fn parse(line: &str) -> Result<Record<'static>, String> {
+        let rec = json::parse(line)?;
+        let Json::Obj(fields) = &rec else {
+            return Err("journal line is not a JSON object".to_string());
+        };
+        if let Some((key, _)) = fields
+            .iter()
+            .find(|(_, v)| !matches!(v, Json::Str(_) | Json::Int(_) | Json::Num(_)))
+        {
+            return Err(format!("unsupported value for key `{key}`"));
+        }
+        let tag: Cow<str> = get(&rec, "type")?;
+        match Record::read(&tag, &rec)? {
+            Record::Meta { schema, .. } if schema != crate::SCHEMA_VERSION => Err(format!(
+                "schema version {schema} unsupported (expected {})",
+                crate::SCHEMA_VERSION
+            )),
+            Record::Span { id: 0, .. } => Err("span id must be positive".to_string()),
+            Record::HistBucket { lo, hi, .. } if lo > hi => {
+                Err(format!("hist_bucket has lo {lo} > hi {hi}"))
+            }
+            record => Ok(record),
+        }
     }
-    let ty = need_str(&rec, "type")?.to_string();
-    match ty.as_str() {
-        "meta" => {
-            let schema = need_uint(&rec, "schema")?;
-            if schema != crate::SCHEMA_VERSION {
-                return Err(format!(
-                    "schema version {schema} unsupported (expected {})",
-                    crate::SCHEMA_VERSION
-                ));
-            }
-            need_str(&rec, "mode")?;
-        }
-        "span" => {
-            let id = need_uint(&rec, "id")?;
-            if id == 0 {
-                return Err("span id must be positive".to_string());
-            }
-            need_uint(&rec, "parent")?;
-            need_uint(&rec, "thread")?;
-            need_str(&rec, "name")?;
-            need_uint(&rec, "start_ns")?;
-            need_uint(&rec, "dur_ns")?;
-        }
-        "sample" => {
-            need_str(&rec, "name")?;
-            need_num(&rec, "x")?;
-            need_num(&rec, "y")?;
-        }
-        "counter" => {
-            need_str(&rec, "name")?;
-            need_uint(&rec, "value")?;
-        }
-        "gauge" => {
-            need_str(&rec, "name")?;
-            need_num(&rec, "value")?;
-        }
-        "hist_bucket" => {
-            need_str(&rec, "name")?;
-            let lo = need_num(&rec, "lo")?;
-            let hi = need_num(&rec, "hi")?;
-            if lo > hi {
-                return Err(format!("hist_bucket has lo {lo} > hi {hi}"));
-            }
-            need_uint(&rec, "count")?;
-        }
-        "warn" => {
-            need_str(&rec, "name")?;
-            need_str(&rec, "msg")?;
-        }
-        "finish" => {
-            need_uint(&rec, "wall_ns")?;
-            need_uint(&rec, "thread")?;
-        }
-        other => return Err(format!("unknown record type `{other}`")),
-    }
-    Ok(rec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn line(rec: &Record) -> String {
+        let mut out = String::new();
+        rec.write(&mut out);
+        out
+    }
+
     #[test]
-    fn emitters_roundtrip_through_parser() {
-        let lines = [
-            meta_line(crate::SCHEMA_VERSION, "jsonl"),
-            span_line(3, 1, 2, "spice.transient", 12345, 6789),
-            sample_line("yield.ci_half_width", 1024.0, 0.0123),
-            counter_line("spice.newton_iters", 42),
-            gauge_line("yield.is_ess", 812.5),
-            hist_bucket_line("spice.lte_shrink", 0.25, 0.5, 7),
-            warn_line("PI_THREADS", "weird \"value\"\nnewline"),
-            finish_line(987654321, 1),
+    fn every_record_round_trips_through_parse() {
+        let name = |s: &'static str| Cow::Borrowed(s);
+        let records = [
+            Record::Meta {
+                schema: crate::SCHEMA_VERSION,
+                mode: name("jsonl"),
+            },
+            Record::Span {
+                id: 3,
+                parent: 1,
+                thread: 2,
+                name: name("spice.transient"),
+                start_ns: u64::MAX - 1,
+                dur_ns: 6789,
+            },
+            Record::Sample {
+                name: name("yield.ci_half_width"),
+                x: 1024.0,
+                y: 0.0123,
+            },
+            Record::Counter {
+                name: name("spice.newton_iters"),
+                value: 42,
+            },
+            Record::Gauge {
+                name: name("yield.is_ess"),
+                value: 812.5,
+            },
+            Record::HistBucket {
+                name: name("spice.lte_shrink"),
+                lo: 2f64.powi(-40),
+                hi: (-639.0f64 / 16.0).exp2(),
+                count: 7,
+            },
+            Record::Warn {
+                name: name("PI_THREADS"),
+                msg: name("weird \"value\"\nnewline \\ and \u{1}"),
+            },
+            Record::Finish {
+                wall_ns: 987_654_321,
+                thread: 1,
+            },
         ];
-        for line in &lines {
-            check_line(line).unwrap_or_else(|e| panic!("emitted line failed check: {e}\n{line}"));
+        for rec in &records {
+            let text = line(rec);
+            let back = Record::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+            assert_eq!(&back, rec, "{text}");
         }
-        let rec = check_line(&lines[1]).unwrap();
+        // Keys keep the schema table's order.
         assert_eq!(
-            rec.get("name").and_then(Json::as_str),
-            Some("spice.transient")
-        );
-        assert_eq!(rec.get("dur_ns").and_then(Json::as_f64), Some(6789.0));
-        let warn = check_line(&lines[6]).unwrap();
-        assert_eq!(
-            warn.get("msg").and_then(Json::as_str),
-            Some("weird \"value\"\nnewline")
+            line(&records[1]),
+            "{\"type\":\"span\",\"id\":3,\"parent\":1,\"thread\":2,\"name\":\"spice.transient\",\
+             \"start_ns\":18446744073709551614,\"dur_ns\":6789}"
         );
     }
 
     #[test]
-    fn tiny_bucket_bounds_stay_parseable() {
-        let line = hist_bucket_line("h", 2f64.powi(-40), 2f64.powi(-39), 1);
-        let rec = check_line(&line).unwrap();
-        assert_eq!(rec.get("lo").and_then(Json::as_f64), Some(2f64.powi(-40)));
+    fn non_finite_numbers_are_written_as_zero() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let text = line(&Record::Gauge {
+                name: Cow::Borrowed("g"),
+                value: v,
+            });
+            assert_eq!(
+                Record::parse(&text),
+                Ok(Record::Gauge {
+                    name: Cow::Borrowed("g"),
+                    value: 0.0
+                })
+            );
+        }
     }
 
     #[test]
@@ -275,8 +268,10 @@ mod tests {
             "{\"type\":\"finish\",\"wall_ns\":1,\"thread\":1} trailing",
             "{\"a\":{\"nested\":1}}",
             "{\"type\":\"gauge\",\"name\":\"g\",\"value\":true}",
+            "{\"type\":\"meta\",\"schema\":2,\"mode\":\"jsonl\"}", // future schema
+            "{\"type\":\"hist_bucket\",\"name\":\"h\",\"lo\":2,\"hi\":1,\"count\":1}",
         ] {
-            assert!(check_line(bad).is_err(), "accepted bad line: {bad}");
+            assert!(Record::parse(bad).is_err(), "accepted bad line: {bad}");
         }
     }
 }

@@ -1,8 +1,9 @@
 //! The workspace's one JSON codec: a small value type, a strict parser,
 //! and a writer whose output round-trips **bit-exactly** through the
 //! parser. It carries the serve protocol bodies (re-exported as
-//! `pi_serve::json`), and the trace journal ([`crate::journal`]) writes
-//! its strings and checks its lines with it.
+//! `pi_serve::json`), the access log and the micro-bench records, and the
+//! trace journal ([`crate::journal`]) writes its strings and numbers and
+//! checks its lines with it.
 //!
 //! The bodies and records are ordinary JSON objects, but two properties
 //! matter more than generality:
@@ -136,7 +137,13 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact JSON text to `out` (what [`Json::render`]
+    /// returns).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a non-finite [`Json::Num`].
+    pub fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),

@@ -34,11 +34,13 @@
 //! the thread exits (worker threads in `pi_rt::par_map` scopes) or when the
 //! owning code calls [`finish`] / [`snapshot`] (the main thread). Probes on
 //! the hot path therefore touch only thread-local state; the single global
-//! mutex is taken once per thread lifetime plus once per ~256 journal lines.
+//! mutex is taken once per thread lifetime, and the journal sink's once per
+//! 32 KiB of journal lines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
@@ -54,6 +56,7 @@ pub mod report;
 pub mod window;
 
 pub use hist::Hist;
+use journal::Record;
 
 /// JSONL schema version emitted in the `meta` record. Bump when the record
 /// shapes in [`journal`] change incompatibly.
@@ -64,8 +67,9 @@ const MODE_OFF: u8 = 0;
 const MODE_SUMMARY: u8 = 1;
 const MODE_JSONL: u8 = 2;
 
-/// How many journal lines a thread buffers before pushing them to the sink.
-const LINE_FLUSH: usize = 256;
+/// How many bytes of journal lines a thread buffers before writing them to
+/// the sink.
+const JOURNAL_FLUSH_BYTES: usize = 32 * 1024;
 
 static MODE: AtomicU8 = AtomicU8::new(MODE_UNINIT);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(0);
@@ -136,16 +140,17 @@ fn sink() -> &'static Mutex<Option<File>> {
     SINK.get_or_init(|| Mutex::new(None))
 }
 
-fn write_lines(lines: &[String]) {
-    let mut guard = lock(sink());
-    if let Some(f) = guard.as_mut() {
-        let mut buf = String::new();
-        for l in lines {
-            buf.push_str(l);
-            buf.push('\n');
-        }
-        let _ = f.write_all(buf.as_bytes());
+/// Writes newline-terminated journal lines to the sink, if one is open.
+fn write_journal(lines: &str) {
+    if let Some(f) = lock(sink()).as_mut() {
+        let _ = f.write_all(lines.as_bytes());
     }
+}
+
+/// Appends `rec` to `out` as one journal line.
+fn push_record(out: &mut String, rec: &Record) {
+    rec.write(out);
+    out.push('\n');
 }
 
 // ---------------------------------------------------------------------------
@@ -162,9 +167,27 @@ struct LocalBuf {
     counters: std::collections::HashMap<&'static str, u64>,
     hists: std::collections::HashMap<&'static str, Hist>,
     spans: std::collections::HashMap<&'static str, SpanStat>,
-    lines: Vec<String>,
+    /// Journal lines not yet written to the sink.
+    journal: String,
     stack: Vec<OpenSpan>,
     thread_id: u64,
+}
+
+impl LocalBuf {
+    /// Buffers one journal line, writing the buffer out once it is full.
+    fn journal(&mut self, rec: &Record) {
+        push_record(&mut self.journal, rec);
+        if self.journal.len() >= JOURNAL_FLUSH_BYTES {
+            self.flush_journal();
+        }
+    }
+
+    fn flush_journal(&mut self) {
+        if !self.journal.is_empty() {
+            write_journal(&self.journal);
+            self.journal.clear();
+        }
+    }
 }
 
 struct LocalGuard(RefCell<LocalBuf>);
@@ -172,10 +195,7 @@ struct LocalGuard(RefCell<LocalBuf>);
 impl Drop for LocalGuard {
     fn drop(&mut self) {
         let buf = self.0.get_mut();
-        if !buf.lines.is_empty() {
-            write_lines(&buf.lines);
-            buf.lines.clear();
-        }
+        buf.flush_journal();
         lock(global()).merge_from(buf);
     }
 }
@@ -229,7 +249,15 @@ fn init_slow() -> u8 {
     }
     MODE.store(mode, Ordering::Relaxed);
     if mode == MODE_JSONL {
-        write_lines(&[journal::meta_line(SCHEMA_VERSION, "jsonl")]);
+        let mut line = String::new();
+        push_record(
+            &mut line,
+            &Record::Meta {
+                schema: SCHEMA_VERSION,
+                mode: Cow::Borrowed("jsonl"),
+            },
+        );
+        write_journal(&line);
     }
     // Stamped last, with this thread's buffer pre-warmed: journal-file
     // creation and TLS setup must not count against the run's wall clock,
@@ -289,7 +317,7 @@ pub fn reinit_from_env() {
         b.counters.clear();
         b.hists.clear();
         b.spans.clear();
-        b.lines.clear();
+        b.journal.clear();
         b.stack.clear();
     });
     *lock(global()) = Agg::default();
@@ -342,24 +370,10 @@ pub fn sample(name: &'static str, x: f64, y: f64) {
         return;
     }
     if m == MODE_JSONL {
-        push_line(journal::sample_line(name, x, y));
+        let name = Cow::Borrowed(name);
+        with_local(|b| b.journal(&Record::Sample { name, x, y }));
     } else {
         lock(global()).gauges.insert(name, y);
-    }
-}
-
-fn push_line(line: String) {
-    let flushed = with_local(|b| {
-        b.lines.push(line);
-        if b.lines.len() >= LINE_FLUSH {
-            let drained: Vec<String> = b.lines.drain(..).collect();
-            Some(drained)
-        } else {
-            None
-        }
-    });
-    if let Some(Some(lines)) = flushed {
-        write_lines(&lines);
     }
 }
 
@@ -379,7 +393,8 @@ pub fn warn_once(key: &'static str, msg: &str) {
         return;
     }
     if m == MODE_JSONL {
-        push_line(journal::warn_line(key, msg));
+        let (name, msg) = (Cow::Borrowed(key), Cow::Borrowed(msg));
+        with_local(|b| b.journal(&Record::Warn { name, msg }));
     }
     lock(global()).warns.push((key, msg.to_string()));
 }
@@ -439,7 +454,7 @@ impl Drop for SpanGuard {
             u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
         });
         let jsonl = mode() == MODE_JSONL;
-        let line = with_local(|b| {
+        with_local(|b| {
             // Unwind to this span's frame; mismatches can only come from
             // probes racing a reinit_from_env, in which case we drop frames.
             let mut child_ns = 0;
@@ -457,21 +472,16 @@ impl Drop for SpanGuard {
             stat.total_ns += dur_ns;
             stat.self_ns += dur_ns.saturating_sub(child_ns.min(dur_ns));
             if jsonl {
-                Some(journal::span_line(
-                    self.id,
-                    self.parent,
-                    b.thread_id,
-                    self.name,
-                    self.start_ns,
+                b.journal(&Record::Span {
+                    id: self.id,
+                    parent: self.parent,
+                    thread: b.thread_id,
+                    name: Cow::Borrowed(self.name),
+                    start_ns: self.start_ns,
                     dur_ns,
-                ))
-            } else {
-                None
+                });
             }
         });
-        if let Some(Some(line)) = line {
-            push_line(line);
-        }
     }
 }
 
@@ -509,10 +519,7 @@ impl Snapshot {
 #[must_use]
 pub fn snapshot() -> Snapshot {
     with_local(|b| {
-        if !b.lines.is_empty() {
-            let drained: Vec<String> = b.lines.drain(..).collect();
-            write_lines(&drained);
-        }
+        b.flush_journal();
         lock(global()).merge_from(b);
     });
     let g = lock(global());
@@ -545,7 +552,7 @@ pub fn finish() {
         return;
     }
     let wall_ns = now_ns().saturating_sub(RUN_START_NS.load(Ordering::Relaxed));
-    let thread_id = with_local(|b| b.thread_id).unwrap_or(0);
+    let thread = with_local(|b| b.thread_id).unwrap_or(0);
     let snap = snapshot();
     {
         let mut g = lock(global());
@@ -556,23 +563,35 @@ pub fn finish() {
             eprintln!("{}", render_summary(&snap));
         }
         MODE_JSONL => {
-            let mut lines = Vec::new();
-            for (name, v) in &snap.counters {
-                lines.push(journal::counter_line(name, *v));
+            let mut lines = String::new();
+            for (name, &value) in &snap.counters {
+                let name = Cow::Borrowed(*name);
+                push_record(&mut lines, &Record::Counter { name, value });
             }
-            for (name, v) in &snap.gauges {
-                lines.push(journal::gauge_line(name, *v));
+            for (name, &value) in &snap.gauges {
+                let name = Cow::Borrowed(*name);
+                push_record(&mut lines, &Record::Gauge { name, value });
             }
             for (name, h) in &snap.hists {
                 for b in h.buckets() {
-                    lines.push(journal::hist_bucket_line(name, b.lo, b.hi, b.count));
+                    let (name, lo, hi, count) = (Cow::Borrowed(*name), b.lo, b.hi, b.count);
+                    push_record(
+                        &mut lines,
+                        &Record::HistBucket {
+                            name,
+                            lo,
+                            hi,
+                            count,
+                        },
+                    );
                 }
             }
             for (key, msg) in &snap.warns {
-                lines.push(journal::warn_line(key, msg));
+                let (name, msg) = (Cow::Borrowed(*key), Cow::Borrowed(msg.as_str()));
+                push_record(&mut lines, &Record::Warn { name, msg });
             }
-            lines.push(journal::finish_line(wall_ns, thread_id));
-            write_lines(&lines);
+            push_record(&mut lines, &Record::Finish { wall_ns, thread });
+            write_journal(&lines);
             if let Some(mut f) = lock(sink()).take() {
                 let _ = f.flush();
             }
@@ -765,9 +784,59 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         assert!(text.lines().count() >= 6);
         for line in text.lines() {
-            journal::check_line(line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
+            Record::parse(line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
         }
         assert!(text.contains("\"type\":\"finish\""));
         assert!(text.contains("\"name\":\"test.root\""));
+    }
+
+    /// Runs `probe` in jsonl mode and returns the finished journal.
+    fn journal_of(file: &str, probe: impl FnOnce()) -> String {
+        let path = std::env::temp_dir().join(file);
+        std::env::set_var("PI_OBS", format!("jsonl:{}", path.display()));
+        reinit_from_env();
+        probe();
+        finish();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        text
+    }
+
+    #[test]
+    fn non_finite_probe_values_still_give_a_valid_journal() {
+        let _l = env_lock();
+        let _r = ModeReset;
+        let text = journal_of("pi_obs_non_finite.jsonl", || {
+            for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                sample("test.s", v, 1.0);
+                sample("test.s", 1.0, v);
+                gauge_set("test.g", v);
+                hist_record("test.h", v);
+            }
+        });
+        report::check(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        assert!(text.contains("\"name\":\"test.h\",\"lo\":0,\"hi\":0,\"count\":3"));
+    }
+
+    #[test]
+    fn journaled_histograms_report_the_in_memory_quantiles() {
+        let _l = env_lock();
+        let _r = ModeReset;
+        let mut hist = Hist::default();
+        let text = journal_of("pi_obs_quantiles.jsonl", || {
+            for i in 1..=200 {
+                let v = 3.0 + f64::from(i * i) / 7.0;
+                hist_record("test.lat", v);
+                hist.record(v);
+            }
+        });
+        report::check(&text).unwrap();
+        let expected = format!(
+            "test.lat:  n 200  p50 ~{:.3}  p99 ~{:.3}",
+            hist.quantile(0.50),
+            hist.quantile(0.99)
+        );
+        let rendered = report::render(&text).unwrap();
+        assert!(rendered.contains(&expected), "{expected}\n{rendered}");
     }
 }

@@ -7,8 +7,8 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::journal;
-use crate::json::Json;
+use crate::hist::{self, Bucket};
+use crate::journal::Record;
 
 /// Relative tolerance for the wall-clock accounting check: the summed
 /// duration of main-thread root spans must be within this fraction of the
@@ -36,26 +36,11 @@ struct Journal {
     spans: Vec<SpanRec>,
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, f64)>,
-    hist_buckets: Vec<(String, f64, f64, u64)>,
-    samples: HashMap<String, Vec<(f64, f64)>>,
-    sample_order: Vec<String>,
+    /// Histogram buckets grouped by name, in journal order.
+    hists: Vec<(String, Vec<Bucket>)>,
+    samples: Vec<(String, Vec<(f64, f64)>)>,
     warns: Vec<(String, String)>,
     finish: Option<(u64, u64)>, // (wall_ns, thread)
-}
-
-fn get_u64(rec: &Json, key: &str) -> u64 {
-    get_f64(rec, key) as u64
-}
-
-fn get_f64(rec: &Json, key: &str) -> f64 {
-    rec.get(key).and_then(Json::as_f64).unwrap_or(0.0)
-}
-
-fn get_str(rec: &Json, key: &str) -> String {
-    rec.get(key)
-        .and_then(Json::as_str)
-        .unwrap_or("")
-        .to_string()
 }
 
 fn parse_journal(text: &str) -> Result<Journal, String> {
@@ -64,43 +49,44 @@ fn parse_journal(text: &str) -> Result<Journal, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let rec = journal::check_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        match get_str(&rec, "type").as_str() {
-            "span" => j.spans.push(SpanRec {
-                id: get_u64(&rec, "id"),
-                parent: get_u64(&rec, "parent"),
-                thread: get_u64(&rec, "thread"),
-                name: get_str(&rec, "name"),
-                dur_ns: get_u64(&rec, "dur_ns"),
+        match Record::parse(line).map_err(|e| format!("line {}: {e}", i + 1))? {
+            Record::Meta { .. } => {}
+            Record::Span {
+                id,
+                parent,
+                thread,
+                name,
+                dur_ns,
+                ..
+            } => j.spans.push(SpanRec {
+                id,
+                parent,
+                thread,
+                name: name.into_owned(),
+                dur_ns,
             }),
-            "counter" => j
-                .counters
-                .push((get_str(&rec, "name"), get_u64(&rec, "value"))),
-            "gauge" => j
-                .gauges
-                .push((get_str(&rec, "name"), get_f64(&rec, "value"))),
-            "hist_bucket" => j.hist_buckets.push((
-                get_str(&rec, "name"),
-                get_f64(&rec, "lo"),
-                get_f64(&rec, "hi"),
-                get_u64(&rec, "count"),
-            )),
-            "sample" => {
-                let name = get_str(&rec, "name");
-                if !j.samples.contains_key(&name) {
-                    j.sample_order.push(name.clone());
-                }
-                j.samples
-                    .entry(name)
-                    .or_default()
-                    .push((get_f64(&rec, "x"), get_f64(&rec, "y")));
-            }
-            "warn" => j.warns.push((get_str(&rec, "name"), get_str(&rec, "msg"))),
-            "finish" => j.finish = Some((get_u64(&rec, "wall_ns"), get_u64(&rec, "thread"))),
-            _ => {} // meta
+            Record::Counter { name, value } => j.counters.push((name.into_owned(), value)),
+            Record::Gauge { name, value } => j.gauges.push((name.into_owned(), value)),
+            Record::HistBucket {
+                name,
+                lo,
+                hi,
+                count,
+            } => push_grouped(&mut j.hists, &name, Bucket { lo, hi, count }),
+            Record::Sample { name, x, y } => push_grouped(&mut j.samples, &name, (x, y)),
+            Record::Warn { name, msg } => j.warns.push((name.into_owned(), msg.into_owned())),
+            Record::Finish { wall_ns, thread } => j.finish = Some((wall_ns, thread)),
         }
     }
     Ok(j)
+}
+
+/// Appends `item` to `name`'s group, opening the group at first sight.
+fn push_grouped<T>(groups: &mut Vec<(String, Vec<T>)>, name: &str, item: T) {
+    match groups.iter_mut().find(|(n, _)| n == name) {
+        Some((_, items)) => items.push(item),
+        None => groups.push((name.to_string(), vec![item])),
+    }
 }
 
 /// Formats nanoseconds with an adaptive unit, e.g. `1.234ms`.
@@ -300,33 +286,26 @@ pub fn render(text: &str) -> Result<String, String> {
             let _ = writeln!(out, "  {name:<44} {v:>14.6}");
         }
     }
-    if !j.hist_buckets.is_empty() {
+    if !j.hists.is_empty() {
         let _ = writeln!(out, "histograms:");
-        let mut last = "";
-        for (name, lo, hi, count) in &j.hist_buckets {
-            if name != last {
-                let group: Vec<(f64, f64, u64)> = j
-                    .hist_buckets
-                    .iter()
-                    .filter(|(n, _, _, _)| n == name)
-                    .map(|(_, lo, hi, c)| (*lo, *hi, *c))
-                    .collect();
-                let n: u64 = group.iter().map(|b| b.2).sum();
-                let _ = writeln!(
-                    out,
-                    "  {name}:  n {n}  p50 ~{:.3}  p99 ~{:.3}",
-                    bucket_quantile(&group, 0.50),
-                    bucket_quantile(&group, 0.99)
-                );
-                last = name;
+        for (name, buckets) in &j.hists {
+            let n: u64 = buckets.iter().map(|b| b.count).sum();
+            let q = |q| hist::quantile(buckets.iter().copied(), n, q);
+            let _ = writeln!(
+                out,
+                "  {name}:  n {n}  p50 ~{:.3}  p99 ~{:.3}",
+                q(0.50),
+                q(0.99)
+            );
+            for b in buckets {
+                let (lo, hi, count) = (b.lo, b.hi, b.count);
+                let _ = writeln!(out, "    [{lo:>12.6}, {hi:>12.6})  {count:>10}");
             }
-            let _ = writeln!(out, "    [{lo:>12.6}, {hi:>12.6})  {count:>10}");
         }
     }
     if !j.samples.is_empty() {
         let _ = writeln!(out, "samples:");
-        for name in &j.sample_order {
-            let pts = &j.samples[name];
+        for (name, pts) in &j.samples {
             let first = pts.first().copied().unwrap_or((0.0, 0.0));
             let last = pts.last().copied().unwrap_or((0.0, 0.0));
             let _ = writeln!(
@@ -347,28 +326,6 @@ pub fn render(text: &str) -> Result<String, String> {
         }
     }
     Ok(out)
-}
-
-/// Approximate quantile over journaled `(lo, hi, count)` buckets (ascending
-/// value order, as the journal emits them): geometric midpoint of the bucket
-/// containing the q-th value, 0 for the underflow bucket or empty input.
-fn bucket_quantile(buckets: &[(f64, f64, u64)], q: f64) -> f64 {
-    let total: u64 = buckets.iter().map(|b| b.2).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (lo, hi, c) in buckets {
-        seen += c;
-        if seen >= target {
-            if *hi <= 0.0 {
-                return 0.0;
-            }
-            return (lo * hi).sqrt();
-        }
-    }
-    0.0
 }
 
 /// Strict validation: every line checks against the schema, a `finish`

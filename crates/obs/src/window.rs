@@ -17,20 +17,15 @@
 //! while batch CLIs never activate it and pay one relaxed atomic load per
 //! probe — the same ≤2 ns disabled-path budget as the cumulative probes.
 //!
-//! Latency quantiles need finer resolution than the 2x buckets of
-//! [`crate::Hist`] (a 2x bucket quantized to its midpoint can be ~41% off),
-//! so windowed histograms use [`FineHist`]: log-bucketed at `SUB` (16)
-//! sub-buckets per octave (ratio `2^(1/16) ≈ 1.044`) with geometric
-//! interpolation inside the bucket, bounding the worst-case quantile error
-//! to under ~4.5% — tight enough that the verify.sh gate comparing the
-//! served 60 s-window p99 against the client-side pi-load p99 holds at 15%
-//! with room for real client/server measurement skew.
+//! Windowed histograms are [`crate::Hist`]s, so a windowed quantile has
+//! the same 1/16-octave resolution and interpolation as every other
+//! quantile in the workspace (see [`crate::hist`] for why that resolution).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::lock;
+use crate::{lock, Hist};
 
 /// Window horizons, seconds, offered by the readout API.
 pub const WINDOWS_S: [u64; 3] = [1, 10, 60];
@@ -38,12 +33,6 @@ pub const WINDOWS_S: [u64; 3] = [1, 10, 60];
 /// Ring capacity in one-second slots. Must exceed the largest window in
 /// [`WINDOWS_S`] by at least one slot (the current, still-open second).
 const SLOTS: usize = 64;
-
-/// Sub-buckets per power of two in [`FineHist`].
-const SUB: i32 = 16;
-
-/// Bucket index for zero/negative/non-finite values.
-const UNDERFLOW: i32 = i32::MIN;
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
@@ -58,114 +47,6 @@ pub fn activate() {
 #[must_use]
 pub fn active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
-}
-
-// ---------------------------------------------------------------------------
-// FineHist: sub-binary log-bucketed histogram
-// ---------------------------------------------------------------------------
-
-/// A sparse log-bucketed histogram with `SUB` (16) sub-buckets per octave.
-/// Finite positive `v` lands in bucket `floor(SUB * log2(v))`; zero,
-/// negative, and non-finite values share one underflow bucket. Merging is
-/// bucket-wise addition, so fold order never changes a count.
-#[derive(Clone, Debug, Default)]
-pub struct FineHist {
-    buckets: BTreeMap<i32, u64>,
-    count: u64,
-    sum: f64,
-}
-
-fn fine_index(v: f64) -> i32 {
-    if !v.is_finite() || v <= 0.0 {
-        return UNDERFLOW;
-    }
-    let e = (f64::from(SUB) * v.log2()).floor();
-    // Keep 2^(i/SUB) representable when materializing bounds.
-    let cap = f64::from(SUB) * 1020.0;
-    e.clamp(-cap, cap) as i32
-}
-
-fn fine_bounds(i: i32) -> (f64, f64) {
-    if i == UNDERFLOW {
-        return (0.0, 0.0);
-    }
-    let lo = (f64::from(i) / f64::from(SUB)).exp2();
-    let hi = (f64::from(i + 1) / f64::from(SUB)).exp2();
-    (lo, hi)
-}
-
-impl FineHist {
-    /// Records one value.
-    pub fn record(&mut self, v: f64) {
-        *self.buckets.entry(fine_index(v)).or_insert(0) += 1;
-        self.count += 1;
-        if v.is_finite() {
-            self.sum += v;
-        }
-    }
-
-    /// Adds all of `other`'s buckets into `self`.
-    pub fn merge(&mut self, other: &FineHist) {
-        for (i, c) in &other.buckets {
-            *self.buckets.entry(*i).or_insert(0) += c;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-
-    /// Total number of recorded values.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all finite recorded values. Accumulated in arrival order, so —
-    /// unlike the counts — the low bits can depend on event interleaving;
-    /// treat it as observational (Prometheus `_sum`), not as a pinned result.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Occupied buckets as `(lo, hi, count)` in ascending value order; the
-    /// underflow bucket reports `(0, 0, n)`.
-    #[must_use]
-    pub fn buckets(&self) -> Vec<(f64, f64, u64)> {
-        self.buckets
-            .iter()
-            .map(|(i, c)| {
-                let (lo, hi) = fine_bounds(*i);
-                (lo, hi, *c)
-            })
-            .collect()
-    }
-
-    /// Approximate quantile with geometric interpolation inside the bucket
-    /// containing the q-th value. Returns 0 for an empty histogram or when q
-    /// lands in the underflow bucket.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, c) in &self.buckets {
-            let before = seen;
-            seen += c;
-            if seen >= target {
-                if *i == UNDERFLOW {
-                    return 0.0;
-                }
-                let (lo, hi) = fine_bounds(*i);
-                // Geometric interpolation: position of the target rank within
-                // the bucket, applied on the log scale the buckets live on.
-                let frac = (target - before) as f64 / *c as f64;
-                return lo * (hi / lo).powf(frac.clamp(0.0, 1.0));
-            }
-        }
-        0.0
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -215,22 +96,20 @@ impl Default for GaugeW {
 
 #[derive(Default)]
 struct HistW {
-    total: FineHist,
-    slots: Vec<(u64, FineHist)>, // lazily grown to SLOTS entries
+    total: Hist,
+    slots: Vec<(u64, Hist)>, // lazily grown to SLOTS entries
 }
 
 impl HistW {
-    fn slot(&mut self, now_s: u64) -> &mut FineHist {
+    fn slot(&mut self, now_s: u64) -> &mut Hist {
         if self.slots.is_empty() {
-            self.slots = (0..SLOTS)
-                .map(|_| (u64::MAX, FineHist::default()))
-                .collect();
+            self.slots = (0..SLOTS).map(|_| (u64::MAX, Hist::default())).collect();
         }
         let idx = (now_s % SLOTS as u64) as usize;
         let (epoch, hist) = &mut self.slots[idx];
         if *epoch != now_s {
             *epoch = now_s;
-            *hist = FineHist::default();
+            *hist = Hist::default();
         }
         hist
     }
@@ -242,8 +121,8 @@ impl HistW {
         self.slot(now_s).record(value);
     }
 
-    fn fold(&self, now_s: u64, window_s: u64) -> FineHist {
-        let mut out = FineHist::default();
+    fn fold(&self, now_s: u64, window_s: u64) -> Hist {
+        let mut out = Hist::default();
         let lo = now_s.saturating_sub(window_s);
         for (epoch, hist) in &self.slots {
             if *epoch >= lo && *epoch < now_s {
@@ -409,7 +288,7 @@ pub struct HistSnap {
     /// Probe name.
     pub name: &'static str,
     /// Lifetime histogram since activation.
-    pub total: FineHist,
+    pub total: Hist,
     /// `(window_s, p50, p99)` for each window in [`WINDOWS_S`].
     pub quantiles: [(u64, f64, f64); WINDOWS_S.len()],
 }
@@ -485,35 +364,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fine_hist_quantiles_tighten_resolution() {
-        let mut h = FineHist::default();
-        for _ in 0..1000 {
-            h.record(1000.0);
-        }
-        // All mass at one point: interpolated quantile must land within one
-        // sub-bucket ratio (2^(1/16) ≈ 1.044) of the true value.
-        let p99 = h.quantile(0.99);
-        assert!((p99 / 1000.0 - 1.0).abs() < 0.05, "p99 {p99}");
-        assert_eq!(h.count(), 1000);
-        assert!((h.sum() - 1_000_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn fine_hist_merge_and_buckets_are_additive() {
-        let mut a = FineHist::default();
-        let mut b = FineHist::default();
-        a.record(2.0);
-        b.record(2.0);
-        b.record(-1.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        let buckets = a.buckets();
-        assert_eq!(buckets[0], (0.0, 0.0, 1)); // underflow
-        assert_eq!(buckets[1].2, 2);
-        assert!(buckets[1].0 <= 2.0 && 2.0 < buckets[1].1);
-    }
-
-    #[test]
     fn window_folds_only_complete_recent_seconds() {
         let mut s = Store::default();
         // Seconds 100..110: 10 events each; second 110 (current) ignored.
@@ -545,6 +395,26 @@ mod tests {
         let mixed = hw.fold(266, 60).quantile(0.50);
         assert!(mixed < 200.0, "mixed {mixed}");
         assert_eq!(hw.total.count(), 66);
+    }
+
+    #[test]
+    fn windowed_quantiles_are_pinned() {
+        // The windowed p50/p99 `/metrics` serves for this sample set,
+        // pinned so that a histogram change that moves them shows.
+        let mut s = Store::default();
+        let samples = [
+            12.5, 37.0, 88.0, 88.0, 150.0, 151.0, 420.0, 999.0, 1909.0, 2383.0, 0.0,
+        ];
+        for (t, v) in (0..).map(|k| 100 + k % 3).zip(samples) {
+            s.hist_record_at("w.pinned", v, t);
+        }
+        let hw = &s.hists["w.pinned"];
+        let all = hw.fold(103, 10);
+        assert_eq!(all.quantile(0.50), 148.956_781_923_529_95);
+        assert_eq!(all.quantile(0.99), 2_435.496_171_525_572_7);
+        let last = hw.fold(103, 1);
+        assert_eq!(last.quantile(0.50), 152.218_510_720_348_3);
+        assert_eq!(last.quantile(0.99), 1_961.171_518_870_679);
     }
 
     #[test]

@@ -42,6 +42,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use crate::batch::Batcher;
 use crate::config::ServeConfig;
 use crate::http::Request;
+use crate::json::{self, Json};
 use crate::server::ServerStats;
 use crate::store::plan_cache_hit_rate;
 
@@ -117,7 +118,7 @@ pub(crate) struct AccessEntry {
     pub(crate) flush_us: f64,
 }
 
-/// Per-server telemetry state shared by both connection modes.
+/// Per-server telemetry state: the access log and the slow-request bound.
 #[derive(Debug, Default)]
 pub(crate) struct Telemetry {
     access: Option<AccessLog>,
@@ -192,18 +193,27 @@ impl AccessLog {
         let ts_ms = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map_or(0, |d| d.as_millis());
-        let mut line = format!(
-            "{{\"ts_ms\":{ts_ms},\"id\":{},\"endpoint\":\"{}\",\"status\":{},\"total_us\":{:.1}",
-            e.id, e.endpoint, e.status, e.total_us
-        );
+        // Durations are logged to 0.1 µs.
+        let us = |v: f64| Json::from_f64((v * 10.0).round() / 10.0);
+        let mut fields = vec![
+            ("ts_ms", Json::Int(ts_ms.try_into().unwrap_or(0))),
+            ("id", Json::Int(e.id.into())),
+            ("endpoint", Json::Str(e.endpoint.to_string())),
+            ("status", Json::Int(e.status.into())),
+            ("total_us", us(e.total_us)),
+        ];
         if slow {
-            line.push_str(&format!(
-                ",\"slow\":true,\"parse_us\":{:.1},\"queue_us\":{:.1},\"compute_us\":{:.1},\
-                 \"render_us\":{:.1},\"flush_us\":{:.1}",
-                e.parse_us, e.queue_us, e.compute_us, e.render_us, e.flush_us
-            ));
+            fields.extend([
+                ("slow", Json::Bool(true)),
+                ("parse_us", us(e.parse_us)),
+                ("queue_us", us(e.queue_us)),
+                ("compute_us", us(e.compute_us)),
+                ("render_us", us(e.render_us)),
+                ("flush_us", us(e.flush_us)),
+            ]);
         }
-        line.push_str("}\n");
+        let mut line = json::obj(fields).render();
+        line.push('\n');
 
         let mut sink = self
             .sink
@@ -284,12 +294,12 @@ pub(crate) fn render_prometheus(stats: &ServerStats, queue: &Batcher) -> String 
         let name = prom_name(h.name);
         let _ = writeln!(out, "# TYPE {name} histogram");
         let mut cum = 0u64;
-        for (_lo, hi, count) in h.total.buckets() {
-            cum += count;
+        for b in h.total.buckets() {
+            cum += b.count;
             // The underflow bucket (hi == 0) has no meaningful `le`; its
             // counts still enter the running cumulative.
-            if hi > 0.0 {
-                let _ = writeln!(out, "{name}_bucket{{le=\"{hi}\"}} {cum}");
+            if b.hi > 0.0 {
+                let _ = writeln!(out, "{name}_bucket{{le=\"{}\"}} {cum}", b.hi);
             }
         }
         let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.total.count());
@@ -401,6 +411,37 @@ mod tests {
     }
 
     #[test]
+    fn exposition_bucket_bounds_are_pinned() {
+        // The `le` bounds `/metrics` exposes for this sample set, pinned:
+        // a change here changes every scraper's labels.
+        pi_obs::window::activate();
+        for v in [
+            12.5, 37.0, 88.0, 88.0, 150.0, 151.0, 420.0, 999.0, 1909.0, 2383.0, 0.0,
+        ] {
+            hist("teltest.pinned_us", v);
+        }
+        let page = render_prometheus(&ServerStats::default(), &Batcher::new(8));
+        let buckets: Vec<&str> = page
+            .lines()
+            .filter_map(|l| l.strip_prefix("teltest_pinned_us_bucket"))
+            .collect();
+        assert_eq!(
+            buckets,
+            [
+                "{le=\"12.883922655594034\"} 2",
+                "{le=\"38.05462768008707\"} 3",
+                "{le=\"90.50966799187809\"} 5",
+                "{le=\"152.2185107203483\"} 7",
+                "{le=\"430.5389646099018\"} 8",
+                "{le=\"1024\"} 9",
+                "{le=\"1961.171518870679\"} 10",
+                "{le=\"2435.4961715255727\"} 11",
+                "{le=\"+Inf\"} 11",
+            ]
+        );
+    }
+
+    #[test]
     fn access_log_writes_rotates_and_marks_slow_lines() {
         let dir = std::env::temp_dir();
         let path = dir.join("pi_serve_access_test.jsonl");
@@ -431,7 +472,13 @@ mod tests {
         }
         assert!(!lines[0].contains("\"slow\""));
         assert!(lines[1].contains("\"slow\":true"));
-        assert!(lines[1].contains("\"compute_us\":800.0"));
+        assert_eq!(
+            lines[1].split_once(",\"endpoint").map(|(_, rest)| rest),
+            Some(
+                "\":\"yield\",\"status\":200,\"total_us\":1234.5,\"slow\":true,\"parse_us\":10,\
+                 \"queue_us\":400,\"compute_us\":800,\"render_us\":4,\"flush_us\":20.5}"
+            )
+        );
 
         // Force a rotation by pretending the cap is already reached.
         {
