@@ -153,11 +153,12 @@ impl Json {
             }
             Json::Num(f) => {
                 assert!(f.is_finite(), "JSON cannot carry non-finite number {f}");
-                // Shortest round-trip decimal; force a float-looking token
-                // so the value re-parses through the same f64 path.
-                let s = format!("{f}");
-                out.push_str(&s);
-                if !s.contains(['.', 'e', 'E']) {
+                // Shortest round-trip decimal, written in place; force a
+                // float-looking token so the value re-parses through the
+                // same f64 path.
+                let start = out.len();
+                let _ = write!(out, "{f}");
+                if !out[start..].contains(['.', 'e', 'E']) {
                     out.push_str(".0");
                 }
             }
@@ -426,6 +427,47 @@ mod tests {
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
+        }
+    }
+
+    #[test]
+    fn float_tokens_match_the_display_rule() {
+        // Each token is Rust's shortest round-trip `Display` spelling, plus
+        // `.0` when that has neither a `.` nor an exponent.
+        let old_rule = |f: f64| {
+            let s = format!("{f}");
+            if s.contains(['.', 'e', 'E']) {
+                s
+            } else {
+                s + ".0"
+            }
+        };
+        let mut next = splitmix(7);
+        let random = std::iter::repeat_with(|| f64::from_bits(next()))
+            .filter(|f| f.is_finite())
+            .take(100_000);
+        let special = [
+            0.0,
+            -0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            1e21,
+            1e-7,
+            9_007_199_254_740_992.0,
+        ];
+        // The token goes after existing text, as in an object.
+        let mut out = String::from("{\"x\":");
+        let start = out.len();
+        for f in special.into_iter().chain(random) {
+            out.truncate(start);
+            Json::Num(f).write(&mut out);
+            assert_eq!(out[start..], old_rule(f), "{:#x}", f.to_bits());
+            assert_eq!(
+                parse(&out[start..]).unwrap().as_f64().map(f64::to_bits),
+                Some(f.to_bits())
+            );
+            out.push(',');
         }
     }
 
