@@ -1,4 +1,5 @@
-//! Typed request/response bodies of the serve protocol.
+//! Typed request/response bodies of the serve protocol, and the table of
+//! its endpoints.
 //!
 //! Every type converts to and from the [`Json`] value tree; the encode →
 //! decode round trip is **bit-exact** for every field (u64 seeds included —
@@ -6,564 +7,446 @@
 //! determinism suite compare a served yield estimate against an in-process
 //! one without any tolerance.
 //!
+//! Each wire type is declared once, as a field table in `wire_types!`:
+//! the struct, its `to_json` and its `from_json` all come from that one
+//! list, so keys go on the wire in declaration order and a new field is
+//! one line. How a field of each Rust type is spelled, and whether it may
+//! be absent, is stated once, on the private `Field` trait. Each endpoint
+//! is one row of the `endpoints!` table: its path, label, latency
+//! histogram and shed class ([`Endpoint`]), and its request and response
+//! types, which tag the [`ApiRequest`] and [`ApiResponse`] variants.
+//!
 //! Technology nodes, estimator methods and NoC designs travel as their
 //! stable string spellings (`"65nm"`, `"sobol-scrambled"`, `"dvopd"`);
 //! they are validated when the request is *executed*, not when it is
 //! parsed, so a request body survives the round trip verbatim even if its
 //! content is semantically wrong (the execution layer then answers 400).
 
-use crate::json::{obj, parse, Json};
+use crate::json::{parse, Json};
 
-/// `POST /v1/eval` — nominal timing of one buffered line. When `count` /
-/// `wn_um` are omitted the server uses its cached delay-optimal plan for
-/// the length (the same plan `pi yield` derives).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvalRequest {
-    /// Technology node spelling (`"65nm"`, `"n45"`, `"90"`, …).
-    pub tech: String,
-    /// Line length, millimeters.
-    pub length_mm: f64,
-    /// Repeater count override.
-    pub count: Option<u64>,
-    /// Repeater nMOS width override, micrometers.
-    pub wn_um: Option<f64>,
-    /// Process-corner spelling (`"tt"`, `"ss"`, `"ff"`; omitted = typical).
-    pub corner: Option<String>,
-}
+/// How one field type travels on the wire, and whether it may be absent:
+///
+/// - `String`, `f64` and `u64` are **required**. They are always written,
+///   as a string, a float token and an integer token, and a field that is
+///   absent, `null` or of another type fails with ``missing or
+///   non-{string|numeric|integer} field `k` ``.
+/// - `bool` is always written, and reads `false` when absent or `null`; any
+///   other value fails with ``non-boolean field `k` ``.
+/// - `Option<T>` is omitted when `None`, and reads `None` when absent or
+///   `null`; a value that is not a `T` fails with ``non-… field `k` ``.
+trait Field: Sized {
+    /// The type's name in a decode error (`non-{KIND} field`).
+    const KIND: &'static str;
 
-/// Response to [`EvalRequest`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvalResponse {
-    /// Line delay, picoseconds.
-    pub delay_ps: f64,
-    /// Output slew, picoseconds.
-    pub slew_ps: f64,
-    /// Repeater count of the evaluated plan.
-    pub count: u64,
-    /// Repeater nMOS width of the evaluated plan, micrometers.
-    pub wn_um: f64,
-}
+    /// The JSON token of a value.
+    fn to_wire(&self) -> Json;
 
-/// `POST /v1/yield` — timing yield of a line against a deadline, through a
-/// configurable estimator. Field semantics match the `pi yield` CLI.
-#[derive(Debug, Clone, PartialEq)]
-pub struct YieldRequest {
-    /// Technology node spelling.
-    pub tech: String,
-    /// Line length, millimeters.
-    pub length_mm: f64,
-    /// Timing deadline, picoseconds.
-    pub deadline_ps: f64,
-    /// Estimator name (`"naive"`, `"sobol-scrambled"`, …).
-    pub estimator: String,
-    /// Base RNG seed (full u64 range survives the JSON round trip).
-    pub seed: u64,
-    /// Confidence-interval half-width target, percent yield.
-    pub ci_pct: f64,
-    /// Opt into the analytic control variate.
-    pub cv: bool,
-    /// Regional within-die correlation coefficient.
-    pub rho: Option<f64>,
-    /// Number of equal correlation regions along the line (with `rho`).
-    pub regions: Option<u64>,
-    /// Process-corner spelling (`"tt"`, `"ss"`, `"ff"`; omitted = typical).
-    pub corner: Option<String>,
-}
+    /// The value a JSON token holds, if it is of this type.
+    fn of_wire(v: &Json) -> Option<Self>;
 
-/// Response to [`YieldRequest`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct YieldResponse {
-    /// Estimated timing yield in `[0, 1]`.
-    pub yield_fraction: f64,
-    /// CI half-width at 95 %.
-    pub half_width: f64,
-    /// Line evaluations consumed.
-    pub evals: u64,
-    /// Estimator that produced the answer (after any fallback).
-    pub method: String,
-    /// Surrogate disagreement rate (0 when no surrogate ran).
-    pub surrogate_disagreement: f64,
-}
+    /// Appends this value as the member `key` (required: always).
+    fn put(&self, key: &str, members: &mut Vec<(String, Json)>) {
+        members.push((key.to_owned(), self.to_wire()));
+    }
 
-/// `POST /v1/size` — yield-driven sizing: smallest plan on the greedy
-/// upsizing ladder whose yield at the deadline clears `target_yield`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SizeRequest {
-    /// Technology node spelling.
-    pub tech: String,
-    /// Line length, millimeters.
-    pub length_mm: f64,
-    /// Timing deadline, picoseconds.
-    pub deadline_ps: f64,
-    /// Yield target in `(0, 1]`.
-    pub target_yield: f64,
-    /// Estimator name.
-    pub estimator: String,
-    /// Base RNG seed.
-    pub seed: u64,
-    /// CI half-width target, percent yield.
-    pub ci_pct: f64,
-    /// Use the GP joint-sizing engine (posynomial propose, estimator
-    /// verify, ladder fallback) instead of the greedy ladder alone.
-    pub gp: bool,
-    /// Process-corner spelling (`"tt"`, `"ss"`, `"ff"`; omitted = typical).
-    pub corner: Option<String>,
-}
-
-/// Response to [`SizeRequest`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SizeResponse {
-    /// Selected repeater count.
-    pub count: u64,
-    /// Selected repeater width, micrometers.
-    pub wn_um: f64,
-    /// Point-estimate yield of the selected plan.
-    pub achieved_yield: f64,
-    /// Upsizing steps taken from the starting plan.
-    pub steps: u64,
-}
-
-/// `POST /v1/net-yield` — whole-network parametric yield of a synthesized
-/// NoC testcase at a clock.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetYieldRequest {
-    /// Built-in testcase name (`"dvopd"` or `"vproc"`).
-    pub design: String,
-    /// Technology node spelling.
-    pub tech: String,
-    /// Clock frequency, gigahertz.
-    pub clock_ghz: f64,
-    /// Estimator name.
-    pub estimator: String,
-    /// Base RNG seed.
-    pub seed: u64,
-    /// CI half-width target, percent yield.
-    pub ci_pct: f64,
-}
-
-/// Response to [`NetYieldRequest`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetYieldResponse {
-    /// Whole-network yield in `[0, 1]`.
-    pub yield_fraction: f64,
-    /// CI half-width at 95 %.
-    pub half_width: f64,
-    /// Problem evaluations consumed.
-    pub evals: u64,
-    /// Channel count of the synthesized network.
-    pub channels: u64,
-    /// Index of the yield-limiting channel.
-    pub limiting_channel: u64,
-    /// Marginal yield of that channel.
-    pub limiting_yield: f64,
-}
-
-/// One request of the serve protocol, tagged by endpoint.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ApiRequest {
-    /// `POST /v1/eval`.
-    Eval(EvalRequest),
-    /// `POST /v1/yield`.
-    Yield(YieldRequest),
-    /// `POST /v1/size`.
-    Size(SizeRequest),
-    /// `POST /v1/net-yield`.
-    NetYield(NetYieldRequest),
-}
-
-/// One response of the serve protocol.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ApiResponse {
-    /// Answer to an eval request.
-    Eval(EvalResponse),
-    /// Answer to a yield request.
-    Yield(YieldResponse),
-    /// Answer to a size request.
-    Size(SizeResponse),
-    /// Answer to a net-yield request.
-    NetYield(NetYieldResponse),
-    /// Request-level failure, carried with the HTTP status to answer.
-    Error {
-        /// HTTP status code (4xx/5xx).
-        status: u16,
-        /// Human-readable cause.
-        message: String,
-        /// `Retry-After` header value, seconds (shed/overload 503s only).
-        retry_after: Option<u64>,
-    },
-}
-
-fn need_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field `{key}`"))
-}
-
-fn need_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field `{key}`"))
-}
-
-fn need_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing or non-string field `{key}`"))
-}
-
-fn opt_f64(v: &Json, key: &str) -> Result<Option<f64>, String> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(x) => x
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| format!("non-numeric field `{key}`")),
+    /// Reads the member `key` (required: present and of this type).
+    fn read(v: &Json, key: &str) -> Result<Self, String> {
+        v.get(key)
+            .and_then(Self::of_wire)
+            .ok_or_else(|| format!("missing or non-{} field `{key}`", Self::KIND))
     }
 }
 
-fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(x) => x
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("non-integer field `{key}`")),
+impl Field for String {
+    const KIND: &'static str = "string";
+    fn to_wire(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn of_wire(v: &Json) -> Option<Self> {
+        v.as_str().map(str::to_owned)
     }
 }
 
-fn opt_str(v: &Json, key: &str) -> Result<Option<String>, String> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(x) => x
-            .as_str()
-            .map(|s| Some(s.to_owned()))
-            .ok_or_else(|| format!("non-string field `{key}`")),
+impl Field for f64 {
+    const KIND: &'static str = "numeric";
+    fn to_wire(&self) -> Json {
+        Json::Num(*self)
+    }
+    fn of_wire(v: &Json) -> Option<Self> {
+        v.as_f64()
     }
 }
 
-fn opt_bool(v: &Json, key: &str) -> Result<bool, String> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(false),
-        Some(x) => x
-            .as_bool()
-            .ok_or_else(|| format!("non-boolean field `{key}`")),
+impl Field for u64 {
+    const KIND: &'static str = "integer";
+    fn to_wire(&self) -> Json {
+        Json::Int(i128::from(*self))
+    }
+    fn of_wire(v: &Json) -> Option<Self> {
+        v.as_u64()
     }
 }
 
-fn opt_member(key: &str, v: Option<f64>) -> Option<(String, Json)> {
-    v.map(|x| (key.to_owned(), Json::Num(x)))
-}
-
-fn opt_str_member(key: &str, v: &Option<String>) -> Option<(String, Json)> {
-    v.as_ref().map(|s| (key.to_owned(), Json::Str(s.clone())))
-}
-
-impl EvalRequest {
-    /// Encodes to the wire JSON value.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let mut members = vec![
-            ("tech".to_owned(), Json::Str(self.tech.clone())),
-            ("length_mm".to_owned(), Json::Num(self.length_mm)),
-        ];
-        if let Some(c) = self.count {
-            members.push(("count".to_owned(), Json::Int(i128::from(c))));
-        }
-        members.extend(opt_member("wn_um", self.wn_um));
-        members.extend(opt_str_member("corner", &self.corner));
-        Json::Obj(members)
+impl Field for bool {
+    const KIND: &'static str = "boolean";
+    fn to_wire(&self) -> Json {
+        Json::Bool(*self)
     }
-
-    /// Decodes from the wire JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Names the first missing or mistyped field.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(EvalRequest {
-            tech: need_str(v, "tech")?,
-            length_mm: need_f64(v, "length_mm")?,
-            count: opt_u64(v, "count")?,
-            wn_um: opt_f64(v, "wn_um")?,
-            corner: opt_str(v, "corner")?,
-        })
+    fn of_wire(v: &Json) -> Option<Self> {
+        v.as_bool()
+    }
+    fn read(v: &Json, key: &str) -> Result<Self, String> {
+        Option::read(v, key).map(Option::unwrap_or_default)
     }
 }
 
-impl EvalResponse {
-    /// Encodes to the wire JSON value.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("delay_ps", Json::Num(self.delay_ps)),
-            ("slew_ps", Json::Num(self.slew_ps)),
-            ("count", Json::Int(i128::from(self.count))),
-            ("wn_um", Json::Num(self.wn_um)),
-        ])
+impl<T: Field> Field for Option<T> {
+    const KIND: &'static str = T::KIND;
+    fn to_wire(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_wire)
     }
-
-    /// Decodes from the wire JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Names the first missing or mistyped field.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(EvalResponse {
-            delay_ps: need_f64(v, "delay_ps")?,
-            slew_ps: need_f64(v, "slew_ps")?,
-            count: need_u64(v, "count")?,
-            wn_um: need_f64(v, "wn_um")?,
-        })
+    fn of_wire(v: &Json) -> Option<Self> {
+        T::of_wire(v).map(Some)
     }
-}
-
-impl YieldRequest {
-    /// Encodes to the wire JSON value.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let mut members = vec![
-            ("tech".to_owned(), Json::Str(self.tech.clone())),
-            ("length_mm".to_owned(), Json::Num(self.length_mm)),
-            ("deadline_ps".to_owned(), Json::Num(self.deadline_ps)),
-            ("estimator".to_owned(), Json::Str(self.estimator.clone())),
-            ("seed".to_owned(), Json::Int(i128::from(self.seed))),
-            ("ci_pct".to_owned(), Json::Num(self.ci_pct)),
-            ("cv".to_owned(), Json::Bool(self.cv)),
-        ];
-        members.extend(opt_member("rho", self.rho));
-        if let Some(r) = self.regions {
-            members.push(("regions".to_owned(), Json::Int(i128::from(r))));
-        }
-        members.extend(opt_str_member("corner", &self.corner));
-        Json::Obj(members)
-    }
-
-    /// Decodes from the wire JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Names the first missing or mistyped field.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(YieldRequest {
-            tech: need_str(v, "tech")?,
-            length_mm: need_f64(v, "length_mm")?,
-            deadline_ps: need_f64(v, "deadline_ps")?,
-            estimator: need_str(v, "estimator")?,
-            seed: need_u64(v, "seed")?,
-            ci_pct: need_f64(v, "ci_pct")?,
-            cv: opt_bool(v, "cv")?,
-            rho: opt_f64(v, "rho")?,
-            regions: opt_u64(v, "regions")?,
-            corner: opt_str(v, "corner")?,
-        })
-    }
-}
-
-impl YieldResponse {
-    /// Encodes to the wire JSON value.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("yield_fraction", Json::Num(self.yield_fraction)),
-            ("half_width", Json::Num(self.half_width)),
-            ("evals", Json::Int(i128::from(self.evals))),
-            ("method", Json::Str(self.method.clone())),
-            (
-                "surrogate_disagreement",
-                Json::Num(self.surrogate_disagreement),
-            ),
-        ])
-    }
-
-    /// Decodes from the wire JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Names the first missing or mistyped field.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(YieldResponse {
-            yield_fraction: need_f64(v, "yield_fraction")?,
-            half_width: need_f64(v, "half_width")?,
-            evals: need_u64(v, "evals")?,
-            method: need_str(v, "method")?,
-            surrogate_disagreement: need_f64(v, "surrogate_disagreement")?,
-        })
-    }
-}
-
-impl SizeRequest {
-    /// Encodes to the wire JSON value.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let mut members = vec![
-            ("tech".to_owned(), Json::Str(self.tech.clone())),
-            ("length_mm".to_owned(), Json::Num(self.length_mm)),
-            ("deadline_ps".to_owned(), Json::Num(self.deadline_ps)),
-            ("target_yield".to_owned(), Json::Num(self.target_yield)),
-            ("estimator".to_owned(), Json::Str(self.estimator.clone())),
-            ("seed".to_owned(), Json::Int(i128::from(self.seed))),
-            ("ci_pct".to_owned(), Json::Num(self.ci_pct)),
-            ("gp".to_owned(), Json::Bool(self.gp)),
-        ];
-        members.extend(opt_str_member("corner", &self.corner));
-        Json::Obj(members)
-    }
-
-    /// Decodes from the wire JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Names the first missing or mistyped field.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(SizeRequest {
-            tech: need_str(v, "tech")?,
-            length_mm: need_f64(v, "length_mm")?,
-            deadline_ps: need_f64(v, "deadline_ps")?,
-            target_yield: need_f64(v, "target_yield")?,
-            estimator: need_str(v, "estimator")?,
-            seed: need_u64(v, "seed")?,
-            ci_pct: need_f64(v, "ci_pct")?,
-            gp: opt_bool(v, "gp")?,
-            corner: opt_str(v, "corner")?,
-        })
-    }
-}
-
-impl SizeResponse {
-    /// Encodes to the wire JSON value.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("count", Json::Int(i128::from(self.count))),
-            ("wn_um", Json::Num(self.wn_um)),
-            ("achieved_yield", Json::Num(self.achieved_yield)),
-            ("steps", Json::Int(i128::from(self.steps))),
-        ])
-    }
-
-    /// Decodes from the wire JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Names the first missing or mistyped field.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(SizeResponse {
-            count: need_u64(v, "count")?,
-            wn_um: need_f64(v, "wn_um")?,
-            achieved_yield: need_f64(v, "achieved_yield")?,
-            steps: need_u64(v, "steps")?,
-        })
-    }
-}
-
-impl NetYieldRequest {
-    /// Encodes to the wire JSON value.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("design", Json::Str(self.design.clone())),
-            ("tech", Json::Str(self.tech.clone())),
-            ("clock_ghz", Json::Num(self.clock_ghz)),
-            ("estimator", Json::Str(self.estimator.clone())),
-            ("seed", Json::Int(i128::from(self.seed))),
-            ("ci_pct", Json::Num(self.ci_pct)),
-        ])
-    }
-
-    /// Decodes from the wire JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Names the first missing or mistyped field.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(NetYieldRequest {
-            design: need_str(v, "design")?,
-            tech: need_str(v, "tech")?,
-            clock_ghz: need_f64(v, "clock_ghz")?,
-            estimator: need_str(v, "estimator")?,
-            seed: need_u64(v, "seed")?,
-            ci_pct: need_f64(v, "ci_pct")?,
-        })
-    }
-}
-
-impl NetYieldResponse {
-    /// Encodes to the wire JSON value.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("yield_fraction", Json::Num(self.yield_fraction)),
-            ("half_width", Json::Num(self.half_width)),
-            ("evals", Json::Int(i128::from(self.evals))),
-            ("channels", Json::Int(i128::from(self.channels))),
-            (
-                "limiting_channel",
-                Json::Int(i128::from(self.limiting_channel)),
-            ),
-            ("limiting_yield", Json::Num(self.limiting_yield)),
-        ])
-    }
-
-    /// Decodes from the wire JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Names the first missing or mistyped field.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(NetYieldResponse {
-            yield_fraction: need_f64(v, "yield_fraction")?,
-            half_width: need_f64(v, "half_width")?,
-            evals: need_u64(v, "evals")?,
-            channels: need_u64(v, "channels")?,
-            limiting_channel: need_u64(v, "limiting_channel")?,
-            limiting_yield: need_f64(v, "limiting_yield")?,
-        })
-    }
-}
-
-impl ApiRequest {
-    /// The endpoint path this request is posted to.
-    #[must_use]
-    pub fn path(&self) -> &'static str {
-        match self {
-            ApiRequest::Eval(_) => "/v1/eval",
-            ApiRequest::Yield(_) => "/v1/yield",
-            ApiRequest::Size(_) => "/v1/size",
-            ApiRequest::NetYield(_) => "/v1/net-yield",
+    fn put(&self, key: &str, members: &mut Vec<(String, Json)>) {
+        if let Some(x) = self {
+            x.put(key, members);
         }
     }
-
-    /// Encodes the request body.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        match self {
-            ApiRequest::Eval(r) => r.to_json(),
-            ApiRequest::Yield(r) => r.to_json(),
-            ApiRequest::Size(r) => r.to_json(),
-            ApiRequest::NetYield(r) => r.to_json(),
+    fn read(v: &Json, key: &str) -> Result<Self, String> {
+        match v.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(x) => T::of_wire(x)
+                .map(Some)
+                .ok_or_else(|| format!("non-{} field `{key}`", T::KIND)),
         }
     }
+}
 
-    /// Decodes a request from its endpoint path and raw body text.
-    ///
-    /// # Errors
-    ///
-    /// `Err(None)` for an unknown path (→ 404); `Err(Some(msg))` for a
-    /// body that does not parse or type-check (→ 400).
-    pub fn from_path_body(path: &str, body: &str) -> Result<Self, Option<String>> {
-        let decode = |f: fn(&Json) -> Result<ApiRequest, String>| {
-            let v = parse(body).map_err(|e| Some(format!("bad JSON body: {e}")))?;
-            f(&v).map_err(Some)
-        };
-        match path {
-            "/v1/eval" => decode(|v| EvalRequest::from_json(v).map(ApiRequest::Eval)),
-            "/v1/yield" => decode(|v| YieldRequest::from_json(v).map(ApiRequest::Yield)),
-            "/v1/size" => decode(|v| SizeRequest::from_json(v).map(ApiRequest::Size)),
-            "/v1/net-yield" => decode(|v| NetYieldRequest::from_json(v).map(ApiRequest::NetYield)),
-            _ => Err(None),
+/// Declares wire types, each from one field table: the struct with its
+/// docs, plus a `to_json` and a `from_json` that walk the fields in
+/// declaration order through [`Field`].
+macro_rules! wire_types {
+    ($(
+        $(#[$doc:meta])*
+        pub struct $name:ident {
+            $($(#[$field_doc:meta])* pub $field:ident: $ty:ty,)*
         }
+    )*) => {$(
+        $(#[$doc])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct $name {
+            $($(#[$field_doc])* pub $field: $ty,)*
+        }
+
+        impl $name {
+            /// Encodes to the wire JSON value.
+            #[must_use]
+            pub fn to_json(&self) -> Json {
+                let mut members = Vec::with_capacity([$(stringify!($field)),*].len());
+                $(self.$field.put(stringify!($field), &mut members);)*
+                Json::Obj(members)
+            }
+
+            /// Decodes from the wire JSON value.
+            ///
+            /// # Errors
+            ///
+            /// Names the first missing or mistyped field.
+            pub fn from_json(v: &Json) -> Result<Self, String> {
+                Ok($name {
+                    $($field: Field::read(v, stringify!($field))?,)*
+                })
+            }
+        }
+    )*};
+}
+
+wire_types! {
+    /// `POST /v1/eval` — nominal timing of one buffered line. When `count` /
+    /// `wn_um` are omitted the server uses its cached delay-optimal plan for
+    /// the length (the same plan `pi yield` derives).
+    pub struct EvalRequest {
+        /// Technology node spelling (`"65nm"`, `"n45"`, `"90"`, …).
+        pub tech: String,
+        /// Line length, millimeters.
+        pub length_mm: f64,
+        /// Repeater count override.
+        pub count: Option<u64>,
+        /// Repeater nMOS width override, micrometers.
+        pub wn_um: Option<f64>,
+        /// Process-corner spelling (`"tt"`, `"ss"`, `"ff"`; omitted = typical).
+        pub corner: Option<String>,
     }
+
+    /// Response to [`EvalRequest`].
+    pub struct EvalResponse {
+        /// Line delay, picoseconds.
+        pub delay_ps: f64,
+        /// Output slew, picoseconds.
+        pub slew_ps: f64,
+        /// Repeater count of the evaluated plan.
+        pub count: u64,
+        /// Repeater nMOS width of the evaluated plan, micrometers.
+        pub wn_um: f64,
+    }
+
+    /// `POST /v1/yield` — timing yield of a line against a deadline, through a
+    /// configurable estimator. Field semantics match the `pi yield` CLI.
+    pub struct YieldRequest {
+        /// Technology node spelling.
+        pub tech: String,
+        /// Line length, millimeters.
+        pub length_mm: f64,
+        /// Timing deadline, picoseconds.
+        pub deadline_ps: f64,
+        /// Estimator name (`"naive"`, `"sobol-scrambled"`, …).
+        pub estimator: String,
+        /// Base RNG seed (full u64 range survives the JSON round trip).
+        pub seed: u64,
+        /// Confidence-interval half-width target, percent yield.
+        pub ci_pct: f64,
+        /// Opt into the analytic control variate.
+        pub cv: bool,
+        /// Regional within-die correlation coefficient.
+        pub rho: Option<f64>,
+        /// Number of equal correlation regions along the line (with `rho`).
+        pub regions: Option<u64>,
+        /// Process-corner spelling (`"tt"`, `"ss"`, `"ff"`; omitted = typical).
+        pub corner: Option<String>,
+    }
+
+    /// Response to [`YieldRequest`].
+    pub struct YieldResponse {
+        /// Estimated timing yield in `[0, 1]`.
+        pub yield_fraction: f64,
+        /// CI half-width at 95 %.
+        pub half_width: f64,
+        /// Line evaluations consumed.
+        pub evals: u64,
+        /// Estimator that produced the answer (after any fallback).
+        pub method: String,
+        /// Surrogate disagreement rate (0 when no surrogate ran).
+        pub surrogate_disagreement: f64,
+    }
+
+    /// `POST /v1/size` — yield-driven sizing: smallest plan on the greedy
+    /// upsizing ladder whose yield at the deadline clears `target_yield`.
+    pub struct SizeRequest {
+        /// Technology node spelling.
+        pub tech: String,
+        /// Line length, millimeters.
+        pub length_mm: f64,
+        /// Timing deadline, picoseconds.
+        pub deadline_ps: f64,
+        /// Yield target in `(0, 1]`.
+        pub target_yield: f64,
+        /// Estimator name.
+        pub estimator: String,
+        /// Base RNG seed.
+        pub seed: u64,
+        /// CI half-width target, percent yield.
+        pub ci_pct: f64,
+        /// Use the GP joint-sizing engine (posynomial propose, estimator
+        /// verify, ladder fallback) instead of the greedy ladder alone.
+        pub gp: bool,
+        /// Process-corner spelling (`"tt"`, `"ss"`, `"ff"`; omitted = typical).
+        pub corner: Option<String>,
+    }
+
+    /// Response to [`SizeRequest`].
+    pub struct SizeResponse {
+        /// Selected repeater count.
+        pub count: u64,
+        /// Selected repeater width, micrometers.
+        pub wn_um: f64,
+        /// Point-estimate yield of the selected plan.
+        pub achieved_yield: f64,
+        /// Upsizing steps taken from the starting plan.
+        pub steps: u64,
+    }
+
+    /// `POST /v1/net-yield` — whole-network parametric yield of a synthesized
+    /// NoC testcase at a clock.
+    pub struct NetYieldRequest {
+        /// Built-in testcase name (`"dvopd"` or `"vproc"`).
+        pub design: String,
+        /// Technology node spelling.
+        pub tech: String,
+        /// Clock frequency, gigahertz.
+        pub clock_ghz: f64,
+        /// Estimator name.
+        pub estimator: String,
+        /// Base RNG seed.
+        pub seed: u64,
+        /// CI half-width target, percent yield.
+        pub ci_pct: f64,
+    }
+
+    /// Response to [`NetYieldRequest`].
+    pub struct NetYieldResponse {
+        /// Whole-network yield in `[0, 1]`.
+        pub yield_fraction: f64,
+        /// CI half-width at 95 %.
+        pub half_width: f64,
+        /// Problem evaluations consumed.
+        pub evals: u64,
+        /// Channel count of the synthesized network.
+        pub channels: u64,
+        /// Index of the yield-limiting channel.
+        pub limiting_channel: u64,
+        /// Marginal yield of that channel.
+        pub limiting_yield: f64,
+    }
+}
+
+/// Declares the endpoint table, one row per endpoint: [`Endpoint`] with
+/// each endpoint's path, label, latency histogram and shed class, and
+/// [`ApiRequest`] and [`ApiResponse`] with one variant per endpoint.
+macro_rules! endpoints {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident($request:ident -> $response:ident) =
+            $path:literal, $label:literal, $hist:literal, sheddable: $shed:literal;
+    )*) => {
+        /// The `/v1` API endpoints: the one table of each endpoint's path,
+        /// its short label (access log, `pi obs-top`), its end-to-end
+        /// latency histogram, and whether admission control may shed it.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Endpoint {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl Endpoint {
+            /// Every endpoint, in table order.
+            pub const ALL: [Endpoint; [$($path),*].len()] = [$(Endpoint::$variant),*];
+
+            /// Latency histogram of the requests no endpoint answers:
+            /// health, stats, metrics and routing errors.
+            pub const OTHER_HIST: &'static str = "serve.endpoint.other_us";
+
+            /// The endpoint at `path`, if any.
+            #[must_use]
+            pub fn from_path(path: &str) -> Option<Endpoint> {
+                Endpoint::ALL.into_iter().find(|e| e.path() == path)
+            }
+
+            /// The path requests are posted to.
+            #[must_use]
+            pub const fn path(self) -> &'static str {
+                match self { $(Endpoint::$variant => $path,)* }
+            }
+
+            /// Stable short label.
+            #[must_use]
+            pub const fn label(self) -> &'static str {
+                match self { $(Endpoint::$variant => $label,)* }
+            }
+
+            /// Name of the end-to-end latency histogram, in microseconds.
+            #[must_use]
+            pub const fn hist(self) -> &'static str {
+                match self { $(Endpoint::$variant => $hist,)* }
+            }
+
+            /// Whether the endpoint is expensive enough (an estimator run
+            /// or a sizing search) to shed once the queue passes the shed
+            /// threshold.
+            #[must_use]
+            pub const fn sheddable(self) -> bool {
+                match self { $(Endpoint::$variant => $shed,)* }
+            }
+        }
+
+        /// One request of the serve protocol, tagged by endpoint.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum ApiRequest {
+            $(#[doc = concat!("`POST ", $path, "`.")] $variant($request),)*
+        }
+
+        impl ApiRequest {
+            /// The endpoint this request is posted to.
+            #[must_use]
+            pub fn endpoint(&self) -> Endpoint {
+                match self { $(ApiRequest::$variant(_) => Endpoint::$variant,)* }
+            }
+
+            /// Encodes the request body.
+            #[must_use]
+            pub fn to_json(&self) -> Json {
+                match self { $(ApiRequest::$variant(r) => r.to_json(),)* }
+            }
+
+            /// The endpoint path this request is posted to.
+            #[must_use]
+            pub fn path(&self) -> &'static str {
+                self.endpoint().path()
+            }
+
+            /// Decodes a request from its endpoint path and raw body text.
+            ///
+            /// # Errors
+            ///
+            /// `Err(None)` for an unknown path (→ 404); `Err(Some(msg))`
+            /// for a body that does not parse or type-check (→ 400).
+            pub fn from_path_body(path: &str, body: &str) -> Result<Self, Option<String>> {
+                let endpoint = Endpoint::from_path(path).ok_or(None)?;
+                let v = parse(body).map_err(|e| Some(format!("bad JSON body: {e}")))?;
+                match endpoint {
+                    $(Endpoint::$variant => $request::from_json(&v).map(ApiRequest::$variant),)*
+                }
+                .map_err(Some)
+            }
+        }
+
+        /// One response of the serve protocol.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum ApiResponse {
+            $(#[doc = concat!("Answer to a `POST ", $path, "` request.")] $variant($response),)*
+            /// Request-level failure, carried with the HTTP status to answer.
+            Error {
+                /// HTTP status code (4xx/5xx).
+                status: u16,
+                /// Human-readable cause.
+                message: String,
+                /// `Retry-After` header value, seconds (shed/overload 503s only).
+                retry_after: Option<u64>,
+            },
+        }
+
+        impl ApiResponse {
+            /// Encodes the response body. An error is `{"error", "status"}`,
+            /// plus `retry_after_s` on a shed.
+            #[must_use]
+            pub fn to_json(&self) -> Json {
+                match self {
+                    $(ApiResponse::$variant(r) => r.to_json(),)*
+                    ApiResponse::Error { status, message, retry_after } => {
+                        let mut members = Vec::with_capacity(3);
+                        message.put("error", &mut members);
+                        u64::from(*status).put("status", &mut members);
+                        retry_after.put("retry_after_s", &mut members);
+                        Json::Obj(members)
+                    }
+                }
+            }
+        }
+    };
+}
+
+endpoints! {
+    /// `POST /v1/eval`: a closed-form model eval.
+    Eval(EvalRequest -> EvalResponse) =
+        "/v1/eval", "eval", "serve.endpoint.eval_us", sheddable: false;
+    /// `POST /v1/yield`: an estimator run.
+    Yield(YieldRequest -> YieldResponse) =
+        "/v1/yield", "yield", "serve.endpoint.yield_us", sheddable: true;
+    /// `POST /v1/size`: a sizing search.
+    Size(SizeRequest -> SizeResponse) =
+        "/v1/size", "size", "serve.endpoint.size_us", sheddable: true;
+    /// `POST /v1/net-yield`: a whole-network estimator run.
+    NetYield(NetYieldRequest -> NetYieldResponse) =
+        "/v1/net-yield", "net_yield", "serve.endpoint.net_yield_us", sheddable: true;
 }
 
 impl ApiResponse {
@@ -573,31 +456,6 @@ impl ApiResponse {
         match self {
             ApiResponse::Error { status, .. } => *status,
             _ => 200,
-        }
-    }
-
-    /// Encodes the response body.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        match self {
-            ApiResponse::Eval(r) => r.to_json(),
-            ApiResponse::Yield(r) => r.to_json(),
-            ApiResponse::Size(r) => r.to_json(),
-            ApiResponse::NetYield(r) => r.to_json(),
-            ApiResponse::Error {
-                status,
-                message,
-                retry_after,
-            } => {
-                let mut members = vec![
-                    ("error".to_owned(), Json::Str(message.clone())),
-                    ("status".to_owned(), Json::Int(i128::from(*status))),
-                ];
-                if let Some(s) = retry_after {
-                    members.push(("retry_after_s".to_owned(), Json::Int(i128::from(*s))));
-                }
-                Json::Obj(members)
-            }
         }
     }
 

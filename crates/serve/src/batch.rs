@@ -26,10 +26,10 @@
 //! determinism suite (sections 10 and 11) pins this, including batched
 //! sizing, whose bisection ladder advances in lock-step sweeps.
 //!
-//! Admission control is load-aware: once the queue passes the shed
-//! threshold, expensive queries (`/v1/yield`, `/v1/size`,
-//! `/v1/net-yield`) are answered `503` with a `Retry-After` hint while
-//! cheap evals keep flowing, and a full queue sheds everything. Shed
+//! Admission control is load-aware: once 75 % of the queue is taken,
+//! expensive queries (the endpoints [`Endpoint::sheddable`](crate::api::Endpoint::sheddable) marks: yield,
+//! size and net-yield) are answered `503` with a 1 s `Retry-After` hint
+//! while cheap evals keep flowing, and a full queue sheds everything. Shed
 //! counts surface as the `serve.shed` counter and in `/v1/stats`.
 //!
 //! Every [`Job`] is answered exactly once: a job dropped unanswered —
@@ -155,7 +155,6 @@ pub struct Batcher {
     state: Mutex<QueueState>,
     depth: usize,
     shed_threshold: usize,
-    retry_after_s: u64,
     shed: AtomicU64,
     hwm: AtomicU64,
 }
@@ -169,28 +168,29 @@ impl std::fmt::Debug for Batcher {
     }
 }
 
-/// Whether a request is expensive enough to shed under load (an estimator
-/// run or a sizing search, versus a closed-form model eval).
-fn is_expensive(request: &ApiRequest) -> bool {
-    matches!(
-        request,
-        ApiRequest::Yield(_) | ApiRequest::Size(_) | ApiRequest::NetYield(_)
-    )
-}
+/// Queue fill, percent of the depth, at which admission control starts
+/// shedding the endpoints the table marks sheddable.
+const SHED_PCT: usize = 75;
+
+/// `Retry-After` seconds attached to every shed or queue-full `503`.
+const RETRY_AFTER_S: u64 = 1;
 
 impl Batcher {
     /// A queue bounded at `depth` outstanding jobs, shedding expensive
     /// queries only when completely full.
     #[must_use]
     pub fn new(depth: usize) -> Arc<Self> {
-        Self::with_admission(depth, depth, 1)
+        Self::bounded(depth, depth)
     }
 
-    /// A queue bounded at `depth`, shedding expensive queries once
-    /// `shed_threshold` jobs are outstanding, with `retry_after_s` as the
-    /// `Retry-After` hint on shed responses.
+    /// A queue bounded at `depth`, shedding expensive queries once 75 % of
+    /// it is outstanding: the server's queue.
     #[must_use]
-    pub fn with_admission(depth: usize, shed_threshold: usize, retry_after_s: u64) -> Arc<Self> {
+    pub fn with_admission(depth: usize) -> Arc<Self> {
+        Self::bounded(depth, depth.saturating_mul(SHED_PCT) / 100)
+    }
+
+    fn bounded(depth: usize, shed_threshold: usize) -> Arc<Self> {
         let depth = depth.max(1);
         Arc::new(Batcher {
             state: Mutex::new(QueueState {
@@ -199,7 +199,6 @@ impl Batcher {
             }),
             depth,
             shed_threshold: shed_threshold.clamp(1, depth),
-            retry_after_s,
             shed: AtomicU64::new(0),
             hwm: AtomicU64::new(0),
         })
@@ -248,10 +247,10 @@ impl Batcher {
             crate::telemetry::counter("serve.queue_full", 1);
             return Err(ApiResponse::overloaded(
                 format!("request queue full ({} outstanding)", self.depth),
-                self.retry_after_s,
+                RETRY_AFTER_S,
             ));
         }
-        if st.jobs.len() >= self.shed_threshold && is_expensive(&request) {
+        if st.jobs.len() >= self.shed_threshold && request.endpoint().sheddable() {
             crate::telemetry::counter("serve.shed", 1);
             self.shed.fetch_add(1, Ordering::Relaxed);
             return Err(ApiResponse::overloaded(
@@ -260,7 +259,7 @@ impl Batcher {
                     st.jobs.len(),
                     self.depth
                 ),
-                self.retry_after_s,
+                RETRY_AFTER_S,
             ));
         }
         st.jobs.push_back(Job {
@@ -883,23 +882,27 @@ mod tests {
 
     #[test]
     fn overload_sheds_expensive_queries_before_cheap_evals() {
-        let q = Batcher::with_admission(8, 2, 7);
-        let _a = q.submit(eval_request(1.0)).expect("fits");
-        let _b = q.submit(eval_request(2.0)).expect("fits");
+        let q = Batcher::with_admission(8);
+        assert_eq!(q.shed_threshold(), 6, "75% of an 8-deep queue");
+        let _held: Vec<_> = (0..6)
+            .map(|i| q.submit(eval_request(1.0 + f64::from(i))).expect("fits"))
+            .collect();
         // At the threshold: estimator queries shed, evals still flow.
         let shed = q.submit(yield_request(1, "naive")).expect_err("shed");
         assert_eq!(shed.status(), 503);
-        assert_eq!(shed.retry_after(), Some(7));
+        assert_eq!(shed.retry_after(), Some(1));
         let shed = q
             .submit(size_request(1, "naive", 5.0, 700.0))
             .expect_err("shed");
         assert_eq!(shed.status(), 503);
-        assert!(q.submit(eval_request(3.0)).is_ok(), "evals keep flowing");
+        assert!(q.submit(eval_request(7.0)).is_ok(), "evals keep flowing");
         assert_eq!(q.shed_count(), 2);
         // Draining back below the threshold re-admits expensive queries.
         let _ = q.take_batch(Duration::ZERO);
         assert!(q.submit(yield_request(1, "naive")).is_ok());
-        assert_eq!(q.queue_depth_hwm(), 3);
+        assert_eq!(q.queue_depth_hwm(), 7);
+        // The threshold never reaches zero.
+        assert_eq!(Batcher::with_admission(1).shed_threshold(), 1);
     }
 
     #[test]

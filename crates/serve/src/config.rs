@@ -4,10 +4,12 @@
 //! |-------------------|----------------------------------------|---------|
 //! | `PI_SERVE_PORT`   | TCP port to bind (`0` = ephemeral)     | 7878    |
 //! | `PI_SERVE_QUEUE`  | bounded request-queue depth            | 1024    |
-//! | `PI_SERVE_SHED_PCT` | queue fill (percent of depth) above which expensive requests shed | 75 |
-//! | `PI_SERVE_RETRY_AFTER_S` | `Retry-After` seconds on a shed/overload 503 | 1 |
 //! | `PI_SERVE_ACCESS_LOG` | path of the JSONL access log (unset = off) | unset |
-//! | `PI_SERVE_SLOW_US` | request duration, µs, beyond which the access log records the full phase breakdown | 100000 |
+//!
+//! The rest of admission control and the access log are constants:
+//! expensive requests shed once 75 % of the queue is taken, a shed or
+//! queue-full `503` asks the client to retry after 1 s, and a request that
+//! takes 100 000 µs or longer logs its full phase breakdown.
 //!
 //! Near-miss values follow the `PI_THREADS` / `PI_CHAR_CACHE` discipline
 //! (see `pi_rt::thread_count` and `pi_core::char_cache`): a value that is
@@ -16,31 +18,34 @@
 //! default or crashing the server at startup. A parseable but out-of-range
 //! value is clamped, again with a warning carrying the effective value.
 //!
-//! Two variables are retired, and a set value is ignored with a one-time
-//! warning saying so rather than silently: `PI_SERVE_BATCH_US`, the old
-//! fixed coalescing window (batching is adaptive: each batch is whatever
-//! was parsed since the last one), and `PI_SERVE_IO`, the old connection
-//! mode selector (the poll event loop is the only mode).
+//! Retired variables are ignored with a one-time warning saying so rather
+//! than silently: `PI_SERVE_BATCH_US`, the old fixed coalescing window
+//! (batching is adaptive: each batch is whatever was parsed since the last
+//! one); `PI_SERVE_IO`, the old connection mode selector (the poll event
+//! loop is the only mode); and `PI_SERVE_SHED_PCT`,
+//! `PI_SERVE_RETRY_AFTER_S` and `PI_SERVE_SLOW_US`, which set the three
+//! constants above.
+
+/// Retired variables, each with why it is ignored.
+#[rustfmt::skip]
+const RETIRED: [(&str, &str); 5] = [
+    ("PI_SERVE_BATCH_US", "batching is adaptive, with no coalescing window"),
+    ("PI_SERVE_IO", "the poll event loop is the only connection mode"),
+    ("PI_SERVE_SHED_PCT", "expensive requests shed at 75% of the queue depth"),
+    ("PI_SERVE_RETRY_AFTER_S", "shed and queue-full responses retry after 1 s"),
+    ("PI_SERVE_SLOW_US", "requests of 100000 us or longer log their phase breakdown"),
+];
 
 /// Resolved server configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// TCP port to bind; `0` asks the OS for an ephemeral port.
     pub port: u16,
-    /// Bounded queue depth; requests beyond it are answered `503`.
+    /// Bounded queue depth; requests beyond it are answered `503`, and
+    /// expensive requests shed once 75 % of it is taken.
     pub queue_depth: usize,
-    /// Queue fill percentage (of `queue_depth`) at which **expensive**
-    /// requests (yield / size / net-yield) are shed with `503` +
-    /// `Retry-After` while cheap evals still queue. `100` disables
-    /// shedding (it coincides with the queue-full bound).
-    pub shed_pct: u64,
-    /// `Retry-After` value, seconds, attached to shed/overload responses.
-    pub retry_after_s: u64,
     /// Path of the structured JSONL access log; `None` disables it.
     pub access_log: Option<String>,
-    /// Requests taking at least this many microseconds end-to-end get
-    /// their full per-phase breakdown in the access log.
-    pub slow_us: u64,
 }
 
 impl Default for ServeConfig {
@@ -48,10 +53,7 @@ impl Default for ServeConfig {
         ServeConfig {
             port: 7878,
             queue_depth: 1024,
-            shed_pct: 75,
-            retry_after_s: 1,
             access_log: None,
-            slow_us: 100_000,
         }
     }
 }
@@ -62,14 +64,9 @@ impl ServeConfig {
     #[must_use]
     pub fn from_env() -> Self {
         let default = ServeConfig::default();
-        env_retired(
-            "PI_SERVE_BATCH_US",
-            "batching is adaptive, with no coalescing window",
-        );
-        env_retired(
-            "PI_SERVE_IO",
-            "the poll event loop is the only connection mode",
-        );
+        for (name, why) in RETIRED {
+            env_retired(name, why);
+        }
         ServeConfig {
             port: env_u64(
                 "PI_SERVE_PORT",
@@ -78,17 +75,8 @@ impl ServeConfig {
                 u64::from(u16::MAX),
             ) as u16,
             queue_depth: env_u64("PI_SERVE_QUEUE", default.queue_depth as u64, 1, 1 << 20) as usize,
-            shed_pct: env_u64("PI_SERVE_SHED_PCT", default.shed_pct, 1, 100),
-            retry_after_s: env_u64("PI_SERVE_RETRY_AFTER_S", default.retry_after_s, 1, 3600),
             access_log: env_path("PI_SERVE_ACCESS_LOG"),
-            slow_us: env_u64("PI_SERVE_SLOW_US", default.slow_us, 1, 3_600_000_000),
         }
-    }
-
-    /// Queued-job count at which expensive requests start shedding.
-    #[must_use]
-    pub fn shed_threshold(&self) -> usize {
-        ((self.queue_depth as u64 * self.shed_pct) / 100).max(1) as usize
     }
 }
 
@@ -160,6 +148,18 @@ mod tests {
         "PI_SERVE_SLOW_US",
     ];
 
+    /// Whether every retired variable is seen as set (each call warns at
+    /// most once per process).
+    fn all_retired_set() -> bool {
+        RETIRED.iter().all(|(name, why)| env_retired(name, why))
+    }
+
+    fn clear_retired() {
+        for (name, _) in RETIRED {
+            std::env::remove_var(name);
+        }
+    }
+
     // Env-var mutation is process-global, so every case runs inside this
     // one test (cargo runs tests concurrently across a process's threads).
     #[test]
@@ -171,8 +171,7 @@ mod tests {
             std::env::remove_var(k);
         }
         assert_eq!(ServeConfig::from_env(), d);
-        assert!(!env_retired("PI_SERVE_BATCH_US", "retired"));
-        assert!(!env_retired("PI_SERVE_IO", "retired"));
+        assert!(RETIRED.iter().all(|(name, why)| !env_retired(name, why)));
 
         // Valid values pass through.
         std::env::set_var("PI_SERVE_PORT", "0");
@@ -185,17 +184,12 @@ mod tests {
         std::env::set_var("PI_SERVE_SLOW_US", "250000");
         let c = ServeConfig::from_env();
         assert_eq!((c.port, c.queue_depth), (0, 64));
-        assert_eq!((c.shed_pct, c.retry_after_s), (50, 5));
-        assert_eq!(c.shed_threshold(), 32, "50% of a 64-deep queue");
         assert_eq!(c.access_log.as_deref(), Some("/tmp/pi-access.jsonl"));
-        assert_eq!(c.slow_us, 250_000);
-        // The retired window and mode knobs are seen (and warned about)
-        // but change nothing: the config with them set equals the config
-        // without them.
-        assert!(env_retired("PI_SERVE_BATCH_US", "retired"));
-        assert!(env_retired("PI_SERVE_IO", "retired"));
-        std::env::remove_var("PI_SERVE_BATCH_US");
-        std::env::remove_var("PI_SERVE_IO");
+        // The retired knobs are seen (and warned about) but change
+        // nothing: the config with them set equals the config without
+        // them.
+        assert!(all_retired_set());
+        clear_retired();
         assert_eq!(ServeConfig::from_env(), c);
 
         // Near-miss spellings fall back to the defaults (with a warning,
@@ -210,8 +204,7 @@ mod tests {
         std::env::set_var("PI_SERVE_SLOW_US", "fast");
         let c = ServeConfig::from_env();
         assert_eq!(c, d);
-        assert!(env_retired("PI_SERVE_BATCH_US", "retired"));
-        assert!(env_retired("PI_SERVE_IO", "retired"));
+        assert!(all_retired_set());
 
         // Out-of-range values are clamped, not defaulted.
         std::env::set_var("PI_SERVE_PORT", "70000");
@@ -224,14 +217,10 @@ mod tests {
         let c = ServeConfig::from_env();
         assert_eq!(c.port, u16::MAX);
         assert_eq!(c.queue_depth, 1);
-        assert_eq!(c.shed_pct, 100);
-        assert_eq!(c.retry_after_s, 1);
-        assert_eq!(c.slow_us, 1);
         assert_eq!(c.access_log, None);
-        assert_eq!(c.shed_threshold(), 1, "threshold never reaches zero");
         // A retired knob is never clamped into a value: still ignored.
-        assert!(env_retired("PI_SERVE_BATCH_US", "retired"));
-        std::env::remove_var("PI_SERVE_BATCH_US");
+        assert!(env_retired("PI_SERVE_SHED_PCT", "retired"));
+        clear_retired();
         assert_eq!(ServeConfig::from_env(), c);
 
         for k in KEYS {

@@ -282,7 +282,7 @@ impl Client {
 /// server's stats endpoint; zeros when unreachable.
 fn scrape_stats(addr: &str) -> (f64, f64, f64) {
     let scraped = Client::connect(addr)
-        .and_then(|mut c| c.roundtrip("GET", "/v1/stats", b""))
+        .and_then(|mut c| c.roundtrip("GET", crate::server::STATS_PATH, b""))
         .and_then(|resp| {
             let text = resp.body_str()?.to_owned();
             crate::json::parse(&text).map_err(|e| e.to_string())

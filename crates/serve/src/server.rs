@@ -23,12 +23,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::api::{ApiRequest, ApiResponse};
+use crate::api::{ApiRequest, ApiResponse, Endpoint};
 use crate::batch::Batcher;
 use crate::config::ServeConfig;
 use crate::http::{write_response_with, Request};
 use crate::json::{obj, Json};
 use crate::store::{plan_cache_counts, plan_cache_hit_rate};
+
+/// Path of the [`ServerStats`] page.
+pub(crate) const STATS_PATH: &str = "/v1/stats";
 
 /// Monotonic serving counters, exposed at `GET /v1/stats`.
 #[derive(Debug, Default)]
@@ -190,7 +193,7 @@ pub(crate) fn route(
             obj(vec![("ok", Json::Bool(true))]).render(),
             request.keep_alive,
         ),
-        ("GET", "/v1/stats") => page(200, stats.to_json(queue).render(), request.keep_alive),
+        ("GET", STATS_PATH) => page(200, stats.to_json(queue).render(), request.keep_alive),
         ("GET", "/metrics") => RouteOutcome::Immediate(Rendered {
             status: 200,
             body: crate::telemetry::render_prometheus(stats, queue),
@@ -211,7 +214,7 @@ pub(crate) fn route(
             Err(Some(msg)) => answer(ApiResponse::error(400, msg)),
             Ok(api) => RouteOutcome::Api(api),
         },
-        ("GET" | "HEAD", path @ ("/v1/eval" | "/v1/yield" | "/v1/size" | "/v1/net-yield")) => {
+        ("GET" | "HEAD", path) if Endpoint::from_path(path).is_some() => {
             answer(ApiResponse::error(405, format!("`{path}` requires POST")))
         }
         (_, path) => answer(ApiResponse::error(
@@ -250,11 +253,7 @@ impl Server {
         pi_obs::window::activate();
         let tel = crate::telemetry::Telemetry::from_config(config);
         let shutdown = Arc::new(AtomicBool::new(false));
-        let queue = Batcher::with_admission(
-            config.queue_depth,
-            config.shed_threshold(),
-            config.retry_after_s,
-        );
+        let queue = Batcher::with_admission(config.queue_depth);
         let stats = Arc::new(ServerStats::default());
         let io = crate::io_loop::spawn(
             listener,

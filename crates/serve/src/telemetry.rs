@@ -30,7 +30,7 @@
 //! lock it needs (the same dedicated-sink discipline as the char-journal
 //! appends). The log rotates to `<path>.1` once it passes
 //! [`ROTATE_BYTES`]; a failed rotation warns once and keeps appending.
-//! Requests slower than `PI_SERVE_SLOW_US` log the full phase breakdown.
+//! Requests that take 100 ms or longer log the full phase breakdown.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
@@ -39,11 +39,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use crate::api::Endpoint;
 use crate::batch::Batcher;
 use crate::config::ServeConfig;
 use crate::http::Request;
 use crate::json::{self, Json};
-use crate::server::ServerStats;
+use crate::server::{ServerStats, STATS_PATH};
 use crate::store::plan_cache_hit_rate;
 
 /// Access-log size cap before rotation to `<path>.1`.
@@ -78,30 +79,26 @@ pub(crate) fn gauge(name: &'static str, value: f64) {
     pi_obs::window::gauge_set(name, value);
 }
 
-/// Stable short endpoint label for a request path (access log, per-
-/// endpoint latency histograms).
+/// Stable short label of a request path for the access log: an API
+/// endpoint's label from the endpoint table, or the immediate route's.
 pub(crate) fn endpoint_of(request: &Request) -> &'static str {
-    match request.path.as_str() {
-        "/v1/eval" => "eval",
-        "/v1/yield" => "yield",
-        "/v1/size" => "size",
-        "/v1/net-yield" => "net_yield",
-        "/healthz" => "healthz",
-        "/v1/stats" => "stats",
-        "/metrics" => "metrics",
-        _ => "other",
+    match Endpoint::from_path(&request.path) {
+        Some(endpoint) => endpoint.label(),
+        None => match request.path.as_str() {
+            "/healthz" => "healthz",
+            STATS_PATH => "stats",
+            "/metrics" => "metrics",
+            _ => "other",
+        },
     }
 }
 
-/// The per-endpoint end-to-end latency histogram for an endpoint label.
-pub(crate) fn endpoint_hist(endpoint: &'static str) -> &'static str {
-    match endpoint {
-        "eval" => "serve.endpoint.eval_us",
-        "yield" => "serve.endpoint.yield_us",
-        "size" => "serve.endpoint.size_us",
-        "net_yield" => "serve.endpoint.net_yield_us",
-        _ => "serve.endpoint.other_us",
-    }
+/// The end-to-end latency histogram for an endpoint label.
+fn endpoint_hist(label: &str) -> &'static str {
+    Endpoint::ALL
+        .into_iter()
+        .find(|e| e.label() == label)
+        .map_or(Endpoint::OTHER_HIST, Endpoint::hist)
 }
 
 /// Everything known about one finished request at flush time.
@@ -118,18 +115,20 @@ pub(crate) struct AccessEntry {
     pub(crate) flush_us: f64,
 }
 
-/// Per-server telemetry state: the access log and the slow-request bound.
+/// Requests taking at least this long end to end, in microseconds, log
+/// their full phase breakdown.
+const SLOW_US: f64 = 100_000.0;
+
+/// Per-server telemetry state: the access log.
 #[derive(Debug, Default)]
 pub(crate) struct Telemetry {
     access: Option<AccessLog>,
-    slow_us: f64,
 }
 
 impl Telemetry {
     pub(crate) fn from_config(config: &ServeConfig) -> Telemetry {
         Telemetry {
             access: config.access_log.as_ref().map(|p| AccessLog::open(p)),
-            slow_us: config.slow_us as f64,
         }
     }
 
@@ -140,7 +139,7 @@ impl Telemetry {
         hist("serve.request_us", e.total_us);
         hist(endpoint_hist(e.endpoint), e.total_us);
         if let Some(log) = &self.access {
-            log.write(e, e.total_us >= self.slow_us);
+            log.write(e, e.total_us >= SLOW_US);
         }
     }
 }

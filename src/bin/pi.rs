@@ -663,6 +663,7 @@ fn sample_value(samples: &[Sample], name: &str, window: Option<&str>) -> Option<
 
 /// Renders one `pi obs-top` refresh from parsed exposition samples.
 fn render_top(addr: &str, tick: u64, samples: &[Sample]) -> String {
+    use predictive_interconnect::serve::api::Endpoint;
     let v = |name: &str, w: Option<&str>| sample_value(samples, name, w).unwrap_or(0.0);
     let mut out = format!("pi obs-top {addr}  tick {tick}\n");
     out.push_str(&format!(
@@ -684,12 +685,12 @@ fn render_top(addr: &str, tick: u64, samples: &[Sample]) -> String {
         v("serve_plan_cache_hit_rate", None) * 100.0,
     ));
     out.push_str("endpoint     p50[10s]     p99[10s]     p50[60s]     p99[60s]\n");
-    for endpoint in ["request", "eval", "yield", "size", "net_yield", "other"] {
-        let base = if endpoint == "request" {
-            "serve_request_us".to_owned()
-        } else {
-            format!("serve_endpoint_{endpoint}_us")
-        };
+    let rows = std::iter::once(("request", "serve.request_us"))
+        .chain(Endpoint::ALL.map(|e| (e.label(), e.hist())))
+        .chain([("other", Endpoint::OTHER_HIST)]);
+    for (endpoint, hist) in rows {
+        // The exposition spells a probe name with `_` for `.`.
+        let base = hist.replace('.', "_");
         // Endpoints that never saw traffic have no histogram yet.
         if sample_value(samples, &format!("{base}_p50"), Some("10s")).is_none() {
             continue;
@@ -779,7 +780,7 @@ fn cmd_obs_top(args: &[String]) -> Result<(), String> {
 
 fn cmd_serve(opts: &Opts) -> Result<(), String> {
     use predictive_interconnect::serve::{
-        install_shutdown_signals, signalled, ServeConfig, Server,
+        api::Endpoint, install_shutdown_signals, signalled, ServeConfig, Server,
     };
     opts.only(&["port", "queue-depth"])?;
     let mut config = ServeConfig::from_env();
@@ -792,9 +793,11 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     install_shutdown_signals();
     let mut server = Server::start(&config).map_err(|e| format!("bind failed: {e}"))?;
     println!("pi serve listening on {}", server.addr());
+    let posts: Vec<&str> = Endpoint::ALL.iter().map(|e| e.path()).collect();
     println!(
-        "endpoints: POST /v1/eval /v1/yield /v1/size /v1/net-yield | \
-         GET /healthz /v1/stats | POST /admin/shutdown (or ctrl-c / SIGTERM)"
+        "endpoints: POST {} | GET /healthz /v1/stats | \
+         POST /admin/shutdown (or ctrl-c / SIGTERM)",
+        posts.join(" ")
     );
     while !signalled() && !server.shutdown_requested() {
         std::thread::sleep(std::time::Duration::from_millis(50));

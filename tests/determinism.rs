@@ -734,7 +734,6 @@ fn parallel_results_are_bit_identical_across_thread_counts() {
                     port: 0,
                     queue_depth: 64,
                     access_log: sinks_on.then(|| access.display().to_string()),
-                    ..ServeConfig::default()
                 })
                 .expect("bind ephemeral");
                 let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
