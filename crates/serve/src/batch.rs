@@ -27,10 +27,11 @@
 //! sizing, whose bisection ladder advances in lock-step sweeps.
 //!
 //! Admission control is load-aware: once 75 % of the queue is taken,
-//! expensive queries (the endpoints [`Endpoint::sheddable`](crate::api::Endpoint::sheddable) marks: yield,
-//! size and net-yield) are answered `503` with a 1 s `Retry-After` hint
-//! while cheap evals keep flowing, and a full queue sheds everything. Shed
-//! counts surface as the `serve.shed` counter and in `/v1/stats`.
+//! expensive queries (the endpoints [`crate::api::Endpoint`] marks
+//! sheddable: yield, size and net-yield) are answered `503` with a 1 s
+//! `Retry-After` hint while cheap evals keep flowing, and a full queue
+//! sheds everything. Shed counts surface as the `serve.shed` counter and
+//! in `/v1/stats`.
 //!
 //! Every [`Job`] is answered exactly once: a job dropped unanswered —
 //! most often one unwound over by a panic in [`execute_batch`] — answers

@@ -27,13 +27,12 @@
 //! constants above.
 
 /// Retired variables, each with why it is ignored.
-#[rustfmt::skip]
 const RETIRED: [(&str, &str); 5] = [
-    ("PI_SERVE_BATCH_US", "batching is adaptive, with no coalescing window"),
-    ("PI_SERVE_IO", "the poll event loop is the only connection mode"),
-    ("PI_SERVE_SHED_PCT", "expensive requests shed at 75% of the queue depth"),
-    ("PI_SERVE_RETRY_AFTER_S", "shed and queue-full responses retry after 1 s"),
-    ("PI_SERVE_SLOW_US", "requests of 100000 us or longer log their phase breakdown"),
+    ("PI_SERVE_BATCH_US", "batching is adaptive"),
+    ("PI_SERVE_IO", "the poll loop is the only mode"),
+    ("PI_SERVE_SHED_PCT", "expensive requests shed at 75% full"),
+    ("PI_SERVE_RETRY_AFTER_S", "Retry-After is always 1 s"),
+    ("PI_SERVE_SLOW_US", "the slow-request bound is 100 ms"),
 ];
 
 /// Resolved server configuration.
