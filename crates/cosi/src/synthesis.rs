@@ -490,6 +490,7 @@ fn network_yield_of_stages(
     config: &SynthesisConfig,
     filter: &YieldFilter,
 ) -> f64 {
+    let _obs_span = pi_obs::span("cosi.filter_network_yield");
     let correlation = if filter.variation.rho_region > 0.0 {
         let counts: Vec<usize> = channels.iter().map(StageDelays::len).collect();
         SpatialCorrelation::regional(
@@ -558,6 +559,7 @@ fn resize_critical_links(
     per_link_target: f64,
     mut channels: Vec<StageDelays>,
 ) -> Option<f64> {
+    let _obs_span = pi_obs::span("cosi.filter_resize");
     let mut resized: Vec<(usize, LinkCost)> = Vec::new();
     for (i, channel) in network.channels.iter().enumerate() {
         let length = channel.length.max(crate::net_yield::CHANNEL_LENGTH_FLOOR);
