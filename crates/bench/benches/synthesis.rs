@@ -1,5 +1,6 @@
 //! NoC-synthesis benches: full topology synthesis of the DVOPD testcase
-//! under each link model, plus a single link-cost query.
+//! under each link model, plus a single link-cost query and the re-timing
+//! of its priced plan that the yield filter runs per channel.
 
 use pi_bench::micro::{emit, Micro};
 use pi_core::coefficients::builtin;
@@ -34,8 +35,17 @@ fn main() {
             .expect("feasible")
     });
 
+    let priced = proposed_model
+        .link_cost(Length::mm(3.0), 128)
+        .expect("feasible");
+    let stage_delays = Micro::default().run("proposed_stage_delays_3mm", || {
+        proposed_model
+            .stage_delays(Length::mm(3.0), &priced.plan)
+            .expect("stage timing")
+    });
+
     emit(
         "NoC synthesis (DVOPD, 65 nm)",
-        &[original, proposed, link_cost],
+        &[original, proposed, link_cost, stage_delays],
     );
 }

@@ -9,7 +9,7 @@
 use std::fmt;
 
 use pi_core::buffering::{BufferingObjective, SearchSpace};
-use pi_core::line::{BufferingPlan, LineEvaluator, LineSpec};
+use pi_core::line::{BufferingPlan, LineEvaluator, LineSpec, LineTiming};
 use pi_core::power::{dynamic_power, PowerBreakdown};
 use pi_tech::units::{Area, Freq, Length, Time};
 use pi_tech::{DesignStyle, Technology};
@@ -65,6 +65,13 @@ impl std::error::Error for InfeasibleLink {}
 
 /// A delay/power/area estimator for buffered point-to-point links, used by
 /// the synthesis algorithm.
+///
+/// [`synthesize`](crate::synthesis::synthesize) prices each distinct
+/// (length, width) once per call and reuses the answer: `link_cost` and
+/// `resize_for_yield` answers are memoized for the rest of the call, and
+/// the yield filter times a channel by handing its priced plan back to
+/// `stage_delays`. Each hook must therefore be a pure function of its
+/// arguments.
 pub trait LinkCostModel {
     /// Human-readable model name for reports.
     fn name(&self) -> &str;
@@ -80,29 +87,35 @@ pub trait LinkCostModel {
     fn link_cost(&self, length: Length, n_bits: usize) -> Result<LinkCost, InfeasibleLink>;
 
     /// Nominal per-stage `(repeater, wire)` delays of one bit-line of a
-    /// link of the given length, for statistical yield analysis of the
-    /// synthesized network. Models that cannot produce per-stage timing
-    /// (e.g. the closed-form Bakoglu estimates) return `None`, which
-    /// disables yield-aware synthesis filtering for them.
-    fn stage_delays(&self, length: Length) -> Option<pi_yield::StageDelays> {
-        let _ = length;
+    /// link of the given length buffered with `plan`, for statistical
+    /// yield analysis of the synthesized network. The synthesis passes the
+    /// plan [`LinkCostModel::link_cost`] priced at this length, so a model
+    /// re-times that plan instead of searching again. Models that cannot
+    /// produce per-stage timing (e.g. the closed-form Bakoglu estimates)
+    /// return `None`, which disables yield-aware synthesis filtering for
+    /// them.
+    fn stage_delays(&self, length: Length, plan: &BufferingPlan) -> Option<pi_yield::StageDelays> {
+        let _ = (length, plan);
         None
     }
 
     /// A jointly re-sized (GP-proposed, estimator-verified) buffering of
     /// an `n_bits`-wide link of the given length whose timing yield under
     /// `variation` reaches `per_link_target`, together with the resized
-    /// per-stage delays. This lets the yield filter *resize* a critical
-    /// link in place instead of re-segmenting the whole network. Models
-    /// without a sizing engine return `None`.
+    /// per-stage delays. The sizing starts from `plan`, the plan
+    /// [`LinkCostModel::link_cost`] priced at this length and width. This
+    /// lets the yield filter *resize* a critical link in place instead of
+    /// re-segmenting the whole network. Models without a sizing engine
+    /// return `None`.
     fn resize_for_yield(
         &self,
         length: Length,
         n_bits: usize,
+        plan: &BufferingPlan,
         per_link_target: f64,
         variation: &pi_core::variation::VariationModel,
     ) -> Option<(LinkCost, pi_yield::StageDelays)> {
-        let _ = (length, n_bits, per_link_target, variation);
+        let _ = (length, n_bits, plan, per_link_target, variation);
         None
     }
 }
@@ -193,71 +206,37 @@ impl LinkCostModel for ProposedLinkModel<'_> {
                 length,
                 max_length: self.max_length,
             })?;
-        let per_bit = result.power;
-        let tech = self.evaluator.tech();
-        let wire_area = bus_area(n_bits, length, tech.global_layer(), self.style);
-        let repeater_area = self.evaluator.repeater_area(&result.plan) * n_bits as f64;
-        Ok(LinkCost {
-            delay: result.timing.delay,
-            power: PowerBreakdown {
-                dynamic: per_bit.dynamic * n_bits as f64,
-                leakage: per_bit.leakage * n_bits as f64,
-            },
-            wire_area,
-            repeater_area,
-            repeaters_per_bit: result.plan.count,
-            plan: result.plan,
-        })
+        Ok(self.priced(
+            length,
+            n_bits,
+            result.plan,
+            result.timing.delay,
+            result.power,
+        ))
     }
 
-    fn stage_delays(&self, length: Length) -> Option<pi_yield::StageDelays> {
+    fn stage_delays(&self, length: Length, plan: &BufferingPlan) -> Option<pi_yield::StageDelays> {
+        // The deadline search timed its plan with `worst_timing`; the
+        // same call here gives the same stages without searching again.
         let spec = LineSpec::global(length, self.style);
-        let mut space = SearchSpace::for_length(length);
-        space.staggered = self.staggered;
-        let result = self.evaluator.optimize_with_deadline(
-            &spec,
-            self.clock.period(),
-            &self.objective,
-            &space,
-        )?;
-        Some(pi_yield::StageDelays::new(
-            result
-                .timing
-                .stages
-                .iter()
-                .map(|s| s.repeater_delay.si())
-                .collect(),
-            result
-                .timing
-                .stages
-                .iter()
-                .map(|s| s.wire_delay.si())
-                .collect(),
-        ))
+        Some(stage_delays_of(&self.evaluator.worst_timing(&spec, plan)))
     }
 
     fn resize_for_yield(
         &self,
         length: Length,
         n_bits: usize,
+        plan: &BufferingPlan,
         per_link_target: f64,
         variation: &pi_core::variation::VariationModel,
     ) -> Option<(LinkCost, pi_yield::StageDelays)> {
         let spec = LineSpec::global(length, self.style);
-        let mut space = SearchSpace::for_length(length);
-        space.staggered = self.staggered;
-        let start = self.evaluator.optimize_with_deadline(
-            &spec,
-            self.clock.period(),
-            &self.objective,
-            &space,
-        )?;
         // The analytic closure certifies (zero-width CI, conservative
         // lower bound) without sampling cost; the GP proposes, the
         // greedy ladder backstops on infeasibility.
         let query = pi_core::SizeQuery {
             spec,
-            plan: start.plan,
+            plan: *plan,
             variation: *variation,
             deadline: self.clock.period(),
             target_yield: per_link_target,
@@ -272,9 +251,27 @@ impl LinkCostModel for ProposedLinkModel<'_> {
         let per_bit = self
             .evaluator
             .power(&spec, &plan, self.objective.activity, self.clock);
+        Some((
+            self.priced(length, n_bits, plan, timing.delay, per_bit),
+            stage_delays_of(&timing),
+        ))
+    }
+}
+
+impl ProposedLinkModel<'_> {
+    /// The cost of an `n_bits`-wide bus of `plan`-buffered bit-lines with
+    /// the given per-bit delay and power.
+    fn priced(
+        &self,
+        length: Length,
+        n_bits: usize,
+        plan: BufferingPlan,
+        delay: Time,
+        per_bit: PowerBreakdown,
+    ) -> LinkCost {
         let tech = self.evaluator.tech();
-        let cost = LinkCost {
-            delay: timing.delay,
+        LinkCost {
+            delay,
             power: PowerBreakdown {
                 dynamic: per_bit.dynamic * n_bits as f64,
                 leakage: per_bit.leakage * n_bits as f64,
@@ -283,17 +280,21 @@ impl LinkCostModel for ProposedLinkModel<'_> {
             repeater_area: self.evaluator.repeater_area(&plan) * n_bits as f64,
             repeaters_per_bit: plan.count,
             plan,
-        };
-        let stages = pi_yield::StageDelays::new(
-            timing
-                .stages
-                .iter()
-                .map(|s| s.repeater_delay.si())
-                .collect(),
-            timing.stages.iter().map(|s| s.wire_delay.si()).collect(),
-        );
-        Some((cost, stages))
+        }
     }
+}
+
+/// Lowers a line timing to its per-stage `(repeater, wire)` delays, in
+/// seconds.
+fn stage_delays_of(timing: &LineTiming) -> pi_yield::StageDelays {
+    pi_yield::StageDelays::new(
+        timing
+            .stages
+            .iter()
+            .map(|s| s.repeater_delay.si())
+            .collect(),
+        timing.stages.iter().map(|s| s.wire_delay.si()).collect(),
+    )
 }
 
 /// The original COSI-OCC estimates: Bakoglu delay model with uncalibrated

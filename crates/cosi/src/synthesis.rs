@@ -8,7 +8,18 @@
 //! channels. The link model is a parameter — running the same algorithm
 //! with the original and the proposed models is exactly the experiment of
 //! Table III.
+//!
+//! Each channel length is priced once per [`synthesize`] call. A
+//! call-scoped memo keeps every `link_cost` answer by (clamped length,
+//! width), so channels that share a length, and the yield filter's later
+//! rounds, reuse one buffering search. The filter times a channel by
+//! handing the priced plan back to [`LinkCostModel::stage_delays`] (two
+//! line timings) rather than searching again, starts each GP resize from
+//! that plan, and memoizes single-link yields and resizes by length too.
+//! The memo is dropped when the call returns: nothing is cached across
+//! calls or threads.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -18,6 +29,7 @@ use pi_tech::DesignStyle;
 use pi_yield::{NetworkProblem, SpatialCorrelation, StageDelays};
 
 use crate::model::{InfeasibleLink, LinkCost, LinkCostModel};
+use crate::net_yield::CHANNEL_LENGTH_FLOOR;
 use crate::spec::{CommSpec, Point, SpecError};
 
 /// Yield-aware synthesis filtering: accept a synthesized network only if
@@ -301,20 +313,122 @@ pub fn synthesize(
             });
         }
     }
-    let network = synthesize_with_margin(spec, model, config, config.length_margin)?;
+    let mut memo = LinkMemo::default();
+    let network = synthesize_with_margin(spec, model, config, config.length_margin, &mut memo)?;
     match config.yield_filter {
         None => Ok(network),
-        Some(filter) => apply_yield_filter(spec, model, config, &filter, network),
+        Some(filter) => apply_yield_filter(spec, model, config, &filter, network, &mut memo),
+    }
+}
+
+/// The per-length work of one [`synthesize`] call, done once. Synthesis
+/// rounds re-price the same channel lengths, channels of one network
+/// share lengths, and the filter asks the same single-link questions
+/// round after round; every answer here is a pure function of its key
+/// (the model, config and filter are fixed for the call), so a repeat is
+/// a lookup. Keys use the bits of the clamped length
+/// (`length.max(CHANNEL_LENGTH_FLOOR)`). The memo lives on the stack of
+/// one call: nothing outlives it, so concurrent calls share nothing and
+/// a repeated call does the same work again.
+#[derive(Default)]
+struct LinkMemo {
+    /// `link_cost` answers by (length, width).
+    costs: HashMap<(u64, usize), Result<LinkCost, InfeasibleLink>>,
+    /// Single-link analytic yields of the priced plan by (length, width);
+    /// `None` when the link is infeasible or the model has no stage
+    /// timing.
+    yields: HashMap<(u64, usize), Option<f64>>,
+    /// `resize_for_yield` answers by (length, width, per-link target).
+    resized: HashMap<(u64, usize, u64), Option<(LinkCost, StageDelays)>>,
+}
+
+impl LinkMemo {
+    /// The model's cost of an `n_bits`-wide link of the (clamped) length,
+    /// searched at most once per call.
+    fn link_cost(
+        &mut self,
+        model: &dyn LinkCostModel,
+        length: Length,
+        n_bits: usize,
+    ) -> Result<LinkCost, InfeasibleLink> {
+        let length = length.max(CHANNEL_LENGTH_FLOOR);
+        match self.costs.entry((length.si().to_bits(), n_bits)) {
+            Entry::Occupied(hit) => {
+                pi_obs::counter_add("cosi.link_solve_hits", 1);
+                hit.get().clone()
+            }
+            Entry::Vacant(miss) => {
+                pi_obs::counter_add("cosi.link_solves", 1);
+                miss.insert(model.link_cost(length, n_bits)).clone()
+            }
+        }
+    }
+
+    /// The analytic timing yield of one `n_bits`-wide link of the
+    /// (clamped) length at its priced plan under the filter's variation
+    /// budget, with line-position-derived spatial correlation. `None` when
+    /// the link is infeasible or the model has no per-stage timing.
+    fn link_yield(
+        &mut self,
+        model: &dyn LinkCostModel,
+        config: &SynthesisConfig,
+        filter: &YieldFilter,
+        length: Length,
+        n_bits: usize,
+    ) -> Option<f64> {
+        let length = length.max(CHANNEL_LENGTH_FLOOR);
+        let key = (length.si().to_bits(), n_bits);
+        if let Some(&y) = self.yields.get(&key) {
+            return y;
+        }
+        let y = self
+            .link_cost(model, length, n_bits)
+            .ok()
+            .and_then(|cost| model.stage_delays(length, &cost.plan))
+            .map(|stages| link_yield_of_stages(stages, config, filter, length));
+        self.yields.insert(key, y);
+        y
+    }
+
+    /// The model's yield resize of a channel (from its priced plan),
+    /// solved at most once per (length, width, target) per call.
+    fn resize(
+        &mut self,
+        model: &dyn LinkCostModel,
+        channel: &Channel,
+        per_link_target: f64,
+        variation: &VariationModel,
+    ) -> Option<(LinkCost, StageDelays)> {
+        let length = channel.length.max(CHANNEL_LENGTH_FLOOR);
+        let key = (
+            length.si().to_bits(),
+            channel.n_bits,
+            per_link_target.to_bits(),
+        );
+        self.resized
+            .entry(key)
+            .or_insert_with(|| {
+                model.resize_for_yield(
+                    length,
+                    channel.n_bits,
+                    &channel.cost.plan,
+                    per_link_target,
+                    variation,
+                )
+            })
+            .clone()
     }
 }
 
 /// One synthesis pass with an explicit length budget (the yield filter
-/// re-runs this with progressively tighter margins).
+/// re-runs this with progressively tighter margins). Channels are priced
+/// through the call's memo.
 fn synthesize_with_margin(
     spec: &CommSpec,
     model: &dyn LinkCostModel,
     config: &SynthesisConfig,
     length_margin: f64,
+    memo: &mut LinkMemo,
 ) -> Result<Network, SynthesisError> {
     let _obs_span = pi_obs::span("cosi.synthesize");
     spec.validate()?;
@@ -417,7 +531,7 @@ fn synthesize_with_margin(
         let length = nodes[key.0].position.manhattan(&nodes[key.1].position);
         let lanes = ((bw / capacity_gbps).ceil() as usize).max(1);
         let n_bits = lanes * spec.data_width;
-        let cost = model.link_cost(length.max(crate::net_yield::CHANNEL_LENGTH_FLOOR), n_bits)?;
+        let cost = memo.link_cost(model, length, n_bits)?;
         channel_index.insert(key, channels.len());
         channels.push(Channel {
             from: key.0,
@@ -469,15 +583,15 @@ fn synthesize_with_margin(
 /// Per-channel stage delays of a synthesized network, or `None` when the
 /// model cannot provide per-stage timing. The lowering mirrors
 /// `net_yield::network_problem` (channel lengths are floor-clamped), but
-/// the delays come from the model's own re-optimized buffering (a
-/// design-time estimate), not a post-hoc evaluator. Each call re-runs
-/// that optimization for every channel, so a filter round computes them
-/// once and hands them to both the yield check and the resize attempt.
+/// the delays come from the model re-timing each channel's priced plan
+/// (a design-time estimate), not a post-hoc evaluator. A filter round
+/// computes them once and hands them to both the yield check and the
+/// resize attempt.
 fn channel_stage_delays(network: &Network, model: &dyn LinkCostModel) -> Option<Vec<StageDelays>> {
     network
         .channels
         .iter()
-        .map(|c| model.stage_delays(c.length.max(crate::net_yield::CHANNEL_LENGTH_FLOOR)))
+        .map(|c| model.stage_delays(c.length.max(CHANNEL_LENGTH_FLOOR), &c.cost.plan))
         .collect()
 }
 
@@ -510,22 +624,9 @@ fn network_yield_of_stages(
     yield_fraction
 }
 
-/// The analytic timing yield of one link of the given length under the
-/// filter's variation budget, with line-position-derived spatial
-/// correlation. `None` when the model has no per-stage timing.
-fn single_link_yield(
-    model: &dyn LinkCostModel,
-    config: &SynthesisConfig,
-    filter: &YieldFilter,
-    length: Length,
-) -> Option<f64> {
-    let stages = model.stage_delays(length)?;
-    Some(link_yield_of_stages(stages, config, filter, length))
-}
-
-/// The analytic timing yield of one link with the given stage delays —
-/// the computation half of [`single_link_yield`], reusable on resized
-/// stage timings.
+/// The analytic timing yield of one link with the given stage delays under
+/// the filter's variation budget, with line-position-derived spatial
+/// correlation.
 fn link_yield_of_stages(
     stages: StageDelays,
     config: &SynthesisConfig,
@@ -558,16 +659,18 @@ fn resize_critical_links(
     filter: &YieldFilter,
     per_link_target: f64,
     mut channels: Vec<StageDelays>,
+    memo: &mut LinkMemo,
 ) -> Option<f64> {
     let _obs_span = pi_obs::span("cosi.filter_resize");
     let mut resized: Vec<(usize, LinkCost)> = Vec::new();
     for (i, channel) in network.channels.iter().enumerate() {
-        let length = channel.length.max(crate::net_yield::CHANNEL_LENGTH_FLOOR);
-        if link_yield_of_stages(channels[i].clone(), config, filter, length) >= per_link_target {
+        let passes = memo
+            .link_yield(model, config, filter, channel.length, channel.n_bits)
+            .is_some_and(|y| y >= per_link_target);
+        if passes {
             continue;
         }
-        let Some((cost, stages)) =
-            model.resize_for_yield(length, channel.n_bits, per_link_target, &filter.variation)
+        let Some((cost, stages)) = memo.resize(model, channel, per_link_target, &filter.variation)
         else {
             continue;
         };
@@ -588,27 +691,34 @@ fn resize_critical_links(
 }
 
 /// Bisects for the largest length-budget fraction whose single-link
-/// analytic yield reaches `per_link_target`. `None` when even a
-/// floor-length link misses it (or the model has no per-stage timing) —
-/// the caller then falls back to geometric budget shrinking.
+/// analytic yield, for an `n_bits`-wide link, reaches `per_link_target`.
+/// `None` when even a floor-length link misses it (or the model has no
+/// per-stage timing) — the caller then falls back to geometric budget
+/// shrinking.
 fn yield_feasible_margin(
     model: &dyn LinkCostModel,
     config: &SynthesisConfig,
     filter: &YieldFilter,
     per_link_target: f64,
+    n_bits: usize,
+    memo: &mut LinkMemo,
 ) -> Option<f64> {
     let max_len = model.max_length();
-    let mut lo = crate::net_yield::CHANNEL_LENGTH_FLOOR;
-    if single_link_yield(model, config, filter, lo)? < per_link_target {
+    let mut single_link_yield = |length| {
+        pi_obs::counter_add("cosi.margin_probes", 1);
+        memo.link_yield(model, config, filter, length, n_bits)
+    };
+    let mut lo = CHANNEL_LENGTH_FLOOR;
+    if single_link_yield(lo)? < per_link_target {
         return None;
     }
     let mut hi = max_len * config.length_margin;
-    if single_link_yield(model, config, filter, hi)? >= per_link_target {
+    if single_link_yield(hi)? >= per_link_target {
         return Some(config.length_margin);
     }
     for _ in 0..20 {
         let mid = lo.lerp(hi, 0.5);
-        if single_link_yield(model, config, filter, mid)? >= per_link_target {
+        if single_link_yield(mid)? >= per_link_target {
             lo = mid;
         } else {
             hi = mid;
@@ -626,6 +736,7 @@ fn apply_yield_filter(
     config: &SynthesisConfig,
     filter: &YieldFilter,
     mut network: Network,
+    memo: &mut LinkMemo,
 ) -> Result<Network, SynthesisError> {
     let _obs_span = pi_obs::span("cosi.yield_filter");
     // A network with no channels carries no timing-critical wires: it
@@ -668,19 +779,31 @@ fn apply_yield_filter(
         // channels that miss the per-link share, keeping the topology.
         // Only when resizing cannot lift the network over the target do
         // we pay for a re-segmentation round.
-        if resize_critical_links(&mut network, model, config, filter, per_link, channels).is_some()
+        if resize_critical_links(
+            &mut network,
+            model,
+            config,
+            filter,
+            per_link,
+            channels,
+            memo,
+        )
+        .is_some()
         {
             pi_obs::counter_add("cosi.yield_filter_resize", 1);
             pi_obs::counter_add("cosi.yield_filter_pass", 1);
             return Ok(network);
         }
         pi_obs::counter_add("cosi.yield_filter_resize_miss", 1);
-        margin = match yield_feasible_margin(model, config, filter, per_link) {
+        // Bisection probes a one-lane link: the narrowest bus the spec
+        // builds.
+        margin = match yield_feasible_margin(model, config, filter, per_link, spec.data_width, memo)
+        {
             Some(m) if m < margin => m,
             _ => margin * 0.85,
         };
         pi_obs::counter_add("cosi.yield_filter_resegment", 1);
-        network = synthesize_with_margin(spec, model, config, margin)?;
+        network = synthesize_with_margin(spec, model, config, margin, memo)?;
     }
     pi_obs::counter_add("cosi.yield_filter_reject", 1);
     Err(SynthesisError::YieldTarget {
@@ -958,8 +1081,15 @@ mod tests {
             channels: Vec::new(),
             routes: Vec::new(),
         };
-        let out = apply_yield_filter(&line_spec(2.0), &model, &cfg, &filter, empty)
-            .expect("empty network must pass the filter trivially");
+        let out = apply_yield_filter(
+            &line_spec(2.0),
+            &model,
+            &cfg,
+            &filter,
+            empty,
+            &mut LinkMemo::default(),
+        )
+        .expect("empty network must pass the filter trivially");
         assert!(out.channels.is_empty());
     }
 
@@ -981,7 +1111,11 @@ mod tests {
         fn link_cost(&self, length: Length, n_bits: usize) -> Result<LinkCost, InfeasibleLink> {
             StubModel { reach: self.reach }.link_cost(length, n_bits)
         }
-        fn stage_delays(&self, _length: Length) -> Option<StageDelays> {
+        fn stage_delays(
+            &self,
+            _length: Length,
+            _plan: &pi_core::line::BufferingPlan,
+        ) -> Option<StageDelays> {
             // One marginal stage: 95 % of a 1 ns period nominal.
             Some(StageDelays::new(vec![0.95e-9], vec![0.0]))
         }
@@ -989,6 +1123,7 @@ mod tests {
             &self,
             length: Length,
             n_bits: usize,
+            _plan: &pi_core::line::BufferingPlan,
             _per_link_target: f64,
             _variation: &VariationModel,
         ) -> Option<(LinkCost, StageDelays)> {
