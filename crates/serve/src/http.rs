@@ -398,10 +398,36 @@ pub fn write_response_with<W: Write>(
     keep_alive: bool,
     extra_headers: &[(&str, String)],
 ) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: {}\r\n",
-        reason(status),
+    write_head(
+        stream,
+        status,
+        content_type,
         body.len(),
+        keep_alive,
+        extra_headers,
+    )?;
+    stream.write_all(body)?;
+    stream.flush()
+}
+
+/// Writes the status line and headers of a response whose body is
+/// `content_length` bytes, and not the body: the caller writes it, or,
+/// answering a `HEAD`, leaves it out.
+///
+/// # Errors
+///
+/// Propagates stream write errors.
+pub(crate) fn write_head<W: Write>(
+    stream: &mut W,
+    status: u16,
+    content_type: &str,
+    content_length: usize,
+    keep_alive: bool,
+    extra_headers: &[(&str, String)],
+) -> std::io::Result<()> {
+    let mut head = format!(
+        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {content_length}\r\nconnection: {}\r\n",
+        reason(status),
         if keep_alive { "keep-alive" } else { "close" },
     );
     for (name, value) in extra_headers {
@@ -411,9 +437,7 @@ pub fn write_response_with<W: Write>(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+    stream.write_all(head.as_bytes())
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ use std::thread::JoinHandle;
 use crate::api::{ApiRequest, ApiResponse, Endpoint};
 use crate::batch::Batcher;
 use crate::config::ServeConfig;
-use crate::http::{write_response_with, Request};
+use crate::http::{write_head, Request};
 use crate::json::{obj, Json};
 use crate::store::{plan_cache_counts, plan_cache_hit_rate};
 
@@ -130,6 +130,9 @@ pub(crate) struct Rendered {
     pub(crate) keep_alive: bool,
     pub(crate) retry_after: Option<u64>,
     pub(crate) content_type: &'static str,
+    /// Answers a `HEAD`: the status and headers (with the body's length)
+    /// go out, the body does not.
+    pub(crate) head: bool,
 }
 
 impl Rendered {
@@ -140,24 +143,30 @@ impl Rendered {
             keep_alive,
             retry_after: resp.retry_after(),
             content_type: "application/json",
+            head: false,
         }
     }
 
-    /// Serializes the full HTTP response.
+    /// Serializes the HTTP response: the full response, or only its
+    /// status and headers when it answers a `HEAD`.
     pub(crate) fn write_to<W: Write>(&self, w: &mut W, keep_alive: bool) -> std::io::Result<()> {
         let extra: Vec<(&str, String)> = self
             .retry_after
             .map(|s| ("Retry-After", s.to_string()))
             .into_iter()
             .collect();
-        write_response_with(
+        write_head(
             w,
             self.status,
             self.content_type,
-            self.body.as_bytes(),
+            self.body.len(),
             keep_alive,
             &extra,
-        )
+        )?;
+        if !self.head {
+            w.write_all(self.body.as_bytes())?;
+        }
+        w.flush()
     }
 }
 
@@ -169,7 +178,8 @@ pub(crate) enum RouteOutcome {
     Api(ApiRequest),
 }
 
-/// Routes one parsed request.
+/// Routes one parsed request. A `HEAD` routes as the `GET` of its path
+/// and is answered with that response's status and headers only.
 pub(crate) fn route(
     request: &Request,
     shutdown: &AtomicBool,
@@ -185,9 +195,12 @@ pub(crate) fn route(
             keep_alive,
             retry_after: None,
             content_type: "application/json",
+            head: false,
         })
     };
-    match (request.method.as_str(), request.path.as_str()) {
+    let head = request.method == "HEAD";
+    let method = if head { "GET" } else { request.method.as_str() };
+    let mut outcome = match (method, request.path.as_str()) {
         ("GET", "/healthz") => page(
             200,
             obj(vec![("ok", Json::Bool(true))]).render(),
@@ -200,6 +213,7 @@ pub(crate) fn route(
             keep_alive: request.keep_alive,
             retry_after: None,
             content_type: "text/plain; version=0.0.4",
+            head: false,
         }),
         ("POST", "/admin/shutdown") => {
             shutdown.store(true, Ordering::SeqCst);
@@ -214,14 +228,18 @@ pub(crate) fn route(
             Err(Some(msg)) => answer(ApiResponse::error(400, msg)),
             Ok(api) => RouteOutcome::Api(api),
         },
-        ("GET" | "HEAD", path) if Endpoint::from_path(path).is_some() => {
+        ("GET", path) if Endpoint::from_path(path).is_some() => {
             answer(ApiResponse::error(405, format!("`{path}` requires POST")))
         }
         (_, path) => answer(ApiResponse::error(
             404,
             format!("no such endpoint `{path}`"),
         )),
+    };
+    if let RouteOutcome::Immediate(rendered) = &mut outcome {
+        rendered.head = head;
     }
+    outcome
 }
 
 /// A running serve instance. Dropping it shuts the server down.
@@ -494,6 +512,38 @@ mod tests {
             assert_eq!(resp.body_str().unwrap(), "{\"ok\":true}");
         }
         assert!(server.stats().requests.load(Ordering::Relaxed) >= BURST as u64);
+        server.shutdown();
+    }
+
+    #[test]
+    fn pipelined_head_requests_get_headers_and_no_body() {
+        // A client that reads only the headers of a HEAD answer must find
+        // the next response right after them: two pipelined HEADs on one
+        // keep-alive socket come back as two bare header blocks, the
+        // GET route's status and body length included, and nothing else.
+        let mut server = test_server();
+        let (mut stream, _) = connect(&server);
+        stream
+            .write_all(
+                b"HEAD /healthz HTTP/1.1\r\nHost: x\r\n\r\n\
+                  HEAD /v1/eval HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+            )
+            .unwrap();
+        let mut raw = Vec::new();
+        std::io::Read::read_to_end(&mut stream, &mut raw).unwrap();
+        let text = String::from_utf8(raw).unwrap();
+        assert!(text.ends_with("\r\n\r\n"), "a body followed: {text:?}");
+        let heads: Vec<&str> = text.split_terminator("\r\n\r\n").collect();
+        assert_eq!(heads.len(), 2, "{text:?}");
+        assert!(heads[0].starts_with("HTTP/1.1 200 "), "{text:?}");
+        let ok_len = format!("content-length: {}", "{\"ok\":true}".len());
+        assert!(heads[0].contains(&ok_len), "{text:?}");
+        assert!(heads[0].contains("connection: keep-alive"), "{text:?}");
+        assert!(heads[1].starts_with("HTTP/1.1 405 "), "{text:?}");
+        assert!(heads[1].contains("connection: close"), "{text:?}");
+        for head in &heads {
+            assert!(head.lines().skip(1).all(|l| l.contains(": ")), "{text:?}");
+        }
         server.shutdown();
     }
 
