@@ -184,6 +184,30 @@ impl<'a> ProposedLinkModel<'a> {
     pub fn evaluator(&self) -> &LineEvaluator<'a> {
         self.evaluator
     }
+
+    /// The cost of an `n_bits`-wide bus of `plan`-buffered bit-lines with
+    /// the given per-bit delay and power.
+    fn priced(
+        &self,
+        length: Length,
+        n_bits: usize,
+        plan: BufferingPlan,
+        delay: Time,
+        per_bit: PowerBreakdown,
+    ) -> LinkCost {
+        let tech = self.evaluator.tech();
+        LinkCost {
+            delay,
+            power: PowerBreakdown {
+                dynamic: per_bit.dynamic * n_bits as f64,
+                leakage: per_bit.leakage * n_bits as f64,
+            },
+            wire_area: bus_area(n_bits, length, tech.global_layer(), self.style),
+            repeater_area: self.evaluator.repeater_area(&plan) * n_bits as f64,
+            repeaters_per_bit: plan.count,
+            plan,
+        }
+    }
 }
 
 impl LinkCostModel for ProposedLinkModel<'_> {
@@ -255,32 +279,6 @@ impl LinkCostModel for ProposedLinkModel<'_> {
             self.priced(length, n_bits, plan, timing.delay, per_bit),
             stage_delays_of(&timing),
         ))
-    }
-}
-
-impl ProposedLinkModel<'_> {
-    /// The cost of an `n_bits`-wide bus of `plan`-buffered bit-lines with
-    /// the given per-bit delay and power.
-    fn priced(
-        &self,
-        length: Length,
-        n_bits: usize,
-        plan: BufferingPlan,
-        delay: Time,
-        per_bit: PowerBreakdown,
-    ) -> LinkCost {
-        let tech = self.evaluator.tech();
-        LinkCost {
-            delay,
-            power: PowerBreakdown {
-                dynamic: per_bit.dynamic * n_bits as f64,
-                leakage: per_bit.leakage * n_bits as f64,
-            },
-            wire_area: bus_area(n_bits, length, tech.global_layer(), self.style),
-            repeater_area: self.evaluator.repeater_area(&plan) * n_bits as f64,
-            repeaters_per_bit: plan.count,
-            plan,
-        }
     }
 }
 
