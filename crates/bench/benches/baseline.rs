@@ -33,7 +33,10 @@
 //!    `normal_cdf_ns` is the mean cost of one standard-normal CDF over a
 //!    fixed sweep of x ∈ [−10, 40] (gated ≤ 80 ns: the tabulated `erfc`
 //!    is fixed-cost at 25–40 ns, the iterative evaluation it replaced
-//!    averaged ~170 ns over this sweep on the same host).
+//!    averaged ~170 ns over this sweep on the same host). From x = 8.5
+//!    on the CDF is a saturated `1.0` that skips `erfc`, 63 % of that
+//!    sweep, so `normal_cdf_unsaturated_ns` sweeps x ∈ [−10, 8.5) under
+//!    the same gate to keep the `erfc` kernel itself measured.
 //!
 //! 4. **GP sizing**: `gp_size_ns` times one certified GP sizing of the
 //!    reference line (posynomial propose, scrambled-Sobol verify);
@@ -58,20 +61,17 @@
 //! measurement actually used, so a `0.99×` "speedup" can never again be
 //! mistaken for a parallelism regression on a single-core runner.
 
-use pi_bench::micro::{emit, fmt_ns, Measurement, Micro};
+use pi_bench::micro::{emit, fixed, fmt_ns, render_members, Measurement, Micro};
 use pi_core::calibrate::{characterize_grid, CalibrationGrid};
 use pi_core::coefficients::builtin;
 use pi_core::line::{BufferingPlan, LineEvaluator, LineSpec};
 use pi_core::repeater_model::Transition;
 use pi_core::variation::{SizeQuery, VariationModel};
 use pi_golden::signoff::{line_delay, line_delay_reference};
+use pi_obs::json::Json;
 use pi_tech::units::Length;
 use pi_tech::{DesignStyle, RepeaterKind, TechNode, Technology};
 use pi_yield::{EstimatorConfig, Method};
-
-fn json_field(out: &mut String, key: &str, value: f64) {
-    out.push_str(&format!("  \"{key}\": {value:.1},\n"));
-}
 
 /// Disabled-path cost of a single pi-obs probe: one relaxed atomic load
 /// plus the early return. Measured with `PI_OBS` unset — the configuration
@@ -99,24 +99,22 @@ fn probe_overhead_ns() -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// Points per `normal_cdf` sweep.
+const CDF_POINTS: usize = 4096;
+
 /// Mean cost of one `normal_cdf` — the primitive every analytic yield
-/// closure evaluates per channel per quadrature node — over a fixed
-/// 4096-point sweep of x ∈ [−10, 40], which covers the power series, the
-/// tabulated tail and the exact-zero region. Best of 15 repeats, after a
-/// warm-up pass that seeds the table.
-fn normal_cdf_ns() -> f64 {
-    const POINTS: usize = 4096;
-    let xs: Vec<f64> = (0..POINTS)
-        .map(|i| -10.0 + 50.0 * i as f64 / (POINTS - 1) as f64)
-        .collect();
+/// closure evaluates per distinct channel per quadrature node — over a
+/// fixed sweep of `xs`. Best of 15 repeats, after a warm-up pass that
+/// seeds the table.
+fn normal_cdf_ns(xs: &[f64]) -> f64 {
     let sweep = || {
         let t = std::time::Instant::now();
         let mut acc = 0.0;
-        for &x in &xs {
+        for &x in xs {
             acc += pi_rt::norm::normal_cdf(std::hint::black_box(x));
         }
         std::hint::black_box(acc);
-        t.elapsed().as_nanos() as f64 / POINTS as f64
+        t.elapsed().as_nanos() as f64 / xs.len() as f64
     };
     sweep();
     (0..15).map(|_| sweep()).fold(f64::INFINITY, f64::min)
@@ -392,7 +390,18 @@ fn main() {
     });
 
     let probe_ns = probe_overhead_ns();
-    let cdf_ns = normal_cdf_ns();
+    // The full sweep, x ∈ [−10, 40], covers the power series, the
+    // tabulated tail, the saturated Φ = 1 shortcut (63 % of its points)
+    // and the exact-zero region; the unsaturated one, x ∈ [−10, 8.5),
+    // keeps only the arguments that still evaluate `erfc`.
+    let full: Vec<f64> = (0..CDF_POINTS)
+        .map(|i| -10.0 + 50.0 * i as f64 / (CDF_POINTS - 1) as f64)
+        .collect();
+    let unsaturated: Vec<f64> = (0..CDF_POINTS)
+        .map(|i| -10.0 + 18.5 * i as f64 / CDF_POINTS as f64)
+        .collect();
+    let cdf_ns = normal_cdf_ns(&full);
+    let cdf_unsaturated_ns = normal_cdf_ns(&unsaturated);
     std::env::set_var("PI_OBS", "summary");
     pi_obs::reinit_from_env();
     line_delay(&tech, &spec, &plan).expect("traced sign-off");
@@ -439,93 +448,79 @@ fn main() {
         gp_bench.clone(),
     ]);
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"host_cores\": {cores},\n"));
-    json.push_str(&format!(
-        "  \"calibration_threads\": {},\n",
-        parallel.as_ref().map_or(1, |_| parallel_threads)
-    ));
-    json_field(&mut json, "calibration_serial_ns", serial.median_ns);
-    json_field(&mut json, "calibration_cached_ns", cached.median_ns);
-    match (&parallel, speedup) {
-        (Some(p), Some(s)) => {
-            json_field(&mut json, "calibration_parallel_ns", p.median_ns);
-            json.push_str(&format!("  \"calibration_speedup\": {s:.2},\n"));
-        }
-        _ => {
-            json.push_str("  \"calibration_parallel_ns\": null,\n");
-            json.push_str("  \"calibration_speedup\": null,\n");
-        }
-    }
-    json_field(&mut json, "model_eval_ns", model.median_ns);
-    json_field(&mut json, "golden_signoff_ns", golden.median_ns);
-    json_field(&mut json, "signoff_sparse_ns", golden.median_ns);
-    json_field(&mut json, "signoff_dense_ns", dense.median_ns);
-    json.push_str(&format!("  \"signoff_speedup\": {signoff_speedup:.2},\n"));
-    json.push_str(&format!("  \"signoff_over_model_ratio\": {ratio:.0},\n"));
-    json.push_str(&format!("  \"yield_naive_evals\": {},\n", naive_est.evals));
-    json.push_str(&format!("  \"yield_rqmc_evals\": {},\n", rqmc_est.evals));
-    json.push_str(&format!(
-        "  \"yield_evals_reduction\": {yield_reduction:.1},\n"
-    ));
-    json_field(&mut json, "yield_naive_ns", yield_naive.median_ns);
-    json_field(&mut json, "yield_rqmc_ns", yield_rqmc.median_ns);
-    json.push_str(&format!(
-        "  \"yield_tail_naive_evals\": {},\n",
-        tail_naive.evals
-    ));
-    json.push_str(&format!("  \"yield_tail_is_evals\": {},\n", tail_is.evals));
-    json.push_str(&format!(
-        "  \"yield_tail_evals_reduction\": {tail_reduction:.1},\n"
-    ));
-    json.push_str(&format!(
-        "  \"yield_tail_surrogate_evals\": {},\n",
-        tail_sur.evals
-    ));
-    json.push_str(&format!(
-        "  \"yield_tail_surrogate_reduction\": {sur_reduction:.1},\n"
-    ));
-    json.push_str(&format!(
-        "  \"yield_cv_variance_ratio\": {cv_variance_ratio:.1},\n"
-    ));
-    json.push_str(&format!("  \"yield_corr_evals\": {},\n", corr_est.evals));
-    json.push_str(&format!(
-        "  \"yield_corr_overestimate_pct\": {corr_overestimate_pct:.2},\n"
-    ));
-    json_field(&mut json, "normal_cdf_ns", cdf_ns);
-    json.push_str(&format!("  \"probe_overhead_ns\": {probe_ns:.3},\n"));
-    json.push_str(&format!(
-        "  \"newton_iters_per_solve\": {newton_iters_per_solve:.2},\n"
-    ));
-    json.push_str(&format!("  \"step_reject_rate\": {step_reject_rate:.4},\n"));
-    json.push_str(&format!(
-        "  \"char_cache_hit_rate\": {char_cache_hit_rate:.4},\n"
-    ));
-    json_field(&mut json, "serve_p50_us", serve_report.p50_us);
-    json_field(&mut json, "serve_p99_us", serve_report.p99_us);
-    json_field(&mut json, "serve_qps", serve_report.qps);
-    json.push_str(&format!(
-        "  \"serve_batch_mean\": {:.2},\n",
-        serve_report.batch_mean
-    ));
-    json_field(&mut json, "serve_qps_c64", serve_c64.qps);
-    json_field(&mut json, "serve_p99_us_c64", serve_c64.p99_us);
-    json.push_str(&format!(
-        "  \"size_batch_mean\": {:.2},\n",
-        serve_sizes.size_batch_mean
-    ));
-    json_field(&mut json, "gp_size_ns", gp_bench.median_ns);
-    json.push_str(&format!("  \"gp_vs_ladder_delay_ratio\": {gp_ratio:.4},\n"));
-    json.push_str(&format!("  \"gp_fallback_rate\": {gp_fallback_rate:.4},\n"));
-    json.push_str(&format!(
-        "  \"gp_iterations_mean\": {gp_iterations_mean:.2},\n"
-    ));
-    json.push_str(
-        "  \"yield_case\": \"5 mm line, deadline 1.05x nominal to +-0.5% @ 95%; tail 1.25x nominal to +-0.05%\",\n",
-    );
-    json.push_str("  \"grid\": \"standard 5x5x5, N65 inverter fall\",\n");
-    json.push_str("  \"line\": \"5 mm SS, 8x 6um inverters, N65\"\n");
-    json.push_str("}\n");
+    let ns = |m: &Measurement| fixed(m.median_ns, 1);
+    let count = |n: usize| Json::Int(n as i128);
+    let json = render_members(&[
+        ("host_cores", count(cores)),
+        (
+            "calibration_threads",
+            count(parallel.as_ref().map_or(1, |_| parallel_threads)),
+        ),
+        ("calibration_serial_ns", ns(&serial)),
+        ("calibration_cached_ns", ns(&cached)),
+        (
+            "calibration_parallel_ns",
+            parallel.as_ref().map_or(Json::Null, ns),
+        ),
+        (
+            "calibration_speedup",
+            speedup.map_or(Json::Null, |s| fixed(s, 2)),
+        ),
+        ("model_eval_ns", ns(&model)),
+        ("golden_signoff_ns", ns(&golden)),
+        ("signoff_sparse_ns", ns(&golden)),
+        ("signoff_dense_ns", ns(&dense)),
+        ("signoff_speedup", fixed(signoff_speedup, 2)),
+        ("signoff_over_model_ratio", fixed(ratio, 0)),
+        ("yield_naive_evals", count(naive_est.evals)),
+        ("yield_rqmc_evals", count(rqmc_est.evals)),
+        ("yield_evals_reduction", fixed(yield_reduction, 1)),
+        ("yield_naive_ns", ns(&yield_naive)),
+        ("yield_rqmc_ns", ns(&yield_rqmc)),
+        ("yield_tail_naive_evals", count(tail_naive.evals)),
+        ("yield_tail_is_evals", count(tail_is.evals)),
+        ("yield_tail_evals_reduction", fixed(tail_reduction, 1)),
+        ("yield_tail_surrogate_evals", count(tail_sur.evals)),
+        ("yield_tail_surrogate_reduction", fixed(sur_reduction, 1)),
+        ("yield_cv_variance_ratio", fixed(cv_variance_ratio, 1)),
+        ("yield_corr_evals", count(corr_est.evals)),
+        (
+            "yield_corr_overestimate_pct",
+            fixed(corr_overestimate_pct, 2),
+        ),
+        ("normal_cdf_ns", fixed(cdf_ns, 1)),
+        ("normal_cdf_unsaturated_ns", fixed(cdf_unsaturated_ns, 1)),
+        ("probe_overhead_ns", fixed(probe_ns, 3)),
+        ("newton_iters_per_solve", fixed(newton_iters_per_solve, 2)),
+        ("step_reject_rate", fixed(step_reject_rate, 4)),
+        ("char_cache_hit_rate", fixed(char_cache_hit_rate, 4)),
+        ("serve_p50_us", fixed(serve_report.p50_us, 1)),
+        ("serve_p99_us", fixed(serve_report.p99_us, 1)),
+        ("serve_qps", fixed(serve_report.qps, 1)),
+        ("serve_batch_mean", fixed(serve_report.batch_mean, 2)),
+        ("serve_qps_c64", fixed(serve_c64.qps, 1)),
+        ("serve_p99_us_c64", fixed(serve_c64.p99_us, 1)),
+        ("size_batch_mean", fixed(serve_sizes.size_batch_mean, 2)),
+        ("gp_size_ns", ns(&gp_bench)),
+        ("gp_vs_ladder_delay_ratio", fixed(gp_ratio, 4)),
+        ("gp_fallback_rate", fixed(gp_fallback_rate, 4)),
+        ("gp_iterations_mean", fixed(gp_iterations_mean, 2)),
+        (
+            "yield_case",
+            Json::Str(
+                "5 mm line, deadline 1.05x nominal to +-0.5% @ 95%; tail 1.25x nominal to +-0.05%"
+                    .to_owned(),
+            ),
+        ),
+        (
+            "grid",
+            Json::Str("standard 5x5x5, N65 inverter fall".to_owned()),
+        ),
+        (
+            "line",
+            Json::Str("5 mm SS, 8x 6um inverters, N65".to_owned()),
+        ),
+    ]);
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_seed.json");
     std::fs::write(path, &json).expect("write BENCH_seed.json");
@@ -560,7 +555,8 @@ fn main() {
     );
     println!(
         "correlated (rho 0.8, 2 mm regions): {} evals; independence overestimates \
-         yield by {corr_overestimate_pct:.2} points; normal_cdf {cdf_ns:.1} ns/call",
+         yield by {corr_overestimate_pct:.2} points; normal_cdf {cdf_ns:.1} ns/call \
+         ({cdf_unsaturated_ns:.1} ns below the saturated tail)",
         corr_est.evals
     );
     println!(

@@ -167,6 +167,42 @@ pub fn fmt_ns(ns: f64) -> String {
     }
 }
 
+/// `v` rounded to `decimals` places as a JSON number: the value that
+/// `format!("{v:.decimals$}")` prints, an integer token at 0 decimals.
+/// A non-finite `v` (a ratio over a zero count) is `null`, because JSON
+/// has no `NaN`.
+#[must_use]
+pub fn fixed(v: f64, decimals: usize) -> Json {
+    if !v.is_finite() {
+        return Json::Null;
+    }
+    let rounded: f64 = format!("{v:.decimals$}")
+        .parse()
+        .expect("a formatted finite f64 parses");
+    if decimals == 0 {
+        Json::from_f64(rounded)
+    } else {
+        Json::Num(rounded)
+    }
+}
+
+/// An object rendered one member per line with a two-space indent, the
+/// layout of the committed `BENCH_seed.json` that `scripts/verify.sh`
+/// reads a key at a time.
+#[must_use]
+pub fn render_members(members: &[(&str, Json)]) -> String {
+    let mut out = String::from("{\n");
+    for (i, (key, value)) in members.iter().enumerate() {
+        out.push_str("  ");
+        json::write_string(&mut out, key);
+        out.push_str(": ");
+        value.write(&mut out);
+        out.push_str(if i + 1 < members.len() { ",\n" } else { "\n" });
+    }
+    out.push_str("}\n");
+    out
+}
+
 /// Prints the standard report for a bench binary: a titled text table,
 /// then the JSON-lines records — appended to the file named by the
 /// `PI_BENCH_JSON` environment variable when set, printed to stdout
@@ -267,6 +303,31 @@ mod tests {
         let v = json::parse(&m.json_line()).expect("valid JSON");
         assert_eq!(v.get("name").and_then(Json::as_str), Some(name));
         assert_eq!(v.get("median_ns").and_then(Json::as_f64), Some(1234.6));
+    }
+
+    #[test]
+    fn fixed_keeps_the_rounding_and_writes_null_for_non_finite() {
+        assert_eq!(fixed(19_363_670.04, 1), Json::Num(19_363_670.0));
+        assert_eq!(fixed(36.46, 1), Json::Num(36.5));
+        assert_eq!(fixed(0.25, 4), Json::Num(0.25));
+        assert_eq!(fixed(45_387.6, 0), Json::Int(45_388));
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(fixed(v, 2), Json::Null, "{v}");
+        }
+        let text = render_members(&[
+            ("ns", fixed(19_363_670.04, 1)),
+            ("ratio", fixed(f64::NAN, 2)),
+            ("count", Json::Int(3)),
+            ("case", Json::Str("5 mm \"line\"".into())),
+        ]);
+        assert_eq!(
+            text,
+            "{\n  \"ns\": 19363670.0,\n  \"ratio\": null,\n  \"count\": 3,\n  \
+             \"case\": \"5 mm \\\"line\\\"\"\n}\n"
+        );
+        let v = json::parse(&text).expect("valid JSON");
+        assert_eq!(v.get("ratio"), Some(&Json::Null));
+        assert_eq!(v.get("ns").and_then(Json::as_f64), Some(19_363_670.0));
     }
 
     #[test]

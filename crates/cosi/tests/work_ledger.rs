@@ -3,8 +3,11 @@
 //! `synthesize` prices each distinct clamped channel length once per call
 //! and reuses the answer across the filter's rounds. This test pins, for
 //! the VPROC and DVOPD testcases under a 0.99 filter, the exact buffering
-//! searches (`cosi.link_solves`), GP solves (`gp.solve`) and filter
-//! rounds (`cosi.yield_filter_rounds`) per call, and checks the searches
+//! searches (`cosi.link_solves`), GP solves (`gp.solve`), filter
+//! rounds (`cosi.yield_filter_rounds`) and the analytic closures' `Φ`
+//! evaluations (`yield.closure_cdf_evals`: one per distinct channel per
+//! D2D node of every network closure, the resize's single-link closures
+//! included) per call, and checks the searches
 //! against a model that logs every `link_cost` it answers: no (length,
 //! width) reaches the model twice, and the searches are exactly the
 //! distinct lengths the call priced plus the margin bisection's probes.
@@ -82,10 +85,15 @@ fn counters_of<R>(f: impl FnOnce() -> R) -> (R, BTreeMap<&'static str, u64>) {
 }
 
 /// `(design, link solves, of which priced lengths, of which probe
-/// lengths, GP solves, filter rounds, margin probes)`.
-const LEDGER: [(&str, u64, u64, u64, u64, u64, u64); 2] = [
-    ("vproc", 202, 181, 21, 132, 2, 22),
-    ("dvopd", 121, 100, 21, 62, 2, 22),
+/// lengths, GP solves, filter rounds, margin probes, closure Φ
+/// evaluations)`. The Φ count is 257 D2D nodes × (the distinct channels
+/// of the four network closures plus one per single-link estimate):
+/// VPROC 257 × (70 + 70 + 111 + 111 + 446), DVOPD
+/// 257 × (34 + 34 + 66 + 66 + 157).
+type LedgerRow = (&'static str, u64, u64, u64, u64, u64, u64, u64);
+const LEDGER: [LedgerRow; 2] = [
+    ("vproc", 202, 181, 21, 132, 2, 22, 207_656),
+    ("dvopd", 121, 100, 21, 62, 2, 22, 91_749),
 ];
 
 #[test]
@@ -96,7 +104,9 @@ fn each_length_is_searched_once_per_synthesis() {
     let models = builtin(TechNode::N65);
     let evaluator = LineEvaluator::new(&models, &tech);
     let clock = Freq::ghz(2.25);
-    for (design, solves, priced_lengths, probe_solves, gp_solves, rounds, probes) in LEDGER {
+    for (design, solves, priced_lengths, probe_solves, gp_solves, rounds, probes, cdf_evals) in
+        LEDGER
+    {
         let spec: CommSpec = match design {
             "vproc" => testcases::vproc(),
             _ => testcases::dvopd(),
@@ -168,6 +178,11 @@ fn each_length_is_searched_once_per_synthesis() {
             count("cosi.margin_probes"),
             probes,
             "{design}: bisection probes"
+        );
+        assert_eq!(
+            count("yield.closure_cdf_evals"),
+            cdf_evals,
+            "{design}: closure Φ evaluations"
         );
     }
 }

@@ -9,8 +9,9 @@
 //! quasi-Monte-Carlo sequence relies on; the inverse CDF consumes exactly
 //! one).
 //!
-//! The CDF ([`normal_cdf`]) goes through [`erfc`], which costs the same
-//! few dozen flops and one `exp` at every argument:
+//! The CDF ([`normal_cdf`]) is exactly `1.0` from `x = 8.5` on (see
+//! below) and otherwise goes through [`erfc`], which costs the same few
+//! dozen flops and one `exp` at every argument:
 //!
 //! - below `x = 0.5`, the all-positive erf power series (≤ 13 terms);
 //! - on `[0.5, 27.5)`, `erfc(x) = e^(−x²)·erfcx(x)` with the scaled
@@ -34,6 +35,15 @@
 //! polynomial this module once used (absolute error `7.5e-8`, tens of
 //! percent *relative* error at 4–6σ), that bound is relative all the
 //! way down the tail.
+//!
+//! **Saturated upper tail.** For `x ≥ 8.5`, `0.5·erfc(−x/√2)` is
+//! `0.5·(2 − erfc(x/√2))` with `erfc(x/√2) ≤ erfc(6.01) ≈ 2e-17`, less
+//! than half an ulp of the doubles just below 2 (`2⁻⁵³`), so the
+//! subtraction rounds to exactly 2 and the CDF to exactly 1 (the first
+//! `1.0` appears at `x ≈ 8.2924`). [`normal_cdf`] returns that `1.0`
+//! without evaluating `erfc`: every input keeps its bits, and the
+//! network closures, whose channels mostly sit far inside their
+//! deadlines, skip the table work for their easy terms.
 
 /// The standard-normal density `φ(x)`.
 #[must_use]
@@ -168,7 +178,8 @@ fn erfcx_taylor(i: usize, x: f64) -> f64 {
 /// Fixed cost: the power series below `0.5`, `e^(−x²)` times a tabulated
 /// degree-9 Taylor step of `erfcx` on `[0.5, 27.5)`, exact 0 beyond, and
 /// `2 − erfc(−x)` for negative `x` (see the module docs). `erfc(NaN)` is
-/// NaN.
+/// NaN. [`normal_cdf`] skips the call where its answer saturates at 1,
+/// so its cost is not fixed in the upper tail.
 #[must_use]
 pub fn erfc(x: f64) -> f64 {
     if x < 0.0 {
@@ -185,14 +196,26 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
+/// From here on `Φ(x)` is exactly `1.0`: `0.5·erfc(−x/√2)` already
+/// rounds to it (see the module docs).
+const CDF_ONE: f64 = 8.5;
+
 /// The standard-normal CDF `Φ(x) = erfc(−x/√2)/2`.
 ///
 /// Relative error below `1e-12` for `x ≤ 0` (the lower tail is computed
 /// directly, never as `1 − …`), and absolute error at the same level for
 /// `x > 0`.
+///
+/// Cost: one [`erfc`] below `x = 8.5`; from there on the result is the
+/// `1.0` that `erfc` would round to, returned without evaluating it.
+/// `normal_cdf(NaN)` is NaN.
 #[must_use]
 pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * erfc(-x * std::f64::consts::FRAC_1_SQRT_2)
+    if x >= CDF_ONE {
+        1.0
+    } else {
+        0.5 * erfc(-x * std::f64::consts::FRAC_1_SQRT_2)
+    }
 }
 
 /// Acklam central-region numerator coefficients.
@@ -468,6 +491,47 @@ mod tests {
             let want = erfc_iterative(x);
             assert!((erfc(x) - want).abs() / want <= 5e-13, "erfc({x})");
         }
+    }
+
+    /// `normal_cdf` before the saturated shortcut.
+    fn cdf_via_erfc(x: f64) -> f64 {
+        0.5 * erfc(-x * std::f64::consts::FRAC_1_SQRT_2)
+    }
+
+    #[test]
+    fn saturated_cdf_keeps_the_bits_of_the_erfc_expression() {
+        // From the cut-off on, erfc(x/√2) ≤ erfc(6.01) ≈ 2e-17 < 2⁻⁵³, so
+        // 2 − erfc(x/√2) rounds to 2 and 0.5·erfc(−x/√2) to exactly 1.0:
+        // a dense sweep up to 40, the 64 doubles just above the cut-off
+        // and the far end of the range.
+        let n = 200_000;
+        let sweep = (0..=n).map(|i| CDF_ONE + (40.0 - CDF_ONE) * f64::from(i) / f64::from(n));
+        let mut above = CDF_ONE;
+        let next_up = std::iter::repeat_with(|| {
+            above = f64::from_bits(above.to_bits() + 1);
+            above
+        })
+        .take(64);
+        let far = [CDF_ONE, 1e3, f64::MAX, f64::INFINITY];
+        for x in sweep.chain(next_up).chain(far) {
+            assert_eq!(cdf_via_erfc(x).to_bits(), 1.0f64.to_bits(), "Φ({x})");
+            assert_eq!(normal_cdf(x).to_bits(), 1.0f64.to_bits(), "Φ({x})");
+        }
+        // Below the cut-off the CDF is still the erfc expression, bit for
+        // bit, including the doubles just under it.
+        let mut below = CDF_ONE;
+        for _ in 0..64 {
+            below = f64::from_bits(below.to_bits() - 1);
+            assert_eq!(normal_cdf(below).to_bits(), cdf_via_erfc(below).to_bits());
+        }
+        for i in 0..=10_000 {
+            let x = -10.0 + 18.5 * f64::from(i) / 10_000.0;
+            if x < CDF_ONE {
+                assert_eq!(normal_cdf(x).to_bits(), cdf_via_erfc(x).to_bits(), "Φ({x})");
+            }
+        }
+        assert!(normal_cdf(f64::NAN).is_nan());
+        assert!(cdf_via_erfc(f64::NAN).is_nan());
     }
 
     #[test]

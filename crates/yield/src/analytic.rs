@@ -18,6 +18,15 @@
 //!   full nonlinearity (and the drive floor) of the dominant D2D
 //!   dimension exactly.
 //!
+//! The closures' cost is their `Φ` terms. The independent
+//! [`network_yield`] groups channels whose D2D-independent moments are
+//! bit-equal (a NoC repeats its channel lengths) and evaluates one `Φ`
+//! per distinct channel per node; the product still multiplies one term
+//! per channel in channel order and every marginal is its group's, so
+//! the answer keeps its bits. A `Φ` of a channel far inside its deadline
+//! is a saturated `1.0` that costs a compare (see [`pi_rt::norm`]). The
+//! `yield.closure_cdf_evals` counter reports the terms per call.
+//!
 //! The closures ignore the [`DRIVE_FLOOR`](crate::problem::DRIVE_FLOOR)
 //! in the *WID* factors (a `< 10⁻⁸` effect at the σ ≲ 15 % budgets used
 //! here) and linearize `1/g_w` about its mean; tests pin the resulting
@@ -118,6 +127,15 @@ impl ConditionalMoments {
     /// Conditional delay `(mean, sigma)` given the D2D factor `g_d2d`.
     fn at(&self, g_d2d: f64) -> (f64, f64) {
         (self.repeater_s / g_d2d + self.wire_s, self.sigma_s / g_d2d)
+    }
+
+    /// The bits of all three moments: equal bits, equal `Φ` at every node.
+    fn bits(&self) -> [u64; 3] {
+        [
+            self.repeater_s.to_bits(),
+            self.wire_s.to_bits(),
+            self.sigma_s.to_bits(),
+        ]
     }
 }
 
@@ -228,7 +246,9 @@ pub fn line_yield(problem: &LineProblem) -> f64 {
 /// Conditioned on the D2D factor the channels are independent, so the
 /// network pass probability at fixed `g` is the product of per-channel
 /// `Φ` terms; the same quadrature accumulates the marginal per-channel
-/// yields for free.
+/// yields for free. Channels with bit-equal moments share one `Φ` per
+/// node; the product and the marginals come out bit for bit as if each
+/// channel had its own.
 ///
 /// With an active [`SpatialCorrelation`] the channels are no longer
 /// conditionally independent given the D2D factor alone: channels routed
@@ -251,9 +271,18 @@ pub fn network_yield(problem: &NetworkProblem) -> (f64, Vec<f64>) {
         .iter()
         .map(|stages| ConditionalMoments::new(stages, &problem.variation))
         .collect();
-    let mut per_channel = vec![0.0; moments.len()];
+    let mut closure = Conditional::new(moments);
+    let nodes = if problem.variation.sigma_d2d == 0.0 {
+        1
+    } else {
+        QUAD_STEPS + 1
+    };
+    pi_obs::counter_add(
+        "yield.closure_cdf_evals",
+        (closure.distinct_len() * nodes) as u64,
+    );
     let overall = if problem.variation.sigma_d2d == 0.0 {
-        accumulate_conditional(&moments, problem.period_s, 1.0, &mut per_channel, 1.0)
+        closure.accumulate(problem.period_s, 1.0, 1.0)
     } else {
         let h = 2.0 * QUAD_RANGE / QUAD_STEPS as f64;
         let mut acc = 0.0;
@@ -262,14 +291,129 @@ pub fn network_yield(problem: &NetworkProblem) -> (f64, Vec<f64>) {
             let weight = if i == 0 || i == QUAD_STEPS { 0.5 } else { 1.0 };
             let g = drive_factor_from_normal(z, problem.variation.sigma_d2d);
             let w = weight * normal_pdf(z) * h;
-            acc += accumulate_conditional(&moments, problem.period_s, g, &mut per_channel, w);
+            acc += closure.accumulate(problem.period_s, g, w);
         }
         acc
     };
+    let mut per_channel = closure.into_per_channel();
     for y in &mut per_channel {
         *y = y.clamp(0.0, 1.0);
     }
     (overall.clamp(0.0, 1.0), per_channel)
+}
+
+/// The independent closure's per-node state.
+enum Conditional {
+    /// Every channel distinct: one `Φ` per channel per node, marginals
+    /// accumulated in place.
+    Direct {
+        moments: Vec<ConditionalMoments>,
+        per_channel: Vec<f64>,
+    },
+    /// Channels grouped by bit-equal moments, which give bit-equal `Φ`
+    /// terms at every node: one `Φ` per group per node into `tails`,
+    /// marginals accumulated per group and scattered to the channels at
+    /// the end.
+    Grouped {
+        /// Each group's moments, in first-seen order.
+        distinct: Vec<ConditionalMoments>,
+        /// `slot[c]`: the group of channel `c`.
+        slot: Vec<usize>,
+        tails: Vec<f64>,
+        marginals: Vec<f64>,
+    },
+}
+
+impl Conditional {
+    /// Groups the channels, or keeps them direct when every channel is
+    /// distinct (one channel always is) and grouping would only add work.
+    fn new(moments: Vec<ConditionalMoments>) -> Self {
+        if moments.len() > 1 {
+            let mut seen = std::collections::HashMap::with_capacity(moments.len());
+            let mut distinct = Vec::new();
+            let slot: Vec<usize> = moments
+                .iter()
+                .map(|m| {
+                    *seen.entry(m.bits()).or_insert_with(|| {
+                        distinct.push(*m);
+                        distinct.len() - 1
+                    })
+                })
+                .collect();
+            if distinct.len() < moments.len() {
+                let groups = distinct.len();
+                return Conditional::Grouped {
+                    distinct,
+                    slot,
+                    tails: vec![0.0; groups],
+                    marginals: vec![0.0; groups],
+                };
+            }
+        }
+        Conditional::Direct {
+            per_channel: vec![0.0; moments.len()],
+            moments,
+        }
+    }
+
+    /// `Φ` terms per node.
+    fn distinct_len(&self) -> usize {
+        match self {
+            Conditional::Direct { moments, .. } => moments.len(),
+            Conditional::Grouped { distinct, .. } => distinct.len(),
+        }
+    }
+
+    /// Adds `weight ×` the conditional per-channel yields into the
+    /// marginals and returns `weight ×` the conditional all-channels-pass
+    /// probability. Both paths multiply the same terms in channel order,
+    /// so they agree bit for bit.
+    fn accumulate(&mut self, period_s: f64, g_d2d: f64, weight: f64) -> f64 {
+        let mut product = 1.0;
+        match self {
+            Conditional::Direct {
+                moments,
+                per_channel,
+            } => {
+                for (channel, marginal) in moments.iter().zip(per_channel.iter_mut()) {
+                    let (mean, sigma) = channel.at(g_d2d);
+                    let y = gaussian_tail(period_s, mean, sigma);
+                    *marginal += weight * y;
+                    product *= y;
+                }
+            }
+            Conditional::Grouped {
+                distinct,
+                slot,
+                tails,
+                marginals,
+            } => {
+                for ((group, tail), marginal) in distinct
+                    .iter()
+                    .zip(tails.iter_mut())
+                    .zip(marginals.iter_mut())
+                {
+                    let (mean, sigma) = group.at(g_d2d);
+                    *tail = gaussian_tail(period_s, mean, sigma);
+                    *marginal += weight * *tail;
+                }
+                for &k in slot.iter() {
+                    product *= tails[k];
+                }
+            }
+        }
+        weight * product
+    }
+
+    /// The accumulated marginal of every channel, in channel order.
+    fn into_per_channel(self) -> Vec<f64> {
+        match self {
+            Conditional::Direct { per_channel, .. } => per_channel,
+            Conditional::Grouped {
+                slot, marginals, ..
+            } => slot.iter().map(|&k| marginals[k]).collect(),
+        }
+    }
 }
 
 /// Number of quadrature panels over each shared-region normal in the
@@ -331,6 +475,7 @@ fn network_yield_correlated(problem: &NetworkProblem) -> (f64, Vec<f64>) {
     }
     let mut per_channel = vec![0.0; problem.channels.len()];
     let mut scratch = Vec::new();
+    let mut evals = 0;
     let overall = if problem.variation.sigma_d2d == 0.0 {
         correlated_conditional(
             problem,
@@ -340,6 +485,7 @@ fn network_yield_correlated(problem: &NetworkProblem) -> (f64, Vec<f64>) {
             &mut per_channel,
             1.0,
             &mut scratch,
+            &mut evals,
         )
     } else {
         let h = 2.0 * QUAD_RANGE / QUAD_STEPS as f64;
@@ -356,10 +502,12 @@ fn network_yield_correlated(problem: &NetworkProblem) -> (f64, Vec<f64>) {
                 &mut per_channel,
                 weight * normal_pdf(z) * h,
                 &mut scratch,
+                &mut evals,
             );
         }
         acc
     };
+    pi_obs::counter_add("yield.closure_cdf_evals", evals);
     for y in &mut per_channel {
         *y = y.clamp(0.0, 1.0);
     }
@@ -369,7 +517,8 @@ fn network_yield_correlated(problem: &NetworkProblem) -> (f64, Vec<f64>) {
 /// Adds `weight ×` the conditional per-channel yields into `per_channel`
 /// and returns `weight ×` the conditional all-channels-pass probability
 /// under the dominant-region factorization. `scratch` holds the
-/// per-member `(mean, λ, τ)` triples to avoid per-node allocation.
+/// per-member `(mean, λ, τ)` triples to avoid per-node allocation;
+/// `evals` counts the `Φ` terms evaluated.
 #[allow(clippy::too_many_arguments)]
 fn correlated_conditional(
     problem: &NetworkProblem,
@@ -379,6 +528,7 @@ fn correlated_conditional(
     per_channel: &mut [f64],
     weight: f64,
     scratch: &mut Vec<(f64, f64, f64)>,
+    evals: &mut u64,
 ) -> f64 {
     let rho = problem.correlation.rho_region;
     let sqrt_rho = rho.sqrt();
@@ -400,6 +550,7 @@ fn correlated_conditional(
                 weight * gaussian_tail(period, mean, (lambda * lambda + tau * tau).sqrt());
             scratch.push((mean, lambda, tau));
         }
+        *evals += members.len() as u64;
         // ∫ φ(u) · Π_c Φ((T − m_c + λ_c·u)/τ_c) du over this region's
         // shared normal.
         let h = 2.0 * QUAD_RANGE / REGION_QUAD_STEPS as f64;
@@ -414,6 +565,7 @@ fn correlated_conditional(
             let mut inner = 1.0;
             for &(mean, lambda, tau) in scratch.iter() {
                 inner *= gaussian_tail(period, mean - lambda * u, tau);
+                *evals += 1;
                 if inner == 0.0 {
                     break;
                 }
@@ -421,25 +573,6 @@ fn correlated_conditional(
             region_prob += quad_w * normal_pdf(u) * inner;
         }
         product *= (region_prob * h).clamp(0.0, 1.0);
-    }
-    weight * product
-}
-
-/// Adds `weight ×` the conditional per-channel yields into `per_channel`
-/// and returns `weight ×` the conditional all-channels-pass probability.
-fn accumulate_conditional(
-    moments: &[ConditionalMoments],
-    period_s: f64,
-    g_d2d: f64,
-    per_channel: &mut [f64],
-    weight: f64,
-) -> f64 {
-    let mut product = 1.0;
-    for (channel, marginal) in moments.iter().zip(per_channel.iter_mut()) {
-        let (mean, sigma) = channel.at(g_d2d);
-        let y = gaussian_tail(period_s, mean, sigma);
-        *marginal += weight * y;
-        product *= y;
     }
     weight * product
 }
@@ -547,7 +680,7 @@ mod tests {
     fn hoisted_moments_match_a_per_node_recompute_bit_for_bit() {
         // Forty channels of uneven stage delays, so that a reassociated
         // moment expression would round differently somewhere.
-        let channels: Vec<StageDelays> = (1..=40)
+        let forty: Vec<StageDelays> = (1..=40)
             .map(|k| {
                 let n = 2 + k % 7;
                 let r = (0..n).map(|j| (17.3 + 0.731 * k as f64 + 1.37 * j as f64) * 1e-12);
@@ -555,17 +688,26 @@ mod tests {
                 StageDelays::new(r.collect(), w.collect())
             })
             .collect();
-        let slowest = channels
+        // The same forty tiled three times in shuffled order (47 is
+        // coprime to 120): the closure evaluates one Φ per distinct
+        // channel and must still form every product and marginal as the
+        // per-channel recompute does.
+        let tiled: Vec<StageDelays> = (0..120).map(|i| forty[i * 47 % 120 % 40].clone()).collect();
+        let slowest = forty
             .iter()
             .map(StageDelays::nominal_delay)
             .fold(0.0, f64::max);
-        for v in [
+        let variations = [
             variation(),
             DriveVariation {
                 sigma_d2d: 0.0,
                 sigma_wid: 0.0731,
             },
-        ] {
+        ];
+        for (channels, v) in [&forty, &tiled]
+            .into_iter()
+            .flat_map(|c| variations.map(|v| (c, v)))
+        {
             let p = NetworkProblem::new(channels.clone(), v, slowest * 1.05);
             let (got, per) = network_yield(&p);
             let mut per_node = vec![0.0; channels.len()];
@@ -601,8 +743,9 @@ mod tests {
                 acc += w * product;
             }
             assert_eq!(got.to_bits(), acc.clamp(0.0, 1.0).to_bits());
-            for (a, b) in per.iter().zip(&per_node) {
-                assert_eq!(a.to_bits(), b.clamp(0.0, 1.0).to_bits());
+            assert_eq!(per.len(), channels.len());
+            for (c, (a, b)) in per.iter().zip(&per_node).enumerate() {
+                assert_eq!(a.to_bits(), b.clamp(0.0, 1.0).to_bits(), "channel {c}");
             }
             assert!(
                 got > 0.05 && got < 0.999,
