@@ -25,7 +25,8 @@
 //! per channel in channel order and every marginal is its group's, so
 //! the answer keeps its bits. A `Φ` of a channel far inside its deadline
 //! is a saturated `1.0` that costs a compare (see [`pi_rt::norm`]). The
-//! `yield.closure_cdf_evals` counter reports the terms per call.
+//! `yield.closure_cdf_evals` counter reports the independent closure's
+//! terms per call.
 //!
 //! The closures ignore the [`DRIVE_FLOOR`](crate::problem::DRIVE_FLOOR)
 //! in the *WID* factors (a `< 10⁻⁸` effect at the σ ≲ 15 % budgets used
@@ -279,7 +280,7 @@ pub fn network_yield(problem: &NetworkProblem) -> (f64, Vec<f64>) {
     };
     pi_obs::counter_add(
         "yield.closure_cdf_evals",
-        (closure.distinct_len() * nodes) as u64,
+        (closure.distinct.len() * nodes) as u64,
     );
     let overall = if problem.variation.sigma_d2d == 0.0 {
         closure.accumulate(problem.period_s, 1.0, 1.0)
@@ -302,31 +303,23 @@ pub fn network_yield(problem: &NetworkProblem) -> (f64, Vec<f64>) {
     (overall.clamp(0.0, 1.0), per_channel)
 }
 
-/// The independent closure's per-node state.
-enum Conditional {
-    /// Every channel distinct: one `Φ` per channel per node, marginals
-    /// accumulated in place.
-    Direct {
-        moments: Vec<ConditionalMoments>,
-        per_channel: Vec<f64>,
-    },
-    /// Channels grouped by bit-equal moments, which give bit-equal `Φ`
-    /// terms at every node: one `Φ` per group per node into `tails`,
-    /// marginals accumulated per group and scattered to the channels at
-    /// the end.
-    Grouped {
-        /// Each group's moments, in first-seen order.
-        distinct: Vec<ConditionalMoments>,
-        /// `slot[c]`: the group of channel `c`.
-        slot: Vec<usize>,
-        tails: Vec<f64>,
-        marginals: Vec<f64>,
-    },
+/// The independent closure's per-node state: channels grouped by
+/// bit-equal moments, which give bit-equal `Φ` terms at every node. Each
+/// node evaluates one `Φ` per group, accumulates the marginals per group
+/// and multiplies the product one term per channel in channel order;
+/// [`Conditional::into_per_channel`] scatters the marginals at the end.
+struct Conditional {
+    /// Each group's moments, in first-seen order.
+    distinct: Vec<ConditionalMoments>,
+    /// `slot[c]`: the group of channel `c`. Empty when no channel repeats
+    /// (one channel never does): group `c` is then channel `c`.
+    slot: Vec<usize>,
+    /// Each group's `Φ` at the current node; empty when `slot` is.
+    tails: Vec<f64>,
+    marginals: Vec<f64>,
 }
 
 impl Conditional {
-    /// Groups the channels, or keeps them direct when every channel is
-    /// distinct (one channel always is) and grouping would only add work.
     fn new(moments: Vec<ConditionalMoments>) -> Self {
         if moments.len() > 1 {
             let mut seen = std::collections::HashMap::with_capacity(moments.len());
@@ -342,7 +335,7 @@ impl Conditional {
                 .collect();
             if distinct.len() < moments.len() {
                 let groups = distinct.len();
-                return Conditional::Grouped {
+                return Conditional {
                     distinct,
                     slot,
                     tails: vec![0.0; groups],
@@ -350,68 +343,46 @@ impl Conditional {
                 };
             }
         }
-        Conditional::Direct {
-            per_channel: vec![0.0; moments.len()],
-            moments,
+        Conditional {
+            marginals: vec![0.0; moments.len()],
+            distinct: moments,
+            slot: Vec::new(),
+            tails: Vec::new(),
         }
     }
 
-    /// `Φ` terms per node.
-    fn distinct_len(&self) -> usize {
-        match self {
-            Conditional::Direct { moments, .. } => moments.len(),
-            Conditional::Grouped { distinct, .. } => distinct.len(),
-        }
-    }
-
-    /// Adds `weight ×` the conditional per-channel yields into the
+    /// Adds `weight ×` the conditional per-group yields into the
     /// marginals and returns `weight ×` the conditional all-channels-pass
-    /// probability. Both paths multiply the same terms in channel order,
-    /// so they agree bit for bit.
+    /// probability. Without repeats each term goes straight into the
+    /// product; with repeats the product reads `tails` through `slot`.
     fn accumulate(&mut self, period_s: f64, g_d2d: f64, weight: f64) -> f64 {
         let mut product = 1.0;
-        match self {
-            Conditional::Direct {
-                moments,
-                per_channel,
-            } => {
-                for (channel, marginal) in moments.iter().zip(per_channel.iter_mut()) {
-                    let (mean, sigma) = channel.at(g_d2d);
-                    let y = gaussian_tail(period_s, mean, sigma);
-                    *marginal += weight * y;
-                    product *= y;
-                }
+        for (k, (group, marginal)) in self
+            .distinct
+            .iter()
+            .zip(self.marginals.iter_mut())
+            .enumerate()
+        {
+            let (mean, sigma) = group.at(g_d2d);
+            let y = gaussian_tail(period_s, mean, sigma);
+            *marginal += weight * y;
+            match self.tails.get_mut(k) {
+                Some(tail) => *tail = y,
+                None => product *= y,
             }
-            Conditional::Grouped {
-                distinct,
-                slot,
-                tails,
-                marginals,
-            } => {
-                for ((group, tail), marginal) in distinct
-                    .iter()
-                    .zip(tails.iter_mut())
-                    .zip(marginals.iter_mut())
-                {
-                    let (mean, sigma) = group.at(g_d2d);
-                    *tail = gaussian_tail(period_s, mean, sigma);
-                    *marginal += weight * *tail;
-                }
-                for &k in slot.iter() {
-                    product *= tails[k];
-                }
-            }
+        }
+        for &k in &self.slot {
+            product *= self.tails[k];
         }
         weight * product
     }
 
     /// The accumulated marginal of every channel, in channel order.
     fn into_per_channel(self) -> Vec<f64> {
-        match self {
-            Conditional::Direct { per_channel, .. } => per_channel,
-            Conditional::Grouped {
-                slot, marginals, ..
-            } => slot.iter().map(|&k| marginals[k]).collect(),
+        if self.slot.is_empty() {
+            self.marginals
+        } else {
+            self.slot.iter().map(|&k| self.marginals[k]).collect()
         }
     }
 }
@@ -475,7 +446,6 @@ fn network_yield_correlated(problem: &NetworkProblem) -> (f64, Vec<f64>) {
     }
     let mut per_channel = vec![0.0; problem.channels.len()];
     let mut scratch = Vec::new();
-    let mut evals = 0;
     let overall = if problem.variation.sigma_d2d == 0.0 {
         correlated_conditional(
             problem,
@@ -485,7 +455,6 @@ fn network_yield_correlated(problem: &NetworkProblem) -> (f64, Vec<f64>) {
             &mut per_channel,
             1.0,
             &mut scratch,
-            &mut evals,
         )
     } else {
         let h = 2.0 * QUAD_RANGE / QUAD_STEPS as f64;
@@ -502,12 +471,10 @@ fn network_yield_correlated(problem: &NetworkProblem) -> (f64, Vec<f64>) {
                 &mut per_channel,
                 weight * normal_pdf(z) * h,
                 &mut scratch,
-                &mut evals,
             );
         }
         acc
     };
-    pi_obs::counter_add("yield.closure_cdf_evals", evals);
     for y in &mut per_channel {
         *y = y.clamp(0.0, 1.0);
     }
@@ -517,8 +484,7 @@ fn network_yield_correlated(problem: &NetworkProblem) -> (f64, Vec<f64>) {
 /// Adds `weight ×` the conditional per-channel yields into `per_channel`
 /// and returns `weight ×` the conditional all-channels-pass probability
 /// under the dominant-region factorization. `scratch` holds the
-/// per-member `(mean, λ, τ)` triples to avoid per-node allocation;
-/// `evals` counts the `Φ` terms evaluated.
+/// per-member `(mean, λ, τ)` triples to avoid per-node allocation.
 #[allow(clippy::too_many_arguments)]
 fn correlated_conditional(
     problem: &NetworkProblem,
@@ -528,7 +494,6 @@ fn correlated_conditional(
     per_channel: &mut [f64],
     weight: f64,
     scratch: &mut Vec<(f64, f64, f64)>,
-    evals: &mut u64,
 ) -> f64 {
     let rho = problem.correlation.rho_region;
     let sqrt_rho = rho.sqrt();
@@ -550,7 +515,6 @@ fn correlated_conditional(
                 weight * gaussian_tail(period, mean, (lambda * lambda + tau * tau).sqrt());
             scratch.push((mean, lambda, tau));
         }
-        *evals += members.len() as u64;
         // ∫ φ(u) · Π_c Φ((T − m_c + λ_c·u)/τ_c) du over this region's
         // shared normal.
         let h = 2.0 * QUAD_RANGE / REGION_QUAD_STEPS as f64;
@@ -565,7 +529,6 @@ fn correlated_conditional(
             let mut inner = 1.0;
             for &(mean, lambda, tau) in scratch.iter() {
                 inner *= gaussian_tail(period, mean - lambda * u, tau);
-                *evals += 1;
                 if inner == 0.0 {
                     break;
                 }
