@@ -18,6 +18,15 @@
 //! that plan, and memoizes single-link yields and resizes by length too.
 //! The memo is dropped when the call returns: nothing is cached across
 //! calls or threads.
+//!
+//! A filter round first tries to resize its sub-target channels in place,
+//! worst single-link yield first. The network passes only if every
+//! channel passes, so when a channel the model cannot resize already
+//! misses the target taken alone, the round cannot pass and stops there
+//! without resizing the rest. The filter's closures keep that bound
+//! exactly in floating point (see `resize_critical_links`), so the round
+//! returns what the full loop would have, and the networks keep their
+//! bits.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -605,17 +614,58 @@ fn network_yield_of_stages(
     filter: &YieldFilter,
 ) -> f64 {
     let _obs_span = pi_obs::span("cosi.filter_network_yield");
-    let correlation = if filter.variation.rho_region > 0.0 {
+    let regions = stage_regions(channels, network, filter);
+    closure_yield(channels.to_vec(), regions, config, filter)
+}
+
+/// The analytic timing yield of channel `i` of the network *taken alone*:
+/// a one-channel [`pi_yield::network_yield`] on its stage delays and its
+/// slice of the placement regions. The network passes only if this
+/// channel does, and the closure keeps that bound exactly in floating
+/// point (see [`resize_critical_links`]): no network holding channel `i`
+/// with these stages has a higher filter yield.
+fn channel_alone_yield(
+    channels: &[StageDelays],
+    i: usize,
+    network: &Network,
+    config: &SynthesisConfig,
+    filter: &YieldFilter,
+) -> f64 {
+    let mut regions = stage_regions(channels, network, filter);
+    if !regions.is_empty() {
+        let start: usize = channels[..i].iter().map(StageDelays::len).sum();
+        regions = regions[start..start + channels[i].len()].to_vec();
+    }
+    closure_yield(vec![channels[i].clone()], regions, config, filter)
+}
+
+/// One region id per stage of `channels` (channel-major), derived from
+/// the network's placement; empty when the filter's variation budget has
+/// no spatial correlation.
+fn stage_regions(channels: &[StageDelays], network: &Network, filter: &YieldFilter) -> Vec<usize> {
+    if filter.variation.rho_region > 0.0 {
         let counts: Vec<usize> = channels.iter().map(StageDelays::len).collect();
-        SpatialCorrelation::regional(
-            filter.variation.rho_region,
-            crate::placement::channel_stage_regions(network, &counts, filter.variation.region_cell),
-        )
+        crate::placement::channel_stage_regions(network, &counts, filter.variation.region_cell)
+    } else {
+        Vec::new()
+    }
+}
+
+/// The filter's analytic closure of `channels`, correlated through
+/// `stage_region` (from [`stage_regions`]) when `rho_region > 0`.
+fn closure_yield(
+    channels: Vec<StageDelays>,
+    stage_region: Vec<usize>,
+    config: &SynthesisConfig,
+    filter: &YieldFilter,
+) -> f64 {
+    let correlation = if filter.variation.rho_region > 0.0 {
+        SpatialCorrelation::regional(filter.variation.rho_region, stage_region)
     } else {
         SpatialCorrelation::none()
     };
     let problem = NetworkProblem::new(
-        channels.to_vec(),
+        channels,
         filter.variation.to_drive(),
         config.clock.period().si(),
     )
@@ -652,6 +702,24 @@ fn link_yield_of_stages(
 /// when the model cannot resize, nothing needed resizing, or the resized
 /// network still misses the target — the caller then re-segments.
 /// `channels` holds the network's current per-channel stage delays.
+///
+/// **Early miss.** The sub-target channels are visited worst first
+/// (ascending single-link yield, ties by channel index). A channel the
+/// model cannot resize keeps its stages, and the network passes only if
+/// that channel passes; so when its yield taken alone
+/// ([`channel_alone_yield`]) is below the target, the round cannot pass
+/// and the loop stops there (`cosi.filter_resize_early_miss`). The bound
+/// is exact in floating point, not just in exact arithmetic: the
+/// independent closure's per-node product multiplies factors ≤ 1, so it
+/// never exceeds the channel's own `Φ`, and the node sums run in the same
+/// order; the correlated closure's product over regions never exceeds
+/// the region quadrature that holds the channel, which with only that
+/// channel in it is what the one-channel closure computes (region
+/// loadings are in first-touch order, so region labels do not matter).
+/// The loop therefore returns `None` exactly when it would have after
+/// resizing the rest, and leaves the network as it would have. Visit
+/// order cannot change a bit: a resize is a pure function of its key and
+/// each one lands at its own channel index.
 fn resize_critical_links(
     network: &mut Network,
     model: &dyn LinkCostModel,
@@ -662,20 +730,29 @@ fn resize_critical_links(
     memo: &mut LinkMemo,
 ) -> Option<f64> {
     let _obs_span = pi_obs::span("cosi.filter_resize");
-    let mut resized: Vec<(usize, LinkCost)> = Vec::new();
+    let mut critical: Vec<(f64, usize)> = Vec::new();
     for (i, channel) in network.channels.iter().enumerate() {
-        let passes = memo
-            .link_yield(model, config, filter, channel.length, channel.n_bits)
-            .is_some_and(|y| y >= per_link_target);
-        if passes {
-            continue;
+        match memo.link_yield(model, config, filter, channel.length, channel.n_bits) {
+            Some(y) if y >= per_link_target => {}
+            y => critical.push((y.unwrap_or(f64::NEG_INFINITY), i)),
         }
-        let Some((cost, stages)) = memo.resize(model, channel, per_link_target, &filter.variation)
-        else {
-            continue;
-        };
-        channels[i] = stages;
-        resized.push((i, cost));
+    }
+    critical.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let mut resized: Vec<(usize, LinkCost)> = Vec::new();
+    for (_, i) in critical {
+        let channel = &network.channels[i];
+        match memo.resize(model, channel, per_link_target, &filter.variation) {
+            Some((cost, stages)) => {
+                channels[i] = stages;
+                resized.push((i, cost));
+            }
+            None => {
+                if channel_alone_yield(&channels, i, network, config, filter) < filter.min_yield {
+                    pi_obs::counter_add("cosi.filter_resize_early_miss", 1);
+                    return None;
+                }
+            }
+        }
     }
     if resized.is_empty() {
         return None;
@@ -1155,6 +1232,134 @@ mod tests {
             "resized cost must be committed"
         );
         assert_eq!(net.channels[0].cost.plan.wn, Length::um(8.0));
+    }
+
+    /// A stub with one-stage links: `fast_ns` up to 2.5 mm, which the
+    /// model can resize to 0.5 ns, and `slow_ns` beyond, which it cannot.
+    /// Counts its `resize_for_yield` calls.
+    #[derive(Debug)]
+    struct PartlyResizableModel {
+        fast_ns: f64,
+        slow_ns: f64,
+        resizes: std::cell::Cell<usize>,
+    }
+
+    impl PartlyResizableModel {
+        const RESIZABLE: Length = Length::um(2500.0);
+    }
+
+    impl LinkCostModel for PartlyResizableModel {
+        fn name(&self) -> &str {
+            "partly-resizable"
+        }
+        fn max_length(&self) -> Length {
+            Length::mm(5.0)
+        }
+        fn link_cost(&self, length: Length, n_bits: usize) -> Result<LinkCost, InfeasibleLink> {
+            StubModel {
+                reach: self.max_length(),
+            }
+            .link_cost(length, n_bits)
+        }
+        fn stage_delays(
+            &self,
+            length: Length,
+            _plan: &pi_core::line::BufferingPlan,
+        ) -> Option<StageDelays> {
+            let ns = if length <= Self::RESIZABLE {
+                self.fast_ns
+            } else {
+                self.slow_ns
+            };
+            Some(StageDelays::new(vec![ns * 1e-9], vec![0.0]))
+        }
+        fn resize_for_yield(
+            &self,
+            length: Length,
+            n_bits: usize,
+            _plan: &pi_core::line::BufferingPlan,
+            _per_link_target: f64,
+            _variation: &VariationModel,
+        ) -> Option<(LinkCost, StageDelays)> {
+            self.resizes.set(self.resizes.get() + 1);
+            if length > Self::RESIZABLE {
+                return None;
+            }
+            let mut cost = self.link_cost(length, n_bits).ok()?;
+            cost.delay = Time::ps(500.0);
+            Some((cost, StageDelays::new(vec![0.5e-9], vec![0.0])))
+        }
+    }
+
+    /// Two direct links from core `a`: 2 mm to `b` and 3 mm to `c`.
+    fn fork_spec() -> CommSpec {
+        let mut spec = line_spec(2.0);
+        spec.cores.push(Core {
+            name: "c".into(),
+            position: Point::mm(0.0, 3.0),
+        });
+        spec.flows.push(Flow {
+            src: 0,
+            dst: 2,
+            bandwidth_gbps: 10.0,
+        });
+        spec
+    }
+
+    /// A filter at 1 GHz whose single-stage link yield is
+    /// `Φ((1 ns − 1.01·r)/(0.1·r))`: WID variation only, 10 %.
+    fn wid_only_filter(min_yield: f64) -> SynthesisConfig {
+        let variation = VariationModel {
+            sigma_d2d: 0.0,
+            sigma_wid: 0.1,
+            ..VariationModel::nominal()
+        };
+        let filter = YieldFilter {
+            max_rounds: 2,
+            ..YieldFilter::new(min_yield, variation)
+        };
+        SynthesisConfig::at_clock(Freq::ghz(1.0)).with_yield_filter(filter)
+    }
+
+    #[test]
+    fn an_unfixable_channel_below_the_target_ends_the_resize_round() {
+        // Both links miss the per-link share of a 0.99 target: the 2 mm
+        // one (0.95 ns, yield ≈ 0.67) could be resized, the 3 mm one
+        // (1.05 ns, yield ≈ 0.31) cannot. It is the worse, so it is
+        // visited first, and alone it already misses 0.99: the round must
+        // stop after that one resize attempt and re-segment. The last
+        // round judges without resizing, so one call in all.
+        let model = PartlyResizableModel {
+            fast_ns: 0.95,
+            slow_ns: 1.05,
+            resizes: std::cell::Cell::new(0),
+        };
+        let out = synthesize(&fork_spec(), &model, &wid_only_filter(0.99));
+        assert!(
+            matches!(out, Err(SynthesisError::YieldTarget { rounds: 2, .. })),
+            "got {out:?}"
+        );
+        assert_eq!(model.resizes.get(), 1, "resize attempts");
+    }
+
+    #[test]
+    fn an_unfixable_channel_that_clears_the_target_alone_does_not_end_the_round() {
+        // Target 0.5 (per-link share ≈ 0.707). The 3 mm link (0.966 ns,
+        // yield ≈ 0.60) cannot be resized but clears 0.5 alone; the 2 mm
+        // link (0.953 ns, yield ≈ 0.65) is resized to 0.5 ns. The network
+        // then reads ≈ 0.60 and passes with the resize committed.
+        let model = PartlyResizableModel {
+            fast_ns: 0.953,
+            slow_ns: 0.966,
+            resizes: std::cell::Cell::new(0),
+        };
+        let net = synthesize(&fork_spec(), &model, &wid_only_filter(0.5)).unwrap();
+        assert_eq!(model.resizes.get(), 2, "both links offered for resizing");
+        assert_eq!(net.channels.len(), 2, "topology must be kept");
+        for c in &net.channels {
+            let resized = c.length <= PartlyResizableModel::RESIZABLE;
+            assert_eq!(c.cost.delay == Time::ps(500.0), resized, "{c:?}");
+        }
     }
 
     #[test]

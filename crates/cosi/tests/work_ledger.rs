@@ -2,12 +2,16 @@
 //!
 //! `synthesize` prices each distinct clamped channel length once per call
 //! and reuses the answer across the filter's rounds. This test pins, for
-//! the VPROC and DVOPD testcases under a 0.99 filter, the exact buffering
+//! the VPROC and DVOPD testcases under a 0.99 filter and for DVOPD under
+//! a correlated 0.95 filter (rho 0.8, 2 mm regions), the exact buffering
 //! searches (`cosi.link_solves`), GP solves (`gp.solve`), filter
-//! rounds (`cosi.yield_filter_rounds`) and the analytic closures' `Φ`
-//! evaluations (`yield.closure_cdf_evals`: one per distinct channel per
-//! D2D node of every network closure, the resize's single-link closures
-//! included) per call, and checks the searches
+//! rounds (`cosi.yield_filter_rounds`), resize rounds stopped at an
+//! unfixable channel (`cosi.filter_resize_early_miss`) and the
+//! independent analytic closures' `Φ` evaluations
+//! (`yield.closure_cdf_evals`: one per distinct channel per D2D node of
+//! every network closure, the early-miss check's one-channel closure and
+//! the resize's single-link closures included; the correlated closure
+//! does not count its terms) per call, and checks the searches
 //! against a model that logs every `link_cost` it answers: no (length,
 //! width) reaches the model twice, and the searches are exactly the
 //! distinct lengths the call priced plus the margin bisection's probes.
@@ -84,16 +88,62 @@ fn counters_of<R>(f: impl FnOnce() -> R) -> (R, BTreeMap<&'static str, u64>) {
     (out, added)
 }
 
-/// `(design, link solves, of which priced lengths, of which probe
-/// lengths, GP solves, filter rounds, margin probes, closure Φ
-/// evaluations)`. The Φ count is 257 D2D nodes × (the distinct channels
-/// of the four network closures plus one per single-link estimate):
-/// VPROC 257 × (70 + 70 + 111 + 111 + 446), DVOPD
-/// 257 × (34 + 34 + 66 + 66 + 157).
-type LedgerRow = (&'static str, u64, u64, u64, u64, u64, u64, u64);
-const LEDGER: [LedgerRow; 2] = [
-    ("vproc", 202, 181, 21, 132, 2, 22, 207_656),
-    ("dvopd", 121, 100, 21, 62, 2, 22, 91_749),
+/// One filtered synthesis and the work it must take.
+struct Row {
+    design: &'static str,
+    min_yield: f64,
+    /// Spatial-correlation coefficient of the filter (2 mm regions); 0
+    /// for none.
+    rho: f64,
+    /// Buffering searches: all, of which priced lengths, of which
+    /// margin-probe lengths.
+    link_solves: (u64, u64, u64),
+    gp_solves: u64,
+    rounds: u64,
+    margin_probes: u64,
+    early_misses: u64,
+    cdf_evals: u64,
+}
+
+/// The `Φ` counts are 257 D2D nodes × (the distinct channels of the
+/// network closures, plus one for the early-miss check, plus one per
+/// single-link estimate): VPROC 257 × (70 + 1 + 111 + 111 + 87), DVOPD
+/// 257 × (34 + 1 + 66 + 66 + 56). Round 1 stops at its first unresizable
+/// channel in every job; round 2's resize passes.
+const LEDGER: [Row; 3] = [
+    Row {
+        design: "vproc",
+        min_yield: 0.99,
+        rho: 0.0,
+        link_solves: (202, 181, 21),
+        gp_solves: 64,
+        rounds: 2,
+        margin_probes: 22,
+        early_misses: 1,
+        cdf_evals: 97_660,
+    },
+    Row {
+        design: "dvopd",
+        min_yield: 0.99,
+        rho: 0.0,
+        link_solves: (121, 100, 21),
+        gp_solves: 34,
+        rounds: 2,
+        margin_probes: 22,
+        early_misses: 1,
+        cdf_evals: 57_311,
+    },
+    Row {
+        design: "dvopd",
+        min_yield: 0.95,
+        rho: 0.8,
+        link_solves: (124, 103, 21),
+        gp_solves: 41,
+        rounds: 2,
+        margin_probes: 22,
+        early_misses: 1,
+        cdf_evals: 0,
+    },
 ];
 
 #[test]
@@ -104,10 +154,9 @@ fn each_length_is_searched_once_per_synthesis() {
     let models = builtin(TechNode::N65);
     let evaluator = LineEvaluator::new(&models, &tech);
     let clock = Freq::ghz(2.25);
-    for (design, solves, priced_lengths, probe_solves, gp_solves, rounds, probes, cdf_evals) in
-        LEDGER
-    {
-        let spec: CommSpec = match design {
+    for row in LEDGER {
+        let design = format!("{}@{}/rho{}", row.design, row.min_yield, row.rho);
+        let spec: CommSpec = match row.design {
             "vproc" => testcases::vproc(),
             _ => testcases::dvopd(),
         };
@@ -116,8 +165,11 @@ fn each_length_is_searched_once_per_synthesis() {
             calls: RefCell::new(Vec::new()),
         };
         let unfiltered = SynthesisConfig::at_clock(clock);
-        let filtered =
-            unfiltered.with_yield_filter(YieldFilter::new(0.99, VariationModel::nominal()));
+        let mut variation = VariationModel::nominal();
+        if row.rho > 0.0 {
+            variation = variation.with_regional(row.rho, Length::mm(2.0));
+        }
+        let filtered = unfiltered.with_yield_filter(YieldFilter::new(row.min_yield, variation));
 
         // Both rounds' networks: the first round prices the unfiltered
         // network, the second the re-segmented one that resizing keeps.
@@ -165,23 +217,28 @@ fn each_length_is_searched_once_per_synthesis() {
 
         assert_eq!(
             (count("cosi.link_solves"), priced.len() as u64, probed),
-            (solves, priced_lengths, probe_solves),
+            row.link_solves,
             "{design}: link solves (all, priced, probes)"
         );
-        assert_eq!(count("gp.solve"), gp_solves, "{design}: GP solves");
+        assert_eq!(count("gp.solve"), row.gp_solves, "{design}: GP solves");
         assert_eq!(
             count("cosi.yield_filter_rounds"),
-            rounds,
+            row.rounds,
             "{design}: filter rounds"
         );
         assert_eq!(
             count("cosi.margin_probes"),
-            probes,
+            row.margin_probes,
             "{design}: bisection probes"
         );
         assert_eq!(
+            count("cosi.filter_resize_early_miss"),
+            row.early_misses,
+            "{design}: early resize misses"
+        );
+        assert_eq!(
             count("yield.closure_cdf_evals"),
-            cdf_evals,
+            row.cdf_evals,
             "{design}: closure Φ evaluations"
         );
     }

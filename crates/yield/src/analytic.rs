@@ -639,18 +639,22 @@ mod tests {
         (mean, sigma)
     }
 
-    #[test]
-    fn hoisted_moments_match_a_per_node_recompute_bit_for_bit() {
-        // Forty channels of uneven stage delays, so that a reassociated
-        // moment expression would round differently somewhere.
-        let forty: Vec<StageDelays> = (1..=40)
+    /// Forty channels of uneven stage delays, so that a reassociated
+    /// expression would round differently somewhere.
+    fn forty_uneven_channels() -> Vec<StageDelays> {
+        (1..=40)
             .map(|k| {
                 let n = 2 + k % 7;
                 let r = (0..n).map(|j| (17.3 + 0.731 * k as f64 + 1.37 * j as f64) * 1e-12);
                 let w = (0..n).map(|j| (9.1 + 0.173 * (k * j) as f64) * 1e-12);
                 StageDelays::new(r.collect(), w.collect())
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn hoisted_moments_match_a_per_node_recompute_bit_for_bit() {
+        let forty = forty_uneven_channels();
         // The same forty tiled three times in shuffled order (47 is
         // coprime to 120): the closure evaluates one Φ per distinct
         // channel and must still form every product and marginal as the
@@ -726,6 +730,117 @@ mod tests {
                 gaussian_tail(line.deadline_s, mean, sigma)
             });
             assert_eq!(line_yield(&line).to_bits(), want.clamp(0.0, 1.0).to_bits());
+        }
+    }
+
+    /// The `network_yield` of channel `c` of `p` taken alone: a
+    /// one-channel problem, with the channel's slice of the region map
+    /// when `p` is correlated.
+    fn yield_alone(p: &NetworkProblem, c: usize) -> f64 {
+        let stages = &p.channels[c];
+        let one = NetworkProblem::new(vec![stages.clone()], p.variation, p.period_s);
+        if !p.correlation.is_active() {
+            return network_yield(&one).0;
+        }
+        let offset: usize = p.channels[..c].iter().map(StageDelays::len).sum();
+        let regions = p.correlation.stage_region[offset..offset + stages.len()].to_vec();
+        let one = one.with_correlation(SpatialCorrelation::regional(
+            p.correlation.rho_region,
+            regions,
+        ));
+        network_yield(&one).0
+    }
+
+    #[test]
+    fn network_yield_never_exceeds_any_channel_alone() {
+        // The network passes only if every channel does, and the closures
+        // keep that bound exactly in floating point: no tolerance. (The
+        // correlated closure's per-channel *marginal* is the closed-form
+        // Φ, not the region quadrature the network uses, so it is not a
+        // bound.)
+        let forty = forty_uneven_channels();
+        let tiled: Vec<StageDelays> = (0..120).map(|i| forty[i * 47 % 120 % 40].clone()).collect();
+        // One slow eight-stage channel among fast ones whose Φ saturate
+        // to 1: the network yield is then the slow channel's own
+        // quadrature, which in one region at high rho is a steep step
+        // that the region quadrature resolves only to about 1e-7.
+        let lone_slow: Vec<StageDelays> = (0..12)
+            .map(|k| {
+                if k == 5 {
+                    StageDelays::new(vec![41.3e-12; 8], vec![11.7e-12; 8])
+                } else {
+                    StageDelays::new(vec![13.1e-12; 4], vec![11.7e-12; 4])
+                }
+            })
+            .collect();
+        // Two-stage and four-stage channels split evenly over two regions:
+        // ties on the dominant region (the first touched wins).
+        let mut ties = forty[..12].to_vec();
+        ties.extend((0..6).map(|k| {
+            let n = 2 + 2 * (k % 2);
+            StageDelays::new(vec![(21.0 + k as f64) * 1e-12; n], vec![9.4e-12; n])
+        }));
+        let slowest = |channels: &[StageDelays]| {
+            channels
+                .iter()
+                .map(StageDelays::nominal_delay)
+                .fold(0.0, f64::max)
+        };
+        let no_d2d = DriveVariation {
+            sigma_d2d: 0.0,
+            sigma_wid: 0.0731,
+        };
+        let mut problems = Vec::new();
+        for channels in [&forty, &tiled, &lone_slow] {
+            for v in [variation(), no_d2d] {
+                for frac in [1.0, 1.05, 1.1] {
+                    let period = slowest(channels) * frac;
+                    problems.push(NetworkProblem::new(channels.clone(), v, period));
+                }
+            }
+        }
+        // Region of stage j (of n) of channel k. Uneven channels: (k / 3 +
+        // j / 2) % 5, so neighbours share regions. A tie channel puts its
+        // first half in region k % 5 and its second half in the next. A
+        // lone-slow channel lies wholly in region k % 5.
+        let spread: fn(usize, usize, usize) -> usize = |k, j, _| (k / 3 + j / 2) % 5;
+        let halves: fn(usize, usize, usize) -> usize = |k, j, n| {
+            if k < 12 {
+                (k / 3 + j / 2) % 5
+            } else {
+                (k + usize::from(j >= n / 2)) % 5
+            }
+        };
+        let whole: fn(usize, usize, usize) -> usize = |k, _, _| k % 5;
+        for (channels, region_of) in [(&forty, spread), (&ties, halves), (&lone_slow, whole)] {
+            let regions: Vec<usize> = channels
+                .iter()
+                .enumerate()
+                .flat_map(|(k, s)| (0..s.len()).map(move |j| region_of(k, j, s.len())))
+                .collect();
+            for rho in [0.5, 0.8] {
+                for v in [variation(), no_d2d] {
+                    for frac in [1.0, 1.05, 1.1] {
+                        let period = slowest(channels) * frac;
+                        problems.push(
+                            NetworkProblem::new(channels.clone(), v, period).with_correlation(
+                                SpatialCorrelation::regional(rho, regions.clone()),
+                            ),
+                        );
+                    }
+                }
+            }
+        }
+        for (n, p) in problems.iter().enumerate() {
+            let (overall, _) = network_yield(p);
+            assert!(overall > 0.0 && overall < 1.0, "problem {n}: {overall}");
+            for c in 0..p.channels.len() {
+                let alone = yield_alone(p, c);
+                assert!(
+                    overall <= alone,
+                    "problem {n}, channel {c}: network {overall:e} > alone {alone:e}"
+                );
+            }
         }
     }
 
