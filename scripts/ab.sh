@@ -150,7 +150,8 @@ EOF
 }
 
 # `<metric> <value>` per end-to-end metric of perfbench's final JSON
-# line, then `failed <n>` and `attempted <n>`.
+# line, then `failed <n>`, `attempted <n>` and, for a run whose answers
+# failed their check, `incorrect 1`.
 metrics_of() {
     awk '{
         s = $0
@@ -163,6 +164,7 @@ metrics_of() {
         }
         if (match($0, /"failed": [0-9]+/)) print "failed", substr($0, RSTART + 10, RLENGTH - 10)
         if (match($0, /"attempted": [0-9]+/)) print "attempted", substr($0, RSTART + 13, RLENGTH - 13)
+        if ($0 ~ /"correct": false/) print "incorrect", 1
     }'
 }
 
@@ -211,7 +213,7 @@ for side in "$base" "$root"; do
         --manifest-path "$side/perfbench/Cargo.toml" >&2
 done
 
-declare -A failed=([a]=0 [b]=0) attempted=([a]=0 [b]=0)
+declare -A failed=([a]=0 [b]=0) attempted=([a]=0 [b]=0) incorrect=([a]=0 [b]=0)
 for ((i = 1; i <= pairs; i++)); do
     order="a b"
     ((i % 2 == 0)) && order="b a"
@@ -222,6 +224,7 @@ for ((i = 1; i <= pairs; i++)); do
             case "$name" in
                 failed) failed[$s]=$((failed[$s] + value)) ;;
                 attempted) attempted[$s]=$((attempted[$s] + value)) ;;
+                incorrect) incorrect[$s]=$((incorrect[$s] + value)) ;;
                 *) echo "run $i $s $name $value" >>"$raw" ;;
             esac
         done < <(run_side "$dir" "$i" | metrics_of)
@@ -232,4 +235,5 @@ done
 echo "$workload: base $rev ($sha) vs this checkout, $pairs pairs of ${seconds} s"
 { directions; cat "$raw"; } | stats
 echo "failed operations: base ${failed[a]} of ${attempted[a]}, change ${failed[b]} of ${attempted[b]}"
+echo "runs failing their answer check: base ${incorrect[a]}, change ${incorrect[b]}"
 echo "raw runs: $raw"
