@@ -41,15 +41,16 @@
 //!
 //! GP answers are **proposals only**: [`LineEvaluator::size_for_yield_gp_batch`]
 //! verifies every proposed plan with the configured `pi-yield` estimator
-//! and accepts only when the CI lower bound clears the target, falling
-//! back to the greedy ladder otherwise, so answers stay statistically
-//! certified.
+//! and accepts only when the CI lower bound clears the target, walking on
+//! down the greedy ladder otherwise, so answers stay statistically
+//! certified. Proposals and ladder rungs are certified by the one
+//! lock-step driver of the ladder.
 
 use pi_tech::units::{Cap, Freq, Length, Time};
 
 use crate::line::{BufferingPlan, LineEvaluator, LineSpec};
 use crate::repeater_model::Transition;
-use crate::variation::{SizeQuery, VariationModel, YieldQuery, YieldSizing};
+use crate::variation::{Rung, RungKind, SizeQuery, VariationModel, YieldSizing};
 
 /// One monomial term `coeff · Π xⱼ^exponents[j]` with `coeff > 0`.
 #[derive(Debug, Clone, PartialEq)]
@@ -959,7 +960,7 @@ impl LineEvaluator<'_> {
     /// **verifies** each proposed plan with the configured `pi-yield`
     /// estimator: a plan is accepted only when its CI lower bound
     /// (`yield_fraction − half_width`) clears the target. When the GP is
-    /// infeasible or no proposal verifies, the query falls back to the
+    /// infeasible or no proposal verifies, the query walks on down the
     /// greedy ladder of [`LineEvaluator::size_for_yield_batch`] — so the
     /// answer is always statistically certified, and never *worse* than
     /// the ladder's. A solo GP sizing is a batch of one.
@@ -968,13 +969,13 @@ impl LineEvaluator<'_> {
     /// acceptance (0 = first GP proposal verified), or the ladder's own
     /// step count after a fallback.
     ///
-    /// The queries run in lock step. Phase A solves every query's GP
-    /// (serial, deterministic) and verifies the proposals in batched
-    /// estimator sweeps; queries whose proposals all fail (or whose GP is
-    /// infeasible) fall back together as one ladder batch. Each answer —
-    /// and every `gp.*`/`sizing.*` counter total — is **bit-identical to
-    /// the same query run as a batch of one**, at any `PI_THREADS`;
-    /// results are in input order.
+    /// Every query's GP is solved first (serial, deterministic); each
+    /// query then walks its proposals and, after them, its ladder rungs,
+    /// all queries in lock step through the ladder's driver, one batched
+    /// estimator sweep per round. Each answer — and every
+    /// `gp.*`/`sizing.*` counter total — is **bit-identical to the same
+    /// query run as a batch of one**, at any `PI_THREADS`; results are in
+    /// input order.
     ///
     /// # Panics
     ///
@@ -982,84 +983,28 @@ impl LineEvaluator<'_> {
     /// configuration has a zero budget.
     #[must_use]
     pub fn size_for_yield_gp_batch(&self, queries: &[SizeQuery]) -> Vec<Option<YieldSizing>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let _obs_span = pi_obs::span("core.size_for_yield_gp_batch");
-        for q in queries {
-            assert!(
-                q.target_yield > 0.0 && q.target_yield <= 1.0,
-                "target yield must be in (0, 1]"
-            );
-        }
-        struct GpJob {
-            candidates: Vec<BufferingPlan>,
-            idx: usize,
-            result: Option<YieldSizing>,
-        }
-        let mut jobs: Vec<GpJob> = queries
+        let answers = self.walk_batch("core.size_for_yield_gp_batch", queries, |q| {
+            self.gp_propose(&q.spec, &q.plan, &q.variation, q.deadline, q.target_yield)
+                .unwrap_or_default()
+                .into_iter()
+                .enumerate()
+                .map(|(steps, plan)| Rung {
+                    plan,
+                    steps,
+                    kind: RungKind::Proposal,
+                })
+                .chain(self.ladder_rungs(q))
+                .collect()
+        });
+        let fallbacks = answers
             .iter()
-            .map(|q| GpJob {
-                candidates: self
-                    .gp_propose(&q.spec, &q.plan, &q.variation, q.deadline, q.target_yield)
-                    .unwrap_or_default(),
-                idx: 0,
-                result: None,
-            })
-            .collect();
-        loop {
-            let mut round: Vec<(usize, YieldQuery)> = Vec::new();
-            for (j, (job, q)) in jobs.iter().zip(queries).enumerate() {
-                if job.result.is_some() || job.idx >= job.candidates.len() {
-                    continue;
-                }
-                round.push((
-                    j,
-                    YieldQuery {
-                        spec: q.spec,
-                        plan: job.candidates[job.idx],
-                        variation: q.variation,
-                        deadline: q.deadline,
-                        config: q.config,
-                    },
-                ));
-            }
-            if round.is_empty() {
-                break;
-            }
-            pi_obs::hist_record("gp.verify_sweep_jobs", round.len() as f64);
-            let probes: Vec<YieldQuery> = round.iter().map(|(_, p)| *p).collect();
-            let estimates = self.timing_yield_estimate_batch(&probes);
-            for ((j, probe), est) in round.iter().zip(&estimates) {
-                let job = &mut jobs[*j];
-                pi_obs::counter_add("gp.verify_probe", 1);
-                let lower = est.yield_fraction - est.half_width;
-                if lower >= queries[*j].target_yield {
-                    pi_obs::counter_add("gp.accepted", 1);
-                    job.result = Some(YieldSizing {
-                        plan: probe.plan,
-                        achieved_yield: est.yield_fraction,
-                        steps: job.idx,
-                    });
-                } else {
-                    pi_obs::counter_add("gp.candidate_fail", 1);
-                    job.idx += 1;
-                }
-            }
-        }
-        // Phase B: everything unverified falls back to the ladder, as
-        // one lock-step batch (bit-identical to each fallback sized alone).
-        let fallback: Vec<usize> = (0..jobs.len())
-            .filter(|&i| jobs[i].result.is_none())
-            .collect();
-        pi_obs::counter_add("gp.fallback", fallback.len() as u64);
-        let fb_queries: Vec<SizeQuery> = fallback.iter().map(|&i| queries[i]).collect();
-        let fb_results = self.size_for_yield_batch(&fb_queries);
-        let mut out: Vec<Option<YieldSizing>> = jobs.into_iter().map(|j| j.result).collect();
-        for (&i, r) in fallback.iter().zip(fb_results) {
-            out[i] = r;
-        }
-        out
+            .filter(|a| !matches!(a, Some((_, RungKind::Proposal))))
+            .count();
+        pi_obs::counter_add("gp.fallback", fallbacks as u64);
+        answers
+            .into_iter()
+            .map(|answer| answer.map(|(sizing, _)| sizing))
+            .collect()
     }
 }
 
@@ -1352,7 +1297,7 @@ mod legacy {
 mod tests {
     use super::*;
     use crate::coefficients::builtin;
-    use crate::variation::legacy::{assert_same_sizing, sizing_counters};
+    use crate::variation::legacy::{assert_same_sizing, assert_work, sizing_counters};
     use pi_tech::{DesignStyle, RepeaterKind, TechNode, Technology};
     use pi_yield::EstimatorConfig;
 
@@ -1813,21 +1758,24 @@ mod tests {
             batch_counters, solo_counters,
             "gp.*/sizing.* counter totals"
         );
-        for name in [
-            "gp.solve",
-            "gp.infeasible",
-            "gp.verify_probe",
-            "gp.accepted",
-            "gp.candidate_fail",
-            "gp.fallback",
-            "sizing.steps",
-            "sizing.exhausted",
-        ] {
-            assert!(
-                batch_counters.contains_key(name),
-                "{name} never counted: {batch_counters:?}"
-            );
-        }
+        assert_work(
+            &batch_counters,
+            &[
+                ("gp.solve", 9),
+                ("gp.infeasible", 2),
+                ("gp.proposals", 16),
+                ("gp.verify_probe", 9),
+                ("gp.accepted", 7),
+                ("gp.candidate_fail", 2),
+                ("gp.fallback", 3),
+                ("sizing.steps", 37),
+                ("sizing.accepted", 1),
+                ("sizing.candidate_fail", 36),
+                ("sizing.exhausted", 2),
+                ("sizing.surrogate_screen_miss", 0),
+                ("sizing.surrogate_accept", 0),
+            ],
+        );
         assert!(ev.size_for_yield_gp_batch(&[]).is_empty());
     }
 

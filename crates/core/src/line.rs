@@ -214,6 +214,20 @@ impl<'a> LineEvaluator<'a> {
     /// Panics if `plan.count` is zero.
     #[must_use]
     pub fn timing_with_rc(&self, spec: &LineSpec, plan: &BufferingPlan, rc: &WireRc) -> LineTiming {
+        self.stage_chain(spec, plan, rc, plan.wn)
+    }
+
+    /// The stage-by-stage slew-propagating chain behind every timing
+    /// entry point: each stage drives one wire segment plus the next
+    /// repeater's input, the first repeater at width `first_wn` and the
+    /// rest at `plan.wn`.
+    fn stage_chain(
+        &self,
+        spec: &LineSpec,
+        plan: &BufferingPlan,
+        rc: &WireRc,
+        first_wn: Length,
+    ) -> LineTiming {
         assert!(
             plan.count > 0,
             "a buffered line needs at least one repeater"
@@ -243,11 +257,12 @@ impl<'a> LineEvaluator<'a> {
         let mut stages = Vec::with_capacity(plan.count);
         let mut slew = spec.input_slew;
         let mut transition = spec.input_transition;
-        for _ in 0..plan.count {
+        for k in 0..plan.count {
+            let wn = if k == 0 { first_wn } else { plan.wn };
             let out_transition = transition.through(plan.kind);
             let edge = model.edge(out_transition);
-            let repeater_delay = edge.delay(slew, load, plan.wn, model.beta_ratio);
-            let output_slew = edge.output_slew(slew, load, plan.wn, model.beta_ratio);
+            let repeater_delay = edge.delay(slew, load, wn, model.beta_ratio);
+            let output_slew = edge.output_slew(slew, load, wn, model.beta_ratio);
             stages.push(StageTiming {
                 input_slew: slew,
                 transition: out_transition,
@@ -319,46 +334,8 @@ impl<'a> LineEvaluator<'a> {
         plan: &BufferingPlan,
         first_wn: Length,
     ) -> LineTiming {
-        assert!(
-            plan.count > 0,
-            "a buffered line needs at least one repeater"
-        );
-        let model = self.models.repeater(plan.kind);
         let rc = self.wire_rc(spec, plan.staggered);
-        let seg_len = spec.length / plan.count as f64;
-        let ci_next = model.cin(plan.wn);
-        let seg_cg = rc.total_cg(seg_len);
-        let seg_cc = rc.total_cc(seg_len);
-        let seg_rw = rc.total_r(seg_len);
-        let sf = rc.switch_factor;
-        let load: Cap = seg_cg + seg_cc * sf + ci_next;
-        let wire_cc_coeff = if rc.neighbors_switch { 0.5 * sf } else { 0.4 };
-        let wire_delay: Time = Time::s(
-            seg_rw.as_ohm()
-                * (0.4 * seg_cg.si() + wire_cc_coeff * seg_cc.si() + 0.7 * ci_next.si()),
-        );
-
-        let mut stages = Vec::with_capacity(plan.count);
-        let mut slew = spec.input_slew;
-        let mut transition = spec.input_transition;
-        for k in 0..plan.count {
-            let wn = if k == 0 { first_wn } else { plan.wn };
-            let out_transition = transition.through(plan.kind);
-            let edge = model.edge(out_transition);
-            let repeater_delay = edge.delay(slew, load, wn, model.beta_ratio);
-            let output_slew = edge.output_slew(slew, load, wn, model.beta_ratio);
-            stages.push(StageTiming {
-                input_slew: slew,
-                transition: out_transition,
-                repeater_delay,
-                wire_delay,
-                output_slew,
-            });
-            slew = output_slew;
-            transition = out_transition;
-        }
-        let delay = stages.iter().map(StageTiming::delay).sum();
-        LineTiming { delay, stages }
+        self.stage_chain(spec, plan, &rc, first_wn)
     }
 
     /// Worst-case timing over both input transition directions.

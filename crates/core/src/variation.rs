@@ -15,7 +15,7 @@
 //! The statistics themselves live in the `pi-yield` engine: a calibrated
 //! line is lowered to a plain-`f64` [`pi_yield::LineProblem`] (one
 //! `(repeater, wire)` delay pair per stage) and every estimator of that
-//! crate — naive Monte Carlo, Sobol quasi-Monte-Carlo, mean-shifted
+//! crate — naive Monte Carlo, scrambled Sobol quasi-Monte-Carlo, mean-shifted
 //! importance sampling, and the analytic Gaussian closure — applies. The
 //! sampling-based [`LineEvaluator::delay_distribution`] keeps the legacy
 //! draw order bit-for-bit; [`LineEvaluator::timing_yield_estimate`]
@@ -24,7 +24,8 @@
 //! Yield-driven sizing has two entry points, both batches:
 //! [`LineEvaluator::size_for_yield_batch`] (the greedy ladder) and
 //! [`LineEvaluator::size_for_yield_gp_batch`] (GP proposals, ladder
-//! fallback). A solo sizing is a batch of one.
+//! fallback). A solo sizing is a batch of one. Both run one lock-step
+//! driver that walks each query's rungs and holds the accept rule.
 
 use pi_rt::Rng;
 use pi_tech::units::{Length, Time};
@@ -463,6 +464,19 @@ impl LineEvaluator<'_> {
         out
     }
 
+    /// The ladder of one query as rungs of a sizing walk: each of
+    /// [`LineEvaluator::size_candidates`] with its index as its `steps`.
+    pub(crate) fn ladder_rungs(&self, q: &SizeQuery) -> impl Iterator<Item = Rung> {
+        self.size_candidates(&q.spec, &q.plan)
+            .into_iter()
+            .enumerate()
+            .map(|(steps, plan)| Rung {
+                plan,
+                steps,
+                kind: RungKind::Ladder,
+            })
+    }
+
     /// Yield-driven sizing: for each query, starting from its plan,
     /// greedily upsizes the repeaters through the library drive strengths
     /// (and then adds repeaters) until the estimated timing yield at the
@@ -509,45 +523,74 @@ impl LineEvaluator<'_> {
     /// has no repeaters, or any configuration has a zero budget.
     #[must_use]
     pub fn size_for_yield_batch(&self, queries: &[SizeQuery]) -> Vec<Option<YieldSizing>> {
+        self.walk_batch("core.size_for_yield_batch", queries, |q| {
+            self.ladder_rungs(q).collect()
+        })
+        .into_iter()
+        .map(|answer| answer.map(|(sizing, _)| sizing))
+        .collect()
+    }
+
+    /// The lock-step certification driver behind both sizing entry
+    /// points. Each query walks its rungs (built by `walk`, never empty)
+    /// in order and stops at the first one whose CI lower bound clears
+    /// the target; `None` when the walk runs out. A ladder rung is probed
+    /// with the surrogate screen first when the configuration has one.
+    /// Every round runs one [`LineEvaluator::timing_yield_estimate_batch`]
+    /// sweep carrying each unfinished walk's next probe, recorded in the
+    /// `core.size_sweep_jobs` histogram. Answers carry the kind of the
+    /// rung they were accepted at.
+    pub(crate) fn walk_batch(
+        &self,
+        span: &'static str,
+        queries: &[SizeQuery],
+        walk: impl Fn(&SizeQuery) -> Vec<Rung>,
+    ) -> Vec<Option<(YieldSizing, RungKind)>> {
         if queries.is_empty() {
             return Vec::new();
         }
-        let _obs_span = pi_obs::span("core.size_for_yield_batch");
+        let _obs_span = pi_obs::span(span);
         for q in queries {
             assert!(
                 q.target_yield > 0.0 && q.target_yield <= 1.0,
                 "target yield must be in (0, 1]"
             );
         }
-        struct JobState {
-            candidates: Vec<BufferingPlan>,
-            /// Index of the current candidate: the upsizing steps taken.
+        struct Walk {
+            rungs: Vec<Rung>,
+            /// Index of the rung the next probe tries.
             idx: usize,
             /// The next probe runs the screen configuration (true) or the
             /// configured estimator (false).
             screening: bool,
-            result: Option<Option<YieldSizing>>,
+            result: Option<Option<(YieldSizing, RungKind)>>,
         }
-        let mut jobs: Vec<JobState> = queries
+        let screened = |q: &SizeQuery, rung: &Rung| {
+            rung.kind == RungKind::Ladder && q.config.surrogate_screen().is_some()
+        };
+        let mut walks: Vec<Walk> = queries
             .iter()
-            .map(|q| JobState {
-                candidates: self.size_candidates(&q.spec, &q.plan),
-                idx: 0,
-                screening: q.config.surrogate_screen().is_some(),
-                result: None,
+            .map(|q| {
+                let rungs = walk(q);
+                Walk {
+                    screening: screened(q, &rungs[0]),
+                    rungs,
+                    idx: 0,
+                    result: None,
+                }
             })
             .collect();
         loop {
-            // One probe per unfinished job, then one batched sweep.
+            // One probe per unfinished walk, then one batched sweep.
             let mut round: Vec<(usize, YieldQuery)> = Vec::new();
-            for (j, (job, q)) in jobs.iter().zip(queries).enumerate() {
-                if job.result.is_some() {
+            for (j, (w, q)) in walks.iter().zip(queries).enumerate() {
+                if w.result.is_some() {
                     continue;
                 }
-                let config = if job.screening {
+                let config = if w.screening {
                     q.config
                         .surrogate_screen()
-                        .expect("screening jobs have a screen config")
+                        .expect("screening walks have a screen config")
                 } else {
                     q.config
                 };
@@ -555,7 +598,7 @@ impl LineEvaluator<'_> {
                     j,
                     YieldQuery {
                         spec: q.spec,
-                        plan: job.candidates[job.idx],
+                        plan: w.rungs[w.idx].plan,
                         variation: q.variation,
                         deadline: q.deadline,
                         config,
@@ -568,45 +611,78 @@ impl LineEvaluator<'_> {
             pi_obs::hist_record("core.size_sweep_jobs", round.len() as f64);
             let probes: Vec<YieldQuery> = round.iter().map(|(_, p)| *p).collect();
             let estimates = self.timing_yield_estimate_batch(&probes);
-            for (&(j, probe), est) in round.iter().zip(&estimates) {
-                let job = &mut jobs[j];
-                let pass = est.yield_fraction - est.half_width >= queries[j].target_yield;
-                if job.screening {
+            for (&(j, _), est) in round.iter().zip(&estimates) {
+                let (w, q) = (&mut walks[j], &queries[j]);
+                let rung = w.rungs[w.idx];
+                let pass = est.yield_fraction - est.half_width >= q.target_yield;
+                if w.screening {
+                    w.screening = false;
                     // A fallback run reports `method` as the plain
                     // importance sampler — not trusted to accept.
                     if !(pass && est.method == Method::SurrogateIs) {
+                        // Same rung, configured estimator next round.
                         pi_obs::counter_add("sizing.surrogate_screen_miss", 1);
-                        // Same candidate, configured estimator next round.
-                        job.screening = false;
                         continue;
                     }
                     pi_obs::counter_add("sizing.surrogate_accept", 1);
                 }
-                pi_obs::counter_add("sizing.steps", 1);
+                let [probed, accepted, failed] = rung.kind.counters();
+                pi_obs::counter_add(probed, 1);
                 if pass {
-                    pi_obs::counter_add("sizing.candidate_pass", 1);
-                    pi_obs::counter_add("sizing.accepted", 1);
-                    job.result = Some(Some(YieldSizing {
-                        plan: probe.plan,
+                    pi_obs::counter_add(accepted, 1);
+                    let sizing = YieldSizing {
+                        plan: rung.plan,
                         achieved_yield: est.yield_fraction,
-                        steps: job.idx,
-                    }));
+                        steps: rung.steps,
+                    };
+                    w.result = Some(Some((sizing, rung.kind)));
                 } else {
-                    pi_obs::counter_add("sizing.candidate_fail", 1);
-                    job.idx += 1;
-                    if job.idx == job.candidates.len() {
-                        pi_obs::counter_add("sizing.exhausted", 1);
-                        job.result = Some(None);
-                    } else {
-                        job.screening = queries[j].config.surrogate_screen().is_some();
+                    pi_obs::counter_add(failed, 1);
+                    w.idx += 1;
+                    match w.rungs.get(w.idx) {
+                        Some(next) => w.screening = screened(q, next),
+                        None => {
+                            pi_obs::counter_add("sizing.exhausted", 1);
+                            w.result = Some(None);
+                        }
                     }
                 }
             }
         }
-        jobs.into_iter()
-            .map(|j| j.result.expect("every job resolved"))
+        walks
+            .into_iter()
+            .map(|w| w.result.expect("every walk resolved"))
             .collect()
     }
+}
+
+/// Which sizing loop a rung of a walk belongs to: it picks whether the
+/// rung is screened and which counters its probes add.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RungKind {
+    /// A GP proposal, probed with the configured estimator only.
+    Proposal,
+    /// A rung of the greedy ladder.
+    Ladder,
+}
+
+impl RungKind {
+    /// The counters of a probe, an accept and a fail at this kind of rung.
+    fn counters(self) -> [&'static str; 3] {
+        match self {
+            RungKind::Proposal => ["gp.verify_probe", "gp.accepted", "gp.candidate_fail"],
+            RungKind::Ladder => ["sizing.steps", "sizing.accepted", "sizing.candidate_fail"],
+        }
+    }
+}
+
+/// One plan of a sizing walk, with the `steps` an answer accepted at it
+/// reports.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rung {
+    pub(crate) plan: BufferingPlan,
+    pub(crate) steps: usize,
+    pub(crate) kind: RungKind,
 }
 
 /// One self-contained sizing query for
@@ -705,6 +781,22 @@ pub(crate) mod legacy {
         (out, added)
     }
 
+    /// Asserts the exact work a fixed query set costs: each named
+    /// counter's total (absent counts as zero). A change to how sizing
+    /// schedules or spends probes moves these and must say why.
+    pub(crate) fn assert_work(
+        counters: &std::collections::BTreeMap<&'static str, u64>,
+        expected: &[(&str, u64)],
+    ) {
+        for &(name, total) in expected {
+            assert_eq!(
+                counters.get(name).copied().unwrap_or(0),
+                total,
+                "{name} total in {counters:?}"
+            );
+        }
+    }
+
     /// Asserts two sizing answers are the same plan, step count and
     /// achieved-yield bits.
     pub(crate) fn assert_same_sizing(a: &Option<YieldSizing>, b: &Option<YieldSizing>, what: &str) {
@@ -726,7 +818,7 @@ pub(crate) mod legacy {
 
 #[cfg(test)]
 mod tests {
-    use super::legacy::{assert_same_sizing, sizing_counters, timing_yield};
+    use super::legacy::{assert_same_sizing, assert_work, sizing_counters, timing_yield};
     use super::*;
     use crate::coefficients::builtin;
     use pi_tech::units::Length;
@@ -1101,14 +1193,6 @@ mod tests {
             // ladder is walked and exhausted.
             query(spec5, plan(8, 8.0), v, ps(10.0), 0.9, cfg(Method::Naive, 7)),
             query(
-                spec8,
-                plan(12, 8.0),
-                v,
-                ps(580.0),
-                0.9,
-                cfg(Method::Sobol, 8),
-            ),
-            query(
                 spec5,
                 plan(8, 8.0),
                 v,
@@ -1169,15 +1253,24 @@ mod tests {
         // Identical work, not just identical answers: perfbench's cost
         // ladder reads these totals.
         assert_eq!(batch_counters, solo_counters, "sizing.* counter totals");
-        for name in [
-            "sizing.steps",
-            "sizing.accepted",
-            "sizing.candidate_fail",
-            "sizing.exhausted",
-            "sizing.surrogate_screen_miss",
-        ] {
-            assert!(batch_counters.contains_key(name), "{name} never counted");
-        }
+        assert_work(
+            &batch_counters,
+            &[
+                ("sizing.steps", 45),
+                ("sizing.accepted", 8),
+                ("sizing.candidate_fail", 37),
+                ("sizing.exhausted", 1),
+                ("sizing.surrogate_screen_miss", 7),
+                ("sizing.surrogate_accept", 2),
+                ("gp.solve", 0),
+                ("gp.infeasible", 0),
+                ("gp.proposals", 0),
+                ("gp.verify_probe", 0),
+                ("gp.accepted", 0),
+                ("gp.candidate_fail", 0),
+                ("gp.fallback", 0),
+            ],
+        );
         assert!(ev.size_for_yield_batch(&[]).is_empty());
     }
 
@@ -1377,7 +1470,7 @@ mod tests {
             (8.0, 620.0, Method::SobolScrambled, 12, v, false),
             (3.0, 400.0, Method::ImportanceSampling, 13, v, false),
             (5.0, 560.0, Method::Analytic, 14, v, false),
-            (8.0, 600.0, Method::Sobol, 15, regional, false),
+            (8.0, 600.0, Method::SobolScrambled, 15, regional, false),
             (8.0, 560.0, Method::SurrogateIs, 16, v, false),
             (5.0, 600.0, Method::Naive, 17, regional, true),
             (8.0, 620.0, Method::SobolScrambled, 12, regional, true),

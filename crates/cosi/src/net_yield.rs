@@ -405,7 +405,6 @@ mod tests {
             (Method::Naive, 5u64, false),
             (Method::SobolScrambled, 6, false),
             (Method::Analytic, 7, false),
-            (Method::Sobol, 8, false),
             (Method::ImportanceSampling, 9, false),
             (Method::SurrogateIs, 10, false),
             (Method::Naive, 11, true),

@@ -931,7 +931,6 @@ mod tests {
             (3u64, "naive"),
             (4, "naive"),
             (3, "sobol-scrambled"),
-            (5, "sobol"),
             (6, "importance"),
             (7, "surrogate-is"),
             (8, "analytic"),
@@ -1027,7 +1026,7 @@ mod tests {
             size_request(4, "sobol-scrambled", 8.0, 1100.0),
             size_request(5, "analytic", 3.0, 450.0),
             size_request(6, "importance", 5.0, 700.0),
-            size_request(7, "sobol", 2.0, 330.0),
+            size_request(7, "sobol-scrambled", 2.0, 330.0),
             size_request(8, "surrogate-is", 8.0, 1150.0),
             // Hopeless: the whole ladder is walked and exhausted.
             size_request(9, "naive", 5.0, 10.0),

@@ -212,6 +212,26 @@ fn integrate_over_d2d(variation: &DriveVariation, mut f: impl FnMut(f64) -> f64)
     acc * h
 }
 
+/// Sums `f(g, w)` over the network closures' D2D nodes: the drive factor
+/// `g` at each trapezoid node over ±8σ with its weight
+/// `w = trapezoid weight · φ(z) · h`, or the one node `(1, 1)` when
+/// `σ_d2d = 0`. Unlike [`integrate_over_d2d`] the panel width is folded
+/// into each node's weight.
+fn sum_over_d2d_nodes(variation: &DriveVariation, mut f: impl FnMut(f64, f64) -> f64) -> f64 {
+    if variation.sigma_d2d == 0.0 {
+        return f(1.0, 1.0);
+    }
+    let h = 2.0 * QUAD_RANGE / QUAD_STEPS as f64;
+    let mut acc = 0.0;
+    for i in 0..=QUAD_STEPS {
+        let z = -QUAD_RANGE + h * i as f64;
+        let weight = if i == 0 || i == QUAD_STEPS { 0.5 } else { 1.0 };
+        let g = drive_factor_from_normal(z, variation.sigma_d2d);
+        acc += f(g, weight * normal_pdf(z) * h);
+    }
+    acc
+}
+
 /// Analytic timing yield of a single line (D2D conditioning + WID
 /// Gaussian closure). No samples are drawn.
 ///
@@ -282,20 +302,9 @@ pub fn network_yield(problem: &NetworkProblem) -> (f64, Vec<f64>) {
         "yield.closure_cdf_evals",
         (closure.distinct.len() * nodes) as u64,
     );
-    let overall = if problem.variation.sigma_d2d == 0.0 {
-        closure.accumulate(problem.period_s, 1.0, 1.0)
-    } else {
-        let h = 2.0 * QUAD_RANGE / QUAD_STEPS as f64;
-        let mut acc = 0.0;
-        for i in 0..=QUAD_STEPS {
-            let z = -QUAD_RANGE + h * i as f64;
-            let weight = if i == 0 || i == QUAD_STEPS { 0.5 } else { 1.0 };
-            let g = drive_factor_from_normal(z, problem.variation.sigma_d2d);
-            let w = weight * normal_pdf(z) * h;
-            acc += closure.accumulate(problem.period_s, g, w);
-        }
-        acc
-    };
+    let overall = sum_over_d2d_nodes(&problem.variation, |g, w| {
+        closure.accumulate(problem.period_s, g, w)
+    });
     let mut per_channel = closure.into_per_channel();
     for y in &mut per_channel {
         *y = y.clamp(0.0, 1.0);
@@ -446,35 +455,17 @@ fn network_yield_correlated(problem: &NetworkProblem) -> (f64, Vec<f64>) {
     }
     let mut per_channel = vec![0.0; problem.channels.len()];
     let mut scratch = Vec::new();
-    let overall = if problem.variation.sigma_d2d == 0.0 {
+    let overall = sum_over_d2d_nodes(&problem.variation, |g, w| {
         correlated_conditional(
             problem,
             &decomp,
             &groups,
-            1.0,
+            g,
             &mut per_channel,
-            1.0,
+            w,
             &mut scratch,
         )
-    } else {
-        let h = 2.0 * QUAD_RANGE / QUAD_STEPS as f64;
-        let mut acc = 0.0;
-        for i in 0..=QUAD_STEPS {
-            let z = -QUAD_RANGE + h * i as f64;
-            let weight = if i == 0 || i == QUAD_STEPS { 0.5 } else { 1.0 };
-            let g = drive_factor_from_normal(z, problem.variation.sigma_d2d);
-            acc += correlated_conditional(
-                problem,
-                &decomp,
-                &groups,
-                g,
-                &mut per_channel,
-                weight * normal_pdf(z) * h,
-                &mut scratch,
-            );
-        }
-        acc
-    };
+    });
     for y in &mut per_channel {
         *y = y.clamp(0.0, 1.0);
     }

@@ -5,8 +5,8 @@
 //! Every sampling method is a row of one **method table** (`Row::of`)
 //! run by one adaptive loop, `drive`. A row pairs a **die source** —
 //! normals from `Rng::stream(seed, index)`, the Sobol point at the index
-//! under one digital shift per replicate (all zero for plain Sobol), or a
-//! draw from a Gaussian [`Proposal`] with its likelihood ratio — with an
+//! under one digital shift per replicate, or a draw from a Gaussian
+//! [`Proposal`] with its likelihood ratio — with an
 //! **interval rule**, and sets the schedule: first round, round cap and
 //! early-stop floor. `drive` splits each round into **fixed-size
 //! chunks**, maps them through `pi_rt::par_map` (or on the calling thread
@@ -17,8 +17,7 @@
 //! round `drive` checks the control variate's trust, recomputes the
 //! 95 % interval and stops once it is narrow enough past the floor.
 //!
-//! - **Naive MC / plain Sobol** — Wilson interval on the pass count (for
-//!   plain Sobol a *heuristic*: QMC points are not independent).
+//! - **Naive MC** — Wilson interval on the pass count.
 //! - **Scrambled Sobol** — CLT over `replicates` independently shifted
 //!   copies of the point set: honest, and shrinking like the QMC error
 //!   (≈ N⁻¹), not like N^(−1/2).
@@ -44,9 +43,6 @@ pub enum Method {
     /// Pseudo-random Monte Carlo with one RNG stream per die (the
     /// reference estimator; bit-compatible with the legacy loops).
     Naive,
-    /// Plain Sobol quasi-Monte-Carlo (deterministic point set, Wilson CI
-    /// as a conservative heuristic).
-    Sobol,
     /// Digitally-shifted Sobol replicates with an honest replicate CI.
     SobolScrambled,
     /// Mean-shifted importance sampling with likelihood-ratio weights.
@@ -67,7 +63,6 @@ impl Method {
     pub fn name(self) -> &'static str {
         match self {
             Method::Naive => "naive",
-            Method::Sobol => "sobol",
             Method::SobolScrambled => "sobol-scrambled",
             Method::ImportanceSampling => "importance",
             Method::SurrogateIs => "surrogate-is",
@@ -76,9 +71,8 @@ impl Method {
     }
 
     /// All methods, for sweeps and CLI help.
-    pub const ALL: [Method; 6] = [
+    pub const ALL: [Method; 5] = [
         Method::Naive,
-        Method::Sobol,
         Method::SobolScrambled,
         Method::ImportanceSampling,
         Method::SurrogateIs,
@@ -98,14 +92,13 @@ impl std::str::FromStr for Method {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "naive" | "mc" => Ok(Method::Naive),
-            "sobol" | "qmc" => Ok(Method::Sobol),
             "sobol-scrambled" | "rqmc" | "scrambled" => Ok(Method::SobolScrambled),
             "importance" | "is" => Ok(Method::ImportanceSampling),
             "surrogate-is" | "surrogate" | "sis" => Ok(Method::SurrogateIs),
             "analytic" => Ok(Method::Analytic),
             other => Err(format!(
-                "unknown estimator `{other}` (naive, sobol, sobol-scrambled, importance, \
-                 surrogate-is, analytic)"
+                "unknown estimator `{other}` (naive, sobol-scrambled, importance, surrogate-is, \
+                 analytic)"
             )),
         }
     }
@@ -132,8 +125,8 @@ pub struct EstimatorConfig {
     /// Independent digital-shift replicates for [`Method::SobolScrambled`].
     pub replicates: usize,
     /// Evaluate the analytic surrogate alongside every sampled die and
-    /// use it as a control variate (naive, Sobol, scrambled-Sobol and
-    /// importance estimators). [`Method::SurrogateIs`] always does.
+    /// use it as a control variate (naive, scrambled-Sobol and importance
+    /// estimators). [`Method::SurrogateIs`] always does.
     pub control_variate: bool,
     /// Surrogate-vs-exact disagreement rate above which the surrogate
     /// is distrusted and the plain estimator's statistic is reported
@@ -298,15 +291,11 @@ fn estimate_with(
     let (sobol, shifts, proposal);
     let source = match method {
         Method::Naive => Source::Stream(seed),
-        Method::Sobol | Method::SobolScrambled => {
+        Method::SobolScrambled => {
             sobol = Sobol::new(dim);
-            // One digital shift per unit; the plain sequence's is all zero.
-            shifts = match row.units {
-                1 => vec![vec![0; dim]],
-                units => (0..units)
-                    .map(|r| sobol.digital_shifts(seed, r as u64))
-                    .collect(),
-            };
+            shifts = (0..row.units)
+                .map(|r| sobol.digital_shifts(seed, r as u64))
+                .collect::<Vec<_>>();
             Source::Sobol(&sobol, &shifts)
         }
         Method::ImportanceSampling => {
@@ -353,10 +342,10 @@ struct Row {
 }
 
 impl Row {
-    /// The method table. Naive MC and plain Sobol run rounds of 256 dies
-    /// doubling to 65 536, stopping after any. Scrambled Sobol runs 32
-    /// points per replicate, then doubles the points run so far, uncapped,
-    /// and stops on target from 128. Weighted rows run the naive rounds;
+    /// The method table. Naive MC runs rounds of 256 dies doubling to
+    /// 65 536, stopping after any. Scrambled Sobol runs 32 points per
+    /// replicate, then doubles the points run so far, uncapped, and stops
+    /// on target from 128. Weighted rows run the naive rounds;
     /// their control-variate interval is honest from the first round (rule
     /// of three on bounded terms), so a trusted run may stop at 256 dies,
     /// the plain one at 1024. Every floor is capped at the row's budget
@@ -515,7 +504,7 @@ enum Source<'a> {
     /// Normals from `Rng::stream(seed, index)` (naive MC).
     Stream(u64),
     /// Sobol point `index` through the inverse normal CDF, under one
-    /// digital shift per unit (plain and scrambled Sobol).
+    /// digital shift per replicate (scrambled Sobol).
     Sobol(&'a Sobol, &'a [Vec<u32>]),
     /// A draw from the proposal out of `Rng::stream(seed, index)`, weighted
     /// by its likelihood ratio, and the bound on that ratio near the
@@ -664,8 +653,7 @@ impl Tally {
 /// same interval machinery.
 #[derive(Clone, Copy, PartialEq)]
 enum Rule {
-    /// A Wilson interval on one unit's pass fraction (naive MC, plain
-    /// Sobol; for plain Sobol a heuristic).
+    /// A Wilson interval on one unit's pass fraction (naive MC).
     Wilson,
     /// A CLT interval over the units' pass fractions (scrambled Sobol).
     Replicates,

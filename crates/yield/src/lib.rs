@@ -12,7 +12,6 @@
 //! | method | die source | interval | typical win |
 //! |---|---|---|---|
 //! | [`Method::Naive`] | per-die RNG streams (legacy MC) | Wilson | 1× (reference) |
-//! | [`Method::Sobol`] | deterministic low-discrepancy points | Wilson (heuristic) | ~N⁻¹ error decay |
 //! | [`Method::SobolScrambled`] | digitally-shifted Sobol replicates | replicate CLT (honest) | 5–50× fewer evals |
 //! | [`Method::ImportanceSampling`] | one-component [`Proposal`] shifted toward failure | weighted CLT | large for rare failures |
 //! | [`Method::SurrogateIs`] | surrogate-fitted [`Proposal`] (shift or mixture) + control variate | weighted CLT on disagreement | ~100× for rare failures |

@@ -48,18 +48,6 @@ const GOLDEN: &[Golden] = &[
     ("line", "naive", "distrusted", "fixed-4096", 0x3fea300000000000, 0x3f882d71d5dc9214, 0x3f60000000000000, 4096, "naive", 0x465b193311bb074e),
     ("line", "naive", "distrusted", "fixed-1001", 0x3fea7004178749e9, 0x3f9807035fbf30c2, 0x3f505e1d27a3ee9c, 1001, "naive", 0x3ab0ff0d7661f382),
     ("line", "naive", "distrusted", "fixed-1", 0x3fea477f993de957, 0x7ff0000000000000, 0x0000000000000000, 1, "naive", 0xaab1693229ba1db8),
-    ("line", "sobol", "off", "default", 0x3fea43468d1a3469, 0x3f7114171347e80e, 0x0000000000000000, 32512, "sobol", 0x87f6c546f0c32e9d),
-    ("line", "sobol", "off", "fixed-4096", 0x3fea460000000000, 0x3f8809a5d04898d2, 0x0000000000000000, 4096, "sobol", 0x4b94b330d1a31144),
-    ("line", "sobol", "off", "fixed-1001", 0x3fea3ee9c0105e1d, 0x3f9858e31117a670, 0x0000000000000000, 1001, "sobol", 0xde6fa939cfbd091e),
-    ("line", "sobol", "off", "fixed-1", 0x0000000000000000, 0x3fd963f2b137a224, 0x0000000000000000, 1, "sobol", 0xa8c7f832281a39c5),
-    ("line", "sobol", "on", "default", 0x3fea59c8bdd0327c, 0x3f65efd2d3a6fdcb, 0x3f6b6db6db6db6db, 1792, "sobol", 0x9298e4902cdbb19d),
-    ("line", "sobol", "on", "fixed-4096", 0x3fea597f993de957, 0x3f5c3fbabfa70008, 0x3f6a000000000000, 4096, "sobol", 0x4b94b330d1a31144),
-    ("line", "sobol", "on", "fixed-1001", 0x3fea600cc4f95f3d, 0x3f71ed1329a0037b, 0x3f7475a4718cea43, 1001, "sobol", 0xde6fa939cfbd091e),
-    ("line", "sobol", "on", "fixed-1", 0x3fea477f993de957, 0x7ff0000000000000, 0x0000000000000000, 1, "sobol", 0xa8c7f832281a39c5),
-    ("line", "sobol", "distrusted", "default", 0x3fea43468d1a3469, 0x3f7114171347e80e, 0x3f65ebd7af5ebd7b, 32512, "sobol", 0x87f6c546f0c32e9d),
-    ("line", "sobol", "distrusted", "fixed-4096", 0x3fea460000000000, 0x3f8809a5d04898d2, 0x3f6a000000000000, 4096, "sobol", 0x4b94b330d1a31144),
-    ("line", "sobol", "distrusted", "fixed-1001", 0x3fea3ee9c0105e1d, 0x3f9858e31117a670, 0x3f7475a4718cea43, 1001, "sobol", 0xde6fa939cfbd091e),
-    ("line", "sobol", "distrusted", "fixed-1", 0x3fea477f993de957, 0x7ff0000000000000, 0x0000000000000000, 1, "sobol", 0xa8c7f832281a39c5),
     ("line", "sobol-scrambled", "off", "default", 0x3fea240000000000, 0x3f70298afd4f4de1, 0x0000000000000000, 2048, "sobol-scrambled", 0x9953e532afc9621a),
     ("line", "sobol-scrambled", "off", "fixed-4096", 0x3fea2e0000000000, 0x3f68bf5b8b96ca33, 0x0000000000000000, 4096, "sobol-scrambled", 0x42a74b327ead8a6c),
     ("line", "sobol-scrambled", "off", "fixed-1001", 0x3fea30c30c30c30b, 0x3f76530c00132f76, 0x0000000000000000, 1008, "sobol-scrambled", 0x735d5b82741c186f),
@@ -120,18 +108,6 @@ const GOLDEN: &[Golden] = &[
     ("network", "naive", "distrusted", "fixed-4096", 0x3fe9120000000000, 0x3f89d3c44c906381, 0x3f84800000000000, 4096, "naive", 0x1f1e461cbaf1670b),
     ("network", "naive", "distrusted", "fixed-1001", 0x3fe9519519519519, 0x3f99c244bb41ab85, 0x3f7ca4b3055ee191, 1001, "naive", 0xbc053aac60ef96a1),
     ("network", "naive", "distrusted", "fixed-1", 0x3fe971e0addd3da9, 0x7ff0000000000000, 0x0000000000000000, 1, "naive", 0x01254f26d3b0bba5),
-    ("network", "sobol", "off", "default", 0x3fe9342850a14285, 0x3f72358dc3bee957, 0x0000000000000000, 32512, "sobol", 0x655525f22d9be110),
-    ("network", "sobol", "off", "fixed-4096", 0x3fe9340000000000, 0x3f89a57c8aa16513, 0x0000000000000000, 4096, "sobol", 0x70228f12274c2eab),
-    ("network", "sobol", "off", "fixed-1001", 0x3fe8ffbe878b6170, 0x3f9a32c8e792eddf, 0x0000000000000000, 1001, "sobol", 0xe1ba4f4fe4e129b0),
-    ("network", "sobol", "off", "fixed-1", 0x0000000000000000, 0x3fd963f2b137a224, 0x0000000000000000, 1, "sobol", 0xb9b23f3a46fd0825),
-    ("network", "sobol", "on", "default", 0x3fe928bc1b941917, 0x3f72efb75ee5d983, 0x3f84924924924925, 1792, "sobol", 0x95f4e78d13911473),
-    ("network", "sobol", "on", "fixed-4096", 0x3fe931e0addd3da9, 0x3f66c6876e0ec332, 0x3f81000000000000, 4096, "sobol", 0x70228f12274c2eab),
-    ("network", "sobol", "on", "fixed-1001", 0x3fe93068393eadef, 0x3f794af9d2983d84, 0x3f8475a4718cea43, 1001, "sobol", 0xe1ba4f4fe4e129b0),
-    ("network", "sobol", "on", "fixed-1", 0x3fe971e0addd3da9, 0x7ff0000000000000, 0x0000000000000000, 1, "sobol", 0xb9b23f3a46fd0825),
-    ("network", "sobol", "distrusted", "default", 0x3fe9342850a14285, 0x3f72358dc3bee957, 0x3f82a54a952a54a9, 32512, "sobol", 0x655525f22d9be110),
-    ("network", "sobol", "distrusted", "fixed-4096", 0x3fe9340000000000, 0x3f89a57c8aa16513, 0x3f81000000000000, 4096, "sobol", 0x70228f12274c2eab),
-    ("network", "sobol", "distrusted", "fixed-1001", 0x3fe8ffbe878b6170, 0x3f9a32c8e792eddf, 0x3f8475a4718cea43, 1001, "sobol", 0xe1ba4f4fe4e129b0),
-    ("network", "sobol", "distrusted", "fixed-1", 0x3fe971e0addd3da9, 0x7ff0000000000000, 0x0000000000000000, 1, "sobol", 0xb9b23f3a46fd0825),
     ("network", "sobol-scrambled", "off", "default", 0x3fe9460000000000, 0x3f6bc1f50e21fde5, 0x0000000000000000, 4096, "sobol-scrambled", 0xd908e87f8c857c91),
     ("network", "sobol-scrambled", "off", "fixed-4096", 0x3fe9460000000000, 0x3f6bc1f50e21fde5, 0x0000000000000000, 4096, "sobol-scrambled", 0xd908e87f8c857c91),
     ("network", "sobol-scrambled", "off", "fixed-1001", 0x3fe934d34d34d34d, 0x3f871f383cbc6b69, 0x0000000000000000, 1008, "sobol-scrambled", 0xd22cdd5c51a77ffc),

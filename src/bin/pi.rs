@@ -8,10 +8,10 @@
 //!             [--yield-target 0.9 [--rho 0.5] [--cell 2mm]]
 //!             (or --spec <file> with the text format of `pi_cosi::spec_text`)
 //! pi yield    --tech 65nm --length 8mm --deadline 560ps [--samples 2000]
-//!             [--estimator naive|sobol|sobol-scrambled|importance|surrogate-is|analytic]
+//!             [--estimator naive|sobol-scrambled|importance|surrogate-is|analytic]
 //!             [--cv] [--ci 0.5] [--seed 1] [--rho 0.5] [--regions 4]
 //! pi size     --tech 65nm --length 5mm --deadline 560ps [--target 0.9] [--gp]
-//!             [--estimator naive|sobol|sobol-scrambled|importance|surrogate-is|analytic]
+//!             [--estimator naive|sobol-scrambled|importance|surrogate-is|analytic]
 //!             [--seed 1] [--ci 0.5]
 //! pi report   --tech 65nm --length 5mm --clock 2GHz [--bits 128] [--full]
 //! pi serve    [--port 7878] [--queue-depth 1024]

@@ -277,17 +277,20 @@ fn yield_command_exposes_the_estimator_family() {
         assert!(text.contains("line evaluations"), "{text}");
     }
 
-    let out = pi(&[
-        "yield",
-        "--tech",
-        "65nm",
-        "--length",
-        "8mm",
-        "--deadline",
-        "600ps",
-        "--estimator",
-        "bogus",
-    ]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown estimator"));
+    // `sobol` named the retired plain-Sobol estimator.
+    for estimator in ["bogus", "sobol"] {
+        let out = pi(&[
+            "yield",
+            "--tech",
+            "65nm",
+            "--length",
+            "8mm",
+            "--deadline",
+            "600ps",
+            "--estimator",
+            estimator,
+        ]);
+        assert!(!out.status.success(), "{estimator} accepted");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown estimator"));
+    }
 }
