@@ -1297,7 +1297,9 @@ mod legacy {
 mod tests {
     use super::*;
     use crate::coefficients::builtin;
-    use crate::variation::legacy::{assert_same_sizing, assert_work, sizing_counters};
+    use crate::variation::legacy::{
+        assert_reverifies, assert_same_sizing, assert_work, sizing_counters,
+    };
     use pi_tech::{DesignStyle, RepeaterKind, TechNode, Technology};
     use pi_yield::EstimatorConfig;
 
@@ -1655,13 +1657,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gp_batch_is_bit_identical_to_solo_runs() {
-        // Mixed jobs: verified on the first or a later proposal, fallen
-        // back to the ladder (verified there or exhausted), GP-infeasible,
-        // across estimator families, seeds, screens and correlation.
-        let (t, m) = setup();
-        let ev = LineEvaluator::new(&m, &t);
+    /// Mixed GP jobs: verified on the first or a later proposal, fallen
+    /// back to the ladder (verified there or exhausted; index 2 is
+    /// GP-infeasible and exhausts), across estimator families, seeds, the
+    /// control variate and correlation.
+    fn gp_queries(ev: &LineEvaluator<'_>) -> Vec<SizeQuery> {
         let cfg = |method, seed: u64| {
             EstimatorConfig::new(method)
                 .with_seed(seed)
@@ -1681,7 +1681,7 @@ mod tests {
             variation: VariationModel::nominal().with_regional(0.8, Length::mm(2.0)),
             ..query(spec(8.0), plan(12, 2.4), Time::ps(600.0), 0.9, sobol(8))
         };
-        let queries = vec![
+        vec![
             query(spec(5.0), plan(8, 2.4), nominal5, 0.9, sobol(1)),
             query(spec(8.0), plan(12, 2.4), Time::ps(560.0), 0.95, sobol(2)),
             // Hopeless: GP infeasible, ladder exhausts.
@@ -1727,7 +1727,14 @@ mod tests {
                 0.9,
                 sobol(9).with_control_variate(true),
             ),
-        ];
+        ]
+    }
+
+    #[test]
+    fn gp_batch_is_bit_identical_to_solo_runs() {
+        let (t, m) = setup();
+        let ev = LineEvaluator::new(&m, &t);
+        let queries = gp_queries(&ev);
         let (batched, batch_counters) = sizing_counters(|| ev.size_for_yield_gp_batch(&queries));
         let (solos, solo_counters) = sizing_counters(|| {
             queries
@@ -1772,11 +1779,18 @@ mod tests {
                 ("sizing.accepted", 1),
                 ("sizing.candidate_fail", 36),
                 ("sizing.exhausted", 2),
-                ("sizing.surrogate_screen_miss", 0),
-                ("sizing.surrogate_accept", 0),
             ],
         );
         assert!(ev.size_for_yield_gp_batch(&[]).is_empty());
+    }
+
+    #[test]
+    fn gp_answers_reverify_under_their_own_config() {
+        let (t, m) = setup();
+        let ev = LineEvaluator::new(&m, &t);
+        let queries = gp_queries(&ev);
+        let answers = ev.size_for_yield_gp_batch(&queries);
+        assert_reverifies(&ev, &queries, &answers);
     }
 
     #[test]

@@ -30,8 +30,7 @@
 use pi_rt::Rng;
 use pi_tech::units::{Length, Time};
 use pi_yield::{
-    DriveVariation, EstimatorConfig, LineProblem, Method, SpatialCorrelation, StageDelays,
-    YieldEstimate,
+    DriveVariation, EstimatorConfig, LineProblem, SpatialCorrelation, StageDelays, YieldEstimate,
 };
 
 use crate::line::{BufferingPlan, LineEvaluator, LineSpec, StageTiming};
@@ -495,21 +494,10 @@ impl LineEvaluator<'_> {
     /// more upsizing step instead of shipping on statistical luck.
     /// `achieved_yield` still reports the point estimate.
     ///
-    /// When a configuration opts into the control variate
-    /// ([`EstimatorConfig::control_variate`]) the caller has declared the
-    /// analytic surrogate trustworthy, so every candidate is first
-    /// screened through the far cheaper surrogate-IS estimator: a
-    /// candidate whose *screen* lower bound already clears the target is
-    /// accepted without running the configured estimator at all. The
-    /// screen only ever accepts — and only while the surrogate stayed
-    /// trusted (no disagreement fallback) — so a candidate that fails the
-    /// screen still gets the configured estimator's verdict and the
-    /// search can never stop *later* than it would without screening.
-    ///
     /// The jobs run in lock step: every round runs **one**
     /// [`LineEvaluator::timing_yield_estimate_batch`] sweep carrying each
-    /// unfinished job's next probe. Jobs keep independent RNG streams,
-    /// candidate ladders and screens, so each job's answer — and every
+    /// unfinished job's next probe. Jobs keep independent RNG streams
+    /// and candidate ladders, so each job's answer — and every
     /// `sizing.*` counter total — is **bit-identical to the same job run
     /// as a batch of one**; batching only changes how probes are grouped.
     ///
@@ -534,10 +522,10 @@ impl LineEvaluator<'_> {
     /// The lock-step certification driver behind both sizing entry
     /// points. Each query walks its rungs (built by `walk`, never empty)
     /// in order and stops at the first one whose CI lower bound clears
-    /// the target; `None` when the walk runs out. A ladder rung is probed
-    /// with the surrogate screen first when the configuration has one.
-    /// Every round runs one [`LineEvaluator::timing_yield_estimate_batch`]
-    /// sweep carrying each unfinished walk's next probe, recorded in the
+    /// the target; `None` when the walk runs out. Every rung is probed
+    /// with the query's own estimator configuration. Every round runs
+    /// one [`LineEvaluator::timing_yield_estimate_batch`] sweep carrying
+    /// each unfinished walk's next probe, recorded in the
     /// `core.size_sweep_jobs` histogram. Answers carry the kind of the
     /// rung they were accepted at.
     pub(crate) fn walk_batch(
@@ -560,24 +548,14 @@ impl LineEvaluator<'_> {
             rungs: Vec<Rung>,
             /// Index of the rung the next probe tries.
             idx: usize,
-            /// The next probe runs the screen configuration (true) or the
-            /// configured estimator (false).
-            screening: bool,
             result: Option<Option<(YieldSizing, RungKind)>>,
         }
-        let screened = |q: &SizeQuery, rung: &Rung| {
-            rung.kind == RungKind::Ladder && q.config.surrogate_screen().is_some()
-        };
         let mut walks: Vec<Walk> = queries
             .iter()
-            .map(|q| {
-                let rungs = walk(q);
-                Walk {
-                    screening: screened(q, &rungs[0]),
-                    rungs,
-                    idx: 0,
-                    result: None,
-                }
+            .map(|q| Walk {
+                rungs: walk(q),
+                idx: 0,
+                result: None,
             })
             .collect();
         loop {
@@ -587,13 +565,6 @@ impl LineEvaluator<'_> {
                 if w.result.is_some() {
                     continue;
                 }
-                let config = if w.screening {
-                    q.config
-                        .surrogate_screen()
-                        .expect("screening walks have a screen config")
-                } else {
-                    q.config
-                };
                 round.push((
                     j,
                     YieldQuery {
@@ -601,7 +572,7 @@ impl LineEvaluator<'_> {
                         plan: w.rungs[w.idx].plan,
                         variation: q.variation,
                         deadline: q.deadline,
-                        config,
+                        config: q.config,
                     },
                 ));
             }
@@ -615,17 +586,6 @@ impl LineEvaluator<'_> {
                 let (w, q) = (&mut walks[j], &queries[j]);
                 let rung = w.rungs[w.idx];
                 let pass = est.yield_fraction - est.half_width >= q.target_yield;
-                if w.screening {
-                    w.screening = false;
-                    // A fallback run reports `method` as the plain
-                    // importance sampler — not trusted to accept.
-                    if !(pass && est.method == Method::SurrogateIs) {
-                        // Same rung, configured estimator next round.
-                        pi_obs::counter_add("sizing.surrogate_screen_miss", 1);
-                        continue;
-                    }
-                    pi_obs::counter_add("sizing.surrogate_accept", 1);
-                }
                 let [probed, accepted, failed] = rung.kind.counters();
                 pi_obs::counter_add(probed, 1);
                 if pass {
@@ -639,12 +599,9 @@ impl LineEvaluator<'_> {
                 } else {
                     pi_obs::counter_add(failed, 1);
                     w.idx += 1;
-                    match w.rungs.get(w.idx) {
-                        Some(next) => w.screening = screened(q, next),
-                        None => {
-                            pi_obs::counter_add("sizing.exhausted", 1);
-                            w.result = Some(None);
-                        }
+                    if w.idx == w.rungs.len() {
+                        pi_obs::counter_add("sizing.exhausted", 1);
+                        w.result = Some(None);
                     }
                 }
             }
@@ -656,11 +613,11 @@ impl LineEvaluator<'_> {
     }
 }
 
-/// Which sizing loop a rung of a walk belongs to: it picks whether the
-/// rung is screened and which counters its probes add.
+/// Which sizing loop a rung of a walk belongs to: it picks which
+/// counters its probes add.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RungKind {
-    /// A GP proposal, probed with the configured estimator only.
+    /// A GP proposal.
     Proposal,
     /// A rung of the greedy ladder.
     Ladder,
@@ -727,34 +684,17 @@ pub(crate) mod legacy {
     }
 
     /// The one-job greedy ladder, probe by probe: each candidate is
-    /// screened first when the configuration opts into the control
-    /// variate, then estimated with the configured estimator, and the
-    /// first one whose CI lower bound clears the target is accepted.
+    /// estimated with the configured estimator, and the first one whose
+    /// CI lower bound clears the target is accepted.
     pub(crate) fn size_for_yield(ev: &LineEvaluator<'_>, q: &SizeQuery) -> Option<YieldSizing> {
-        let screen = q.config.surrogate_screen();
         for (steps, plan) in ev.size_candidates(&q.spec, &q.plan).into_iter().enumerate() {
-            let probe = |config: &EstimatorConfig| {
-                let est =
-                    ev.timing_yield_estimate(&q.spec, &plan, &q.variation, q.deadline, config);
-                let lower = est.yield_fraction - est.half_width;
-                (est, lower >= q.target_yield)
-            };
-            let accept = |est: YieldEstimate| {
-                Some(YieldSizing {
+            let est = ev.timing_yield_estimate(&q.spec, &plan, &q.variation, q.deadline, &q.config);
+            if est.yield_fraction - est.half_width >= q.target_yield {
+                return Some(YieldSizing {
                     plan,
                     achieved_yield: est.yield_fraction,
                     steps,
-                })
-            };
-            if let Some(cfg) = &screen {
-                let (est, pass) = probe(cfg);
-                if est.method == Method::SurrogateIs && pass {
-                    return accept(est);
-                }
-            }
-            let (est, pass) = probe(&q.config);
-            if pass {
-                return accept(est);
+                });
             }
         }
         None
@@ -797,6 +737,48 @@ pub(crate) mod legacy {
         }
     }
 
+    /// Asserts that every accepted plan, re-estimated with its query's
+    /// own configuration, reproduces the answer's `achieved_yield` bits
+    /// and a CI lower bound clearing the target: the certificate a
+    /// caller can re-check.
+    pub(crate) fn assert_reverifies(
+        ev: &LineEvaluator<'_>,
+        queries: &[SizeQuery],
+        answers: &[Option<YieldSizing>],
+    ) {
+        let accepted: Vec<(usize, &YieldSizing)> = answers
+            .iter()
+            .enumerate()
+            .filter_map(|(i, a)| a.as_ref().map(|a| (i, a)))
+            .collect();
+        let probes: Vec<YieldQuery> = accepted
+            .iter()
+            .map(|&(i, a)| YieldQuery {
+                spec: queries[i].spec,
+                plan: a.plan,
+                variation: queries[i].variation,
+                deadline: queries[i].deadline,
+                config: queries[i].config,
+            })
+            .collect();
+        let estimates = ev.timing_yield_estimate_batch(&probes);
+        for (&(i, a), est) in accepted.iter().zip(&estimates) {
+            let lower = est.yield_fraction - est.half_width;
+            assert_eq!(
+                est.yield_fraction.to_bits(),
+                a.achieved_yield.to_bits(),
+                "job {i}: re-estimate {} vs achieved {}",
+                est.yield_fraction,
+                a.achieved_yield
+            );
+            assert!(
+                lower >= queries[i].target_yield,
+                "job {i}: lower bound {lower} under the target {}",
+                queries[i].target_yield
+            );
+        }
+    }
+
     /// Asserts two sizing answers are the same plan, step count and
     /// achieved-yield bits.
     pub(crate) fn assert_same_sizing(a: &Option<YieldSizing>, b: &Option<YieldSizing>, what: &str) {
@@ -823,6 +805,7 @@ mod tests {
     use crate::coefficients::builtin;
     use pi_tech::units::Length;
     use pi_tech::{DesignStyle, RepeaterKind, TechNode, Technology};
+    use pi_yield::Method;
 
     fn setup() -> (Technology, crate::CalibratedModels) {
         (Technology::new(TechNode::N65), builtin(TechNode::N65))
@@ -1118,18 +1101,15 @@ mod tests {
         );
     }
 
-    #[test]
-    fn batched_sizing_is_bit_identical_to_solo_runs() {
-        // Mixed jobs: every estimator family, different seeds and lengths,
-        // screens on and off, regional correlation, one already-passing
-        // job and one exhausted ladder — so jobs retire in different
-        // rounds and the lock-step batching is genuinely exercised, not
-        // just a single shared sweep.
-        let (t, m) = setup();
-        let ev = LineEvaluator::new(&m, &t);
+    /// Mixed ladder jobs: every estimator family, different seeds and
+    /// lengths, the control variate on and off, regional correlation,
+    /// one already-passing job (index 3) and one exhausted ladder (index
+    /// 4) — so jobs retire in different rounds and the lock-step batching
+    /// is genuinely exercised, not just a single shared sweep.
+    fn ladder_queries(ev: &LineEvaluator<'_>) -> Vec<SizeQuery> {
         let v = VariationModel::nominal();
         let regional = v.with_regional(0.6, Length::mm(2.0));
-        let unit = t.layout().unit_nmos_width;
+        let unit = ev.tech().layout().unit_nmos_width;
         let plan = |count: usize, mult: f64| BufferingPlan {
             kind: RepeaterKind::Inverter,
             count,
@@ -1154,7 +1134,7 @@ mod tests {
             config,
         };
         let ps = Time::ps;
-        let queries = vec![
+        vec![
             query(
                 spec8,
                 plan(12, 8.0),
@@ -1163,7 +1143,6 @@ mod tests {
                 0.95,
                 cfg(Method::SobolScrambled, 3),
             ),
-            // Surrogate screen active (control variate opted in).
             query(
                 spec8,
                 plan(12, 8.0),
@@ -1208,8 +1187,8 @@ mod tests {
                 0.95,
                 cfg(Method::Analytic, 10),
             ),
-            // The screen on a correlated line, and the surrogate-IS
-            // estimator itself screened.
+            // The control variate on a correlated line, and with the
+            // surrogate-IS estimator.
             query(
                 spec8,
                 plan(12, 8.0),
@@ -1226,7 +1205,14 @@ mod tests {
                 0.9,
                 cfg(Method::SurrogateIs, 12).with_control_variate(true),
             ),
-        ];
+        ]
+    }
+
+    #[test]
+    fn batched_sizing_is_bit_identical_to_solo_runs() {
+        let (t, m) = setup();
+        let ev = LineEvaluator::new(&m, &t);
+        let queries = ladder_queries(&ev);
         let (batched, batch_counters) = sizing_counters(|| ev.size_for_yield_batch(&queries));
         let (solos, solo_counters) = sizing_counters(|| {
             queries
@@ -1260,8 +1246,6 @@ mod tests {
                 ("sizing.accepted", 8),
                 ("sizing.candidate_fail", 37),
                 ("sizing.exhausted", 1),
-                ("sizing.surrogate_screen_miss", 7),
-                ("sizing.surrogate_accept", 2),
                 ("gp.solve", 0),
                 ("gp.infeasible", 0),
                 ("gp.proposals", 0),
@@ -1272,6 +1256,15 @@ mod tests {
             ],
         );
         assert!(ev.size_for_yield_batch(&[]).is_empty());
+    }
+
+    #[test]
+    fn ladder_answers_reverify_under_their_own_config() {
+        let (t, m) = setup();
+        let ev = LineEvaluator::new(&m, &t);
+        let queries = ladder_queries(&ev);
+        let answers = ev.size_for_yield_batch(&queries);
+        legacy::assert_reverifies(&ev, &queries, &answers);
     }
 
     #[test]
@@ -1414,49 +1407,6 @@ mod tests {
         // bound, not just its point estimate.
         let est = ev.timing_yield_estimate(&spec, &sized.plan, &v, deadline, &cfg);
         assert!(est.yield_fraction - est.half_width >= target);
-    }
-
-    #[test]
-    fn surrogate_screened_sizing_matches_the_plain_search() {
-        // Opting into the control variate turns on the surrogate-IS
-        // acceptance screen: the search must land on the same (or an
-        // earlier, still target-clearing) rung as the unscreened search,
-        // and the accepted plan must clear the target under an
-        // independent reference estimate.
-        let (t, m) = setup();
-        let ev = LineEvaluator::new(&m, &t);
-        let spec = LineSpec::global(Length::mm(8.0), DesignStyle::SingleSpacing);
-        let start = BufferingPlan {
-            kind: RepeaterKind::Inverter,
-            count: 12,
-            wn: t.layout().unit_nmos_width * 8.0,
-            staggered: false,
-        };
-        let v = VariationModel::nominal();
-        let deadline = Time::ps(560.0);
-        let cfg = pi_yield::EstimatorConfig::new(pi_yield::Method::SobolScrambled);
-        let plain = size_one(&ev, spec, start, deadline, 0.95, cfg).expect("target reachable");
-        let screened = size_one(
-            &ev,
-            spec,
-            start,
-            deadline,
-            0.95,
-            cfg.with_control_variate(true),
-        )
-        .expect("target reachable");
-        // The screen only accepts, never rejects, so it cannot stop later.
-        assert!(
-            screened.steps <= plain.steps,
-            "screen stopped at step {} after plain stopped at {}",
-            screened.steps,
-            plain.steps
-        );
-        let reference = timing_yield(&ev, &spec, &screened.plan, &v, deadline, 4000, 17);
-        assert!(
-            reference >= 0.95 - 0.02,
-            "screened plan only reaches {reference}"
-        );
     }
 
     #[test]

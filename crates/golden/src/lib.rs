@@ -11,9 +11,7 @@
 //!   line-delay analysis, plus a monolithic whole-line simulation for
 //!   validation;
 //! - [`flow`] — the Table II harness: per-line model-vs-sign-off errors and
-//!   runtime ratios;
-//! - [`moments`] — Elmore / D2M moment-based delay metrics as a fast
-//!   independent cross-check (the "post-AWE" analysis family).
+//!   runtime ratios.
 //!
 //! # Examples
 //!
@@ -43,13 +41,11 @@
 
 pub mod extraction;
 pub mod flow;
-pub mod moments;
 pub mod noise;
 pub mod signoff;
 
 pub use extraction::{extract, place_uniform, ExtractedLine, ExtractedSegment, Placement};
 pub use flow::{accuracy_row, relative_error, AccuracyRow};
-pub use moments::RcChain;
 pub use noise::{victim_glitch, GlitchResult};
 pub use signoff::{
     line_delay, line_delay_reference, simulate_full_line, simulate_full_line_reference,

@@ -18,7 +18,7 @@
 //! 95 % interval and stops once it is narrow enough past the floor.
 //!
 //! - **Naive MC** — Wilson interval on the pass count.
-//! - **Scrambled Sobol** — CLT over `replicates` independently shifted
+//! - **Scrambled Sobol** — CLT over `REPLICATES` independently shifted
 //!   copies of the point set: honest, and shrinking like the QMC error
 //!   (≈ N⁻¹), not like N^(−1/2).
 //! - **Importance sampling** — CLT on the likelihood-ratio weighted
@@ -116,14 +116,10 @@ pub struct EstimatorConfig {
     /// units). Zero disables early stopping: exactly `max_evals` dies run.
     pub target_half_width: f64,
     /// Cap on sampled dies. Scrambled Sobol splits it evenly over its
-    /// replicates, rounding up: each runs `max_evals.div_ceil(replicates)`
-    /// points, so a run may spend up to `replicates − 1` dies more (8 at
-    /// `max_evals = 1` and 1008 at 1001, with the default 8 replicates).
+    /// 8 replicates, rounding up: each runs `max_evals.div_ceil(8)`
+    /// points, so a run may spend up to 7 dies more (8 at `max_evals = 1`
+    /// and 1008 at 1001).
     pub max_evals: usize,
-    /// Two-sided confidence multiplier (1.96 ≈ 95 %).
-    pub confidence_z: f64,
-    /// Independent digital-shift replicates for [`Method::SobolScrambled`].
-    pub replicates: usize,
     /// Evaluate the analytic surrogate alongside every sampled die and
     /// use it as a control variate (naive, scrambled-Sobol and importance
     /// estimators). [`Method::SurrogateIs`] always does.
@@ -136,7 +132,7 @@ pub struct EstimatorConfig {
 }
 
 impl EstimatorConfig {
-    /// Defaults: seed 1, ±0.5 % @ 95 %, ≤ 2²⁰ dies, 8 RQMC replicates.
+    /// Defaults: seed 1, ±0.5 % @ 95 %, ≤ 2²⁰ dies.
     #[must_use]
     pub fn new(method: Method) -> Self {
         EstimatorConfig {
@@ -144,8 +140,6 @@ impl EstimatorConfig {
             seed: 1,
             target_half_width: 5e-3,
             max_evals: 1 << 20,
-            confidence_z: 1.959_963_984_540_054,
-            replicates: 8,
             control_variate: false,
             disagreement_threshold: 0.25,
         }
@@ -184,21 +178,6 @@ impl EstimatorConfig {
     pub fn with_disagreement_threshold(mut self, threshold: f64) -> Self {
         self.disagreement_threshold = threshold;
         self
-    }
-
-    /// The cheap screening configuration paired with this one by the
-    /// sizing loops: same knobs, method swapped to the surrogate
-    /// importance sampler. `None` when screening does not apply — the
-    /// caller has not opted into the control variate (opting in is what
-    /// declares the analytic surrogate trustworthy), or the configured
-    /// method *is* already the surrogate sampler.
-    #[must_use]
-    pub fn surrogate_screen(&self) -> Option<EstimatorConfig> {
-        (self.control_variate && self.method != Method::SurrogateIs).then(|| {
-            let mut cfg = *self;
-            cfg.method = Method::SurrogateIs;
-            cfg
-        })
     }
 }
 
@@ -243,8 +222,7 @@ pub fn estimate_line_yield(problem: &LineProblem, config: &EstimatorConfig) -> Y
 ///
 /// # Panics
 ///
-/// Panics if `max_evals` is zero or `replicates < 2` for the scrambled
-/// Sobol method.
+/// Panics if `max_evals` is zero.
 #[must_use]
 pub fn estimate_network_yield(
     problem: &NetworkProblem,
@@ -360,19 +338,15 @@ impl Row {
             fallback: config.method,
         };
         match config.method {
-            Method::SobolScrambled => {
-                let units = config.replicates;
-                assert!(units >= 2, "scrambled Sobol needs at least 2 replicates");
-                Row {
-                    rule: Rule::Replicates,
-                    units,
-                    // Doubling the points run so far lands every stop on a
-                    // power of two, where a Sobol prefix is a digital net.
-                    next_round: |done| done.max(FIRST_REPLICATE_POINTS),
-                    floor: [MIN_REPLICATE_POINTS.min(config.max_evals.div_ceil(units)); 2],
-                    ..rounds
-                }
-            }
+            Method::SobolScrambled => Row {
+                rule: Rule::Replicates,
+                units: REPLICATES,
+                // Doubling the points run so far lands every stop on a
+                // power of two, where a Sobol prefix is a digital net.
+                next_round: |done| done.max(FIRST_REPLICATE_POINTS),
+                floor: [MIN_REPLICATE_POINTS.min(config.max_evals.div_ceil(REPLICATES)); 2],
+                ..rounds
+            },
             Method::ImportanceSampling | Method::SurrogateIs => Row {
                 rule: Rule::Weighted,
                 floor: [MIN_IS_DIES, FIRST_BATCH].map(|f| f.min(config.max_evals)),
@@ -384,6 +358,11 @@ impl Row {
     }
 }
 
+/// Two-sided confidence multiplier of every interval: the 97.5 %
+/// normal quantile, for 95 % confidence.
+const CONFIDENCE_Z: f64 = 1.959_963_984_540_054;
+/// Independent digital-shift replicates of scrambled Sobol.
+const REPLICATES: usize = 8;
 /// First adaptive batch size (dies).
 const FIRST_BATCH: usize = 256;
 /// Largest adaptive batch size.
@@ -438,7 +417,7 @@ fn drive(
         dis_rate = units.iter().map(|t| t.dis_w).sum::<f64>() / dies;
         trusted = cv.is_some() && dis_rate <= config.disagreement_threshold;
         let trusted_e_pass = e_pass.filter(|_| trusted);
-        ci = interval(row.rule, &units, trusted_e_pass, config.confidence_z, cap);
+        ci = interval(row.rule, &units, trusted_e_pass, CONFIDENCE_Z, cap);
         pi_obs::sample("yield.ci_half_width", dies, ci.1);
         if cv.is_some() {
             pi_obs::sample("yield.surrogate_disagreement", dies, dis_rate);

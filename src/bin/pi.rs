@@ -3,6 +3,7 @@
 //! ```text
 //! pi delay    --tech 65nm --length 5mm [--style ss|sh|dw] [--count N] [--drive D] [--staggered]
 //! pi optimize --tech 65nm --length 5mm --clock 2GHz [--weight 0.5] [--staggered]
+//!             [--style ss|sh|dw]
 //! pi reach    --tech 65nm --clock 2GHz [--style ss|sh|dw] [--staggered]
 //! pi noc      --design dvopd|vproc --tech 65nm --clock 2.25GHz [--model proposed|original|mesh]
 //!             [--yield-target 0.9 [--rho 0.5] [--cell 2mm]]
@@ -186,6 +187,7 @@ impl Opts {
 }
 
 fn cmd_delay(opts: &Opts) -> Result<(), String> {
+    opts.only(&["tech", "length", "style", "count", "drive", "staggered"])?;
     let node = opts.tech()?;
     let tech = Technology::new(node);
     let models = builtin(node);
@@ -229,6 +231,7 @@ fn cmd_delay(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_optimize(opts: &Opts) -> Result<(), String> {
+    opts.only(&["tech", "length", "clock", "style", "weight", "staggered"])?;
     let node = opts.tech()?;
     let tech = Technology::new(node);
     let models = builtin(node);
@@ -275,6 +278,7 @@ fn cmd_optimize(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_reach(opts: &Opts) -> Result<(), String> {
+    opts.only(&["tech", "clock", "style", "staggered"])?;
     let node = opts.tech()?;
     let tech = Technology::new(node);
     let models = builtin(node);
@@ -299,6 +303,16 @@ fn cmd_reach(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_noc(opts: &Opts) -> Result<(), String> {
+    opts.only(&[
+        "tech",
+        "clock",
+        "spec",
+        "design",
+        "yield-target",
+        "rho",
+        "cell",
+        "model",
+    ])?;
     let node = opts.tech()?;
     let tech = Technology::new(node);
     let models = builtin(node);
@@ -358,6 +372,18 @@ fn cmd_noc(opts: &Opts) -> Result<(), String> {
 fn cmd_yield(opts: &Opts) -> Result<(), String> {
     use predictive_interconnect::stats::{EstimatorConfig, Method};
 
+    opts.only(&[
+        "tech",
+        "length",
+        "deadline",
+        "samples",
+        "seed",
+        "rho",
+        "regions",
+        "estimator",
+        "ci",
+        "cv",
+    ])?;
     let node = opts.tech()?;
     let tech = Technology::new(node);
     let models = builtin(node);
@@ -461,6 +487,16 @@ fn cmd_yield(opts: &Opts) -> Result<(), String> {
 fn cmd_size(opts: &Opts) -> Result<(), String> {
     use predictive_interconnect::stats::{EstimatorConfig, Method};
 
+    opts.only(&[
+        "tech",
+        "length",
+        "deadline",
+        "target",
+        "estimator",
+        "seed",
+        "ci",
+        "gp",
+    ])?;
     let node = opts.tech()?;
     let tech = Technology::new(node);
     let models = builtin(node);
@@ -534,6 +570,7 @@ fn cmd_size(opts: &Opts) -> Result<(), String> {
 
 fn cmd_report(opts: &Opts) -> Result<(), String> {
     use predictive_interconnect::report::{link_datasheet, DatasheetOptions};
+    opts.only(&["tech", "length", "clock", "style", "bits", "full"])?;
     let node = opts.tech()?;
     let tech = Technology::new(node);
     let models = builtin(node);
@@ -815,6 +852,18 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
 
 fn cmd_load(opts: &Opts) -> Result<(), String> {
     use predictive_interconnect::serve::{run_load, LoadConfig};
+    opts.only(&[
+        "addr",
+        "qps",
+        "concurrency",
+        "conns",
+        "duration",
+        "yield-pct",
+        "size-pct",
+        "seed",
+        "tech",
+        "json",
+    ])?;
     let mut config = LoadConfig::default();
     if let Some(v) = opts.get("addr") {
         config.addr = v.to_owned();
@@ -860,7 +909,8 @@ fn cmd_load(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_scaling() -> Result<(), String> {
+fn cmd_scaling(opts: &Opts) -> Result<(), String> {
+    opts.only(&[])?;
     use predictive_interconnect::wire::WireRc;
     println!("node   Vdd [V]  R [ohm/mm]  C [fF/mm]");
     for node in TechNode::ALL {
@@ -927,7 +977,7 @@ fn main() -> ExitCode {
                 "report" => cmd_report(&opts),
                 "serve" => cmd_serve(&opts),
                 "load" => cmd_load(&opts),
-                "scaling" => cmd_scaling(),
+                "scaling" => cmd_scaling(&opts),
                 other => Err(format!("unknown command `{other}`\n{USAGE}")),
             })
         };

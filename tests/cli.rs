@@ -120,6 +120,35 @@ fn bad_arguments_fail_with_messages() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--batch-window`"));
 
+    // A misspelt flag is an error, not a silent default: `--taget` would
+    // otherwise certify a plan at the default 90 % target.
+    let out = pi(&[
+        "size",
+        "--tech",
+        "65nm",
+        "--length",
+        "5mm",
+        "--deadline",
+        "650ps",
+        "--taget",
+        "0.999",
+    ]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--taget`"));
+    let out = pi(&[
+        "yield",
+        "--tech",
+        "65nm",
+        "--length",
+        "8mm",
+        "--deadline",
+        "560ps",
+        "--estimatr",
+        "naive",
+    ]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--estimatr`"));
+
     // Deadlines and CI targets get the same finite-positive validation
     // as `/v1/*` fields: never a 0% yield or an empty search instead.
     for deadline in ["nan", "-100ps", "0ps"] {
